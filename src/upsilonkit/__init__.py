@@ -36,12 +36,8 @@ from .exact import (
     PLFunction,
     as_rational,
     format_rational,
-    pl_evaluate,
-    pl_negate_scale,
-    pl_one_sided_slope,
 )
 from .expr import ExprParseError, build, parse_and_build, parse_expression
-from .gf2 import f2_member, f2_rank, f2_solve
 from .textio import ComplexParseError, parse_complex, serialize_complex
 from .upsilon import (
     ConsistencyError,
@@ -59,7 +55,6 @@ from .upsilon2 import (
     ZSets,
     check_disjointness_theorem,
     check_subadditivity,
-    gamma2,
     upsilon2,
     upsilon2_scalar,
     z_sets,

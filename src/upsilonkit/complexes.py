@@ -11,8 +11,9 @@ algebra.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 from .gf2 import Gf2Solver, Gf2Span
 
@@ -21,6 +22,20 @@ LatticePoint = tuple[int, int]
 
 class InvalidComplexError(ValueError):
     """The complex violates a structural or homological axiom."""
+
+
+def memoized(fn):
+    """Cache fn(C, *args) on the immutable complex C, keyed by fn and
+    args.  Callers share the result, so it must not be mutated."""
+
+    @functools.wraps(fn)
+    def wrapper(C, *args):
+        key = (fn, *args)
+        if key not in C._cache:
+            C._cache[key] = fn(C, *args)
+        return C._cache[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -143,36 +158,32 @@ class ModelComplex:
 
     # -- grading slices of the full complex ---------------------------------
 
+    @memoized
     def grading_slice(self, g: int) -> tuple[SliceElement, ...]:
         """Basis of the degree-g part of the full complex.
 
         Each generator with matching grading parity contributes exactly
         one U-translate; order follows generator declaration.
         """
-        key = ("slice", g)
-        if key not in self._cache:
-            out = []
-            for gen in self._generators:
-                if (gen.grading - g) % 2 == 0:
-                    k = (gen.grading - g) // 2
-                    out.append(SliceElement(gen.name, k, (gen.i - k, gen.j - k)))
-            self._cache[key] = tuple(out)
-        return self._cache[key]
+        out = []
+        for gen in self._generators:
+            if (gen.grading - g) % 2 == 0:
+                k = (gen.grading - g) // 2
+                out.append(SliceElement(gen.name, k, (gen.i - k, gen.j - k)))
+        return tuple(out)
 
-    def slice_boundary(self, g: int) -> list[int]:
+    @memoized
+    def slice_boundary(self, g: int) -> tuple[int, ...]:
         """Columns of the boundary matrix from slice g to slice g-1."""
-        key = ("slice-boundary", g)
-        if key not in self._cache:
-            codomain = self.grading_slice(g - 1)
-            index = {e.name: idx for idx, e in enumerate(codomain)}
-            cols = []
-            for elem in self.grading_slice(g):
-                v = 0
-                for _, target in self._boundary[elem.name]:
-                    v ^= 1 << index[target]
-                cols.append(v)
-            self._cache[key] = cols
-        return list(self._cache[key])
+        codomain = self.grading_slice(g - 1)
+        index = {e.name: idx for idx, e in enumerate(codomain)}
+        cols = []
+        for elem in self.grading_slice(g):
+            v = 0
+            for _, target in self._boundary[elem.name]:
+                v ^= 1 << index[target]
+            cols.append(v)
+        return tuple(cols)
 
     def homology_dimension(self, g: int) -> int:
         dim = len(self.grading_slice(g))
@@ -180,28 +191,26 @@ class ModelComplex:
         rank_in = Gf2Solver(self.slice_boundary(g + 1)).rank
         return dim - rank_out - rank_in
 
+    @memoized
     def generator_coset(self) -> CycleCoset:
         """The affine set of grading-0 cycles carrying the H0 generator."""
-        if "coset" not in self._cache:
-            basis = self.grading_slice(0)
-            out = Gf2Solver(self.slice_boundary(0))
-            cycles = out.kernel_basis()
-            b0 = Gf2Span(self.slice_boundary(1))
-            h0 = len(cycles) - b0.rank
-            if h0 != 1:
-                raise InvalidComplexError(f"H0 has dimension {h0}, expected 1")
-            z0 = next((z for z in cycles if z not in b0), None)
-            if z0 is None:
-                raise InvalidComplexError("no cycle outside the boundary span")
-            self._cache["coset"] = CycleCoset(basis, z0, tuple(b0.basis()))
-        return self._cache["coset"]
+        basis = self.grading_slice(0)
+        out = Gf2Solver(self.slice_boundary(0))
+        cycles = out.kernel_basis()
+        b0 = Gf2Span(self.slice_boundary(1))
+        h0 = len(cycles) - b0.rank
+        if h0 != 1:
+            raise InvalidComplexError(f"H0 has dimension {h0}, expected 1")
+        z0 = next((z for z in cycles if z not in b0), None)
+        if z0 is None:
+            raise InvalidComplexError("no cycle outside the boundary span")
+        return CycleCoset(basis, z0, tuple(b0.basis()))
 
     # -- validation ----------------------------------------------------------
 
+    @memoized
     def validate(self) -> ValidationReport:
-        if "report" not in self._cache:
-            self._cache["report"] = ValidationReport(tuple(self._checks()))
-        return self._cache["report"]
+        return ValidationReport(tuple(self._checks()))
 
     def require_valid(self) -> "ModelComplex":
         report = self.validate()
@@ -261,10 +270,10 @@ class ModelComplex:
                           detail=f"dim H(g) for g=-1..2: {[dims[g] for g in (-1, 0, 1, 2)]}")
 
         if hom_ok:
-            from .upsilon import gamma_at  # deferred: upsilon builds on this module
+            from .upsilon import _gamma  # deferred: upsilon builds on this module
 
-            g0 = gamma_at(self, 0, _checked=False)
-            g2 = gamma_at(self, 2, _checked=False)
+            g0, _ = _gamma(self, 0)
+            g2, _ = _gamma(self, 2)
             yield CheckResult("normalization", g0 == 0 and g2 == 0,
                               detail=f"gamma(0) = {g0}, gamma(2) = {g2}")
         else:

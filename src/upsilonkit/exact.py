@@ -177,14 +177,3 @@ def _merge_collinear(pts):
         out.append(p)
     return out
 
-
-def pl_evaluate(f: PLFunction, x: RationalLike):
-    return f.evaluate(x)
-
-
-def pl_negate_scale(f: PLFunction, a: RationalLike, b: RationalLike = 0) -> PLFunction:
-    return f.scale(a, b)
-
-
-def pl_one_sided_slope(f: PLFunction, x: RationalLike, side: str) -> Fraction:
-    return f.one_sided_slope(x, side)

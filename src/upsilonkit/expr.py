@@ -63,6 +63,14 @@ class Sum:
 
 Node = Union[Atom, Dual, Power, Tensor, Sum]
 
+# build() recurses once per tree level, so no tree may be taller than this and
+# no more brackets may be open at once: well under the interpreter's default
+# recursion limit of 1000.  The parser itself does not recurse.
+MAX_DEPTH = 400
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+# How tightly each operator binds; the prefixes '*' and '-' bind tightest.
+_BINDING = {"+": 1, "#": 2, "*": 3, "-": 3}
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_-]*)|(?P<int>\d+)|(?P<file>@[^\s()#+*]+)"
     r"|(?P<punct>[()\[\],#+*-]))"
@@ -107,49 +115,49 @@ class _Parser:
         return self.next()
 
     def parse(self) -> Node:
-        node = self.sum()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ExprParseError(f"trailing input {val!r}", off, {"'#'", "'+'", "end of input"})
-        return node
+        """Operator-precedence parse over explicit stacks, so nesting costs
+        no interpreter frames.  operands holds (node, tree height) pairs,
+        operators pending (symbol, power, offset); '(' marks a bracket."""
+        operands, operators, brackets = [], [], 0
+        while True:
+            # An operand: tensor powers, then duals, then a bracket or an atom.
+            while self.peek()[0] == "int":
+                _, val, off = self.next()
+                n = int(val)
+                if n <= 0:
+                    raise ExprParseError(f"tensor power must be positive, got {n}", off)
+                self.expect("*")
+                operators.append(("*", n, off))
+            while self.peek()[1] == "-":
+                operators.append(("-", 0, self.next()[2]))
+            kind, val, off = self.next()
+            if val == "(":
+                if brackets == MAX_DEPTH:
+                    raise ExprParseError(_TOO_DEEP, off)
+                brackets += 1
+                operators.append(("(", 0, off))
+                continue
+            operands.append((self.atom(kind, val, off), 0))
+            # Then any closing brackets, and a binary operator or the end.
+            kind, val, off = self.peek()
+            while brackets and val == ")":
+                self.next()
+                _reduce(operands, operators, 0)
+                operators.pop()
+                brackets -= 1
+                kind, val, off = self.peek()
+            if val in ("#", "+"):
+                _reduce(operands, operators, _BINDING[val])
+                operators.append((val, 0, self.next()[2]))
+            elif brackets:
+                self.expect(")")  # raises: a bracket is left open
+            elif kind != "end":
+                raise ExprParseError(f"trailing input {val!r}", off, {"'#'", "'+'", "end of input"})
+            else:
+                _reduce(operands, operators, 0)
+                return operands[0][0]
 
-    def sum(self) -> Node:
-        node = self.tensor()
-        while self.peek()[1] == "+":
-            self.next()
-            node = Sum(node, self.tensor())
-        return node
-
-    def tensor(self) -> Node:
-        node = self.power()
-        while self.peek()[1] == "#":
-            self.next()
-            node = Tensor(node, self.power())
-        return node
-
-    def power(self) -> Node:
-        kind, val, off = self.peek()
-        if kind == "int":
-            self.next()
-            n = int(val)
-            if n <= 0:
-                raise ExprParseError(f"tensor power must be positive, got {n}", off)
-            self.expect("*")
-            return Power(n, self.power())
-        return self.unary()
-
-    def unary(self) -> Node:
-        if self.peek()[1] == "-":
-            self.next()
-            return Dual(self.unary())
-        return self.atom()
-
-    def atom(self) -> Node:
-        kind, val, off = self.next()
-        if val == "(":
-            node = self.sum()
-            self.expect(")")
-            return node
+    def atom(self, kind: str, val: str, off: int) -> Atom:
         if kind == "file":
             return Atom("file", val[1:])
         if kind == "name":
@@ -195,6 +203,22 @@ class _Parser:
         if kind != "int":
             raise ExprParseError(f"unexpected token {val or 'end of input'!r}", off, {"an integer"})
         return int(val)
+
+
+def _reduce(operands: list, operators: list, binding: int) -> None:
+    """Apply the pending operators, back to the innermost open bracket,
+    that bind at least as tightly as binding."""
+    while operators and operators[-1][0] != "(" and _BINDING[operators[-1][0]] >= binding:
+        symbol, n, off = operators.pop()
+        right, height = operands.pop()
+        if symbol in ("#", "+"):
+            left, left_height = operands.pop()
+            node, height = (Tensor if symbol == "#" else Sum)(left, right), max(height, left_height)
+        else:
+            node = Dual(right) if symbol == "-" else Power(n, right)
+        if height == MAX_DEPTH:
+            raise ExprParseError(_TOO_DEEP, off)
+        operands.append((node, height + 1))
 
 
 def parse_expression(text: str) -> Node:

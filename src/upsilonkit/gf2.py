@@ -144,25 +144,3 @@ class Gf2Solver:
         other._ncols = self._ncols
         return other
 
-
-def f2_solve(columns: list[int], target: int, nrows: Optional[int] = None) -> Optional[int]:
-    """Solve M x = target where M is given by its columns.
-
-    Returns a bitmask over the columns, or None when target is outside
-    the column span.  If nrows is given, vectors with bits at or above
-    it raise ValueError.
-    """
-    if nrows is not None:
-        for v in list(columns) + [target]:
-            if v.bit_length() > nrows:
-                raise ValueError(f"vector has {v.bit_length()} rows, expected at most {nrows}")
-    return Gf2Solver(columns).solve(target)
-
-
-def f2_member(basis: Iterable[int], v: int) -> bool:
-    """Decide membership of v in the span of the given vectors."""
-    return v in Gf2Span(basis)
-
-
-def f2_rank(vectors: Iterable[int]) -> int:
-    return Gf2Span(vectors).rank

@@ -5,7 +5,8 @@
     d NAME = [U^K] NAME (+ [U^K] NAME)*
 
 '#' starts a comment; blank lines are ignored.  A generator without a
-d-line has zero boundary.
+d-line has zero boundary.  No generator may be named 0, which would read
+as the zero boundary.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def parse_complex(text: str) -> ModelComplex:
             if len(parts) != 4:
                 raise ComplexParseError(lineno, f"expected 'gen NAME GRADING I J', got {raw.strip()!r}")
             name, *nums = parts
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.match(name) or name == "0":
                 raise ComplexParseError(lineno, f"bad generator name {name!r}")
             if name in seen:
                 raise ComplexParseError(lineno, f"duplicate gen line for {name!r} (first at line {seen[name]})")
@@ -88,6 +89,8 @@ def parse_complex(text: str) -> ModelComplex:
 def serialize_complex(C: ModelComplex) -> str:
     lines = []
     for g in C.generators:
+        if g.name == "0":
+            raise ValueError("generator name '0' would read back as a zero boundary")
         lines.append(f"gen {g.name} {g.grading} {g.i} {g.j}")
     for g in C.generators:
         terms = sorted(C.boundary_of(g.name), key=lambda t: (t[1], t[0]))

@@ -4,15 +4,19 @@ For a parameter t in [0, 2] the weight of a lattice point (i, j) is
 phi_t(i, j) = (t/2) j + (1 - t/2) i.  gamma(t) is the smallest w such
 that some grading-0 cycle carrying the H0 generator is supported on
 points of weight at most w, and Upsilon(t) = -2 gamma(t).
+
+gamma(t) is one call to threshold, the kernel upsilon2 shares: slice
+elements join the coset's boundary span in phi_t order until it holds
+the cycle.  crossings and certified_pl are shared the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from .complexes import LatticePoint, ModelComplex, CycleCoset
+from .complexes import LatticePoint, ModelComplex, memoized
 from .exact import DomainError, PLFunction, as_rational
 from .gf2 import Gf2Span
 
@@ -30,69 +34,90 @@ def phi(t, point: LatticePoint) -> Fraction:
     return t / 2 * j + (1 - t / 2) * i
 
 
-def _threshold_gamma(coset: CycleCoset, weight: Callable[[LatticePoint], Fraction]):
-    """Least prefix weight at which the coset meets the weight half-plane.
+def threshold(base_span: Gf2Span, target: int, items, weight):
+    """Least weight at which target enters base_span grown by items.
 
-    Returns (gamma, points at that weight).  Grows a span from the
-    boundary space, admitting slice elements in weight order, until the
-    representative cycle becomes a member.
-    """
-    span = Gf2Span(coset.boundaries)
-    order: dict[Fraction, list[int]] = {}
-    for idx, elem in enumerate(coset.basis):
-        order.setdefault(weight(elem.point), []).append(idx)
-    for value in sorted(order):
-        for idx in order[value]:
-            span.add(1 << idx)
-        if coset.cycle in span:
-            points = {coset.basis[idx].point for idx in order[value]}
-            return value, points
-    raise ConsistencyError("cycle not in the span of the full slice")
+    The (vector, point) items join a copy of base_span in increasing
+    weight(point), one level at a time.  Returns (level, points of that
+    level), or None if target never enters."""
+    groups: dict[Fraction, list] = {}
+    for vec, point in items:
+        groups.setdefault(weight(point), []).append((vec, point))
+    span = base_span.copy()
+    for level in sorted(groups):
+        for vec, _ in groups[level]:
+            span.add(vec)
+        if target in span:
+            return level, {point for _, point in groups[level]}
+    return None
 
 
-def gamma_at(C: ModelComplex, t, _checked: bool = True) -> Fraction:
-    """gamma(t) = min over representing cycles of max weight over support."""
-    if _checked:
-        C.require_valid()
+def crossings(points) -> tuple[Fraction, ...]:
+    """0, 2 and every t in (0, 2) where phi_t of two of the points agree;
+    between consecutive crossings their phi_t order is constant."""
+    points = sorted(set(points))
+    cands = {Fraction(0), Fraction(2)}
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            di = points[a][0] - points[b][0]
+            dj = points[a][1] - points[b][1]
+            if di != dj:
+                t = Fraction(2 * di, di - dj)
+                if 0 < t < 2:
+                    cands.add(t)
+    return tuple(sorted(cands))
+
+
+def certified_pl(f: Callable[[Fraction], Fraction], xs, what: str) -> PLFunction:
+    """The PL function through (x, f(x)) for x in xs, certified linear
+    between neighbours by one extra evaluation at each midpoint."""
+    ys = [f(x) for x in xs]
+    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+        if f((x0 + x1) / 2) != (y0 + y1) / 2:
+            raise ConsistencyError(f"{what} not linear on ({x0}, {x1})")
+    return PLFunction(list(zip(xs, ys)))
+
+
+@memoized
+def _gamma_search(C: ModelComplex):
+    """The H0 coset as threshold input: boundary span, cycle, and one
+    unit vector per grading-0 slice element."""
+    coset = C.generator_coset()
+    units = [(1 << idx, e.point) for idx, e in enumerate(coset.basis)]
+    return Gf2Span(coset.boundaries), coset.cycle, units
+
+
+def _gamma(C: ModelComplex, t) -> tuple[Fraction, set]:
+    """gamma(t) and the slice points of weight gamma(t) that admit the
+    cycle; needs a one-dimensional H0 but no other validity."""
     t = as_rational(t)
-    value, _ = _threshold_gamma(C.generator_coset(), lambda p: phi(t, p))
-    return value
+    found = threshold(*_gamma_search(C), lambda p: phi(t, p))
+    if found is None:
+        raise ConsistencyError("cycle not in the span of the full slice")
+    return found
 
 
+def gamma_at(C: ModelComplex, t) -> Fraction:
+    """gamma(t) = min over representing cycles of max weight over support."""
+    C.require_valid()
+    return _gamma(C, t)[0]
+
+
+@memoized
 def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
     """All t in [0, 2] where two grading-0 weights can cross, plus endpoints.
 
     Between consecutive candidates the weight order of the slice points
     is constant, so gamma is linear there.
     """
-    if ("upsilon-candidates",) not in C._cache:
-        points = sorted({e.point for e in C.grading_slice(0)})
-        cands = {Fraction(0), Fraction(2)}
-        for a in range(len(points)):
-            for b in range(a + 1, len(points)):
-                di = points[a][0] - points[b][0]
-                dj = points[a][1] - points[b][1]
-                if di == dj:
-                    continue
-                t = Fraction(2 * di, di - dj)
-                if 0 < t < 2:
-                    cands.add(t)
-        C._cache[("upsilon-candidates",)] = tuple(sorted(cands))
-    return C._cache[("upsilon-candidates",)]
+    return crossings(e.point for e in C.grading_slice(0))
 
 
+@memoized
 def gamma_pl(C: ModelComplex) -> PLFunction:
     """gamma as an exact PL function of t on [0, 2]."""
-    if ("gamma-pl",) not in C._cache:
-        C.require_valid()
-        cands = breakpoint_candidates(C)
-        values = [gamma_at(C, t) for t in cands]
-        for (t0, y0), (t1, y1) in zip(zip(cands, values), zip(cands[1:], values[1:])):
-            mid = (t0 + t1) / 2
-            if gamma_at(C, mid) != (y0 + y1) / 2:
-                raise ConsistencyError(f"gamma not linear on ({t0}, {t1})")
-        C._cache[("gamma-pl",)] = PLFunction(list(zip(cands, values)))
-    return C._cache[("gamma-pl",)]
+    C.require_valid()
+    return certified_pl(lambda t: gamma_at(C, t), breakpoint_candidates(C), "gamma")
 
 
 def upsilon(C: ModelComplex) -> PLFunction:
@@ -111,7 +136,7 @@ class PivotData:
 
 
 def _one_sided_minimizer(C: ModelComplex, t: Fraction) -> LatticePoint:
-    value, points = _threshold_gamma(C.generator_coset(), lambda p: phi(t, p))
+    _, points = _gamma(C, t)
     if len(points) != 1:
         raise ConsistencyError(f"weight tie off the crossing arrangement at t = {t}")
     return next(iter(points))

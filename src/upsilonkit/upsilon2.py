@@ -7,18 +7,24 @@ level r at which some member of Z- becomes homologous to some member
 of Z+ inside the union of the t half-plane at gamma(t) and the s
 half-plane at r; Upsilon2(s) = -2 (gamma2(s) - gamma(t)).  When they
 intersect, gamma2 is identically -inf and Upsilon2 identically +inf.
+
+gamma2(s) is one call to upsilon.threshold, the kernel gamma(t) uses:
+grading-1 boundary columns outside the t half-plane join the span of the
+rest in phi_s order until it holds z- + z+.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .complexes import ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
-from .upsilon import ConsistencyError, gamma_at, phi, pivot_points
+from .upsilon import (
+    ConsistencyError, certified_pl, crossings, delta_upsilon_prime, gamma_at, phi, pivot_points,
+    threshold,
+)
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ def z_sets(C: ModelComplex, t) -> ZSets:
 
 def check_disjointness_theorem(C: ModelComplex, t) -> bool:
     """Positive slope jump forces disjoint one-sided cycle sets."""
-    from .upsilon import delta_upsilon_prime
-
     return delta_upsilon_prime(C, t) <= 0 or z_sets(C, t).disjoint
 
 
@@ -120,11 +124,11 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     pd = pivot_points(C, t)
     zs = z_sets(C, t)
     smooth = pd.p_minus == pd.p_plus
+    infinite = Upsilon2Result(
+        t, pd.gamma_t, zs, smooth, PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),
+    )
     if not zs.disjoint:
-        return Upsilon2Result(
-            t, pd.gamma_t, zs, smooth,
-            PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),
-        )
+        return infinite
 
     target = zs.z_minus ^ zs.z_plus
     slice1 = C.grading_slice(1)
@@ -132,44 +136,20 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     inside = [idx for idx, e in enumerate(slice1) if phi(t, e.point) <= pd.gamma_t]
     outside = [idx for idx, e in enumerate(slice1) if phi(t, e.point) > pd.gamma_t]
 
-    base = Gf2Span(zs.v_minus + zs.v_plus)
-    for idx in inside:
-        base.add(columns[idx])
+    base_columns = list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside]
+    base = Gf2Span(base_columns)
     if target in base:
-        # Already homologous through the t half-plane alone, for every s.
-        return Upsilon2Result(
-            t, pd.gamma_t, zs, smooth,
-            PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),
-        )
+        return infinite  # already homologous through the t half-plane alone, for every s
+
+    items = [(columns[idx], slice1[idx].point) for idx in outside]
 
     def value_at(s: Fraction) -> Fraction:
-        groups: dict[Fraction, list[int]] = {}
-        for idx in outside:
-            groups.setdefault(phi(s, slice1[idx].point), []).append(idx)
-        span = base.copy()
-        for value in sorted(groups):
-            for idx in groups[value]:
-                span.add(columns[idx])
-            if target in span:
-                return value
-        raise ConsistencyError("one-sided cycles not homologous in the full complex")
+        found = threshold(base, target, items, lambda p: phi(s, p))
+        if found is None:
+            raise ConsistencyError("one-sided cycles not homologous in the full complex")
+        return found[0]
 
-    cands = {Fraction(0), Fraction(2)}
-    pts = sorted({slice1[idx].point for idx in outside})
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            di = pts[a][0] - pts[b][0]
-            dj = pts[a][1] - pts[b][1]
-            if di != dj:
-                s = Fraction(2 * di, di - dj)
-                if 0 < s < 2:
-                    cands.add(s)
-    cands = sorted(cands)
-    values = [value_at(s) for s in cands]
-    for (s0, y0), (s1, y1) in zip(zip(cands, values), zip(cands[1:], values[1:])):
-        if value_at((s0 + s1) / 2) != (y0 + y1) / 2:
-            raise ConsistencyError(f"gamma2 not linear on ({s0}, {s1})")
-    g2 = PLFunction(list(zip(cands, values)))
+    g2 = certified_pl(value_at, crossings(p for _, p in items), "gamma2")
     u2 = PLFunction([(x, -2 * (y - pd.gamma_t)) for x, y in g2.breakpoints])
 
     # Chain witness per linear piece, from a solve at the piece midpoint.
@@ -178,14 +158,14 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     for s0, s1 in zip(bps, bps[1:]):
         mid = (s0 + s1) / 2
         level = g2.evaluate(mid)
-        solver = Gf2Solver(list(zs.v_minus + zs.v_plus) + [columns[i] for i in inside])
+        solver = Gf2Solver(base_columns)
         admitted = [idx for idx in outside if phi(mid, slice1[idx].point) <= level]
         for idx in admitted:
             solver.add_column(columns[idx])
         x = solver.solve(target)
         if x is None:
             raise ConsistencyError("witness solve failed on a certified piece")
-        offset = len(zs.v_minus) + len(zs.v_plus) + len(inside)
+        offset = len(base_columns)
         names = tuple(
             slice1[admitted[pos - offset]].name
             for pos in range(offset, solver.num_columns)
@@ -194,11 +174,6 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
         witnesses.append((s0, s1, names))
 
     return Upsilon2Result(t, pd.gamma_t, zs, smooth, g2, u2, tuple(witnesses))
-
-
-def gamma2(C: ModelComplex, t) -> Upsilon2Result:
-    """Alias of upsilon2; the result carries both functions."""
-    return upsilon2(C, t)
 
 
 def upsilon2_scalar(C: ModelComplex):

@@ -5,9 +5,14 @@ connecting chain for every pair of one-sided minimizers) instead of
 using threshold spans, so they share no algorithmic ideas with the
 engine beyond the definitions themselves.  Guarded to dimension
 MAX_DIM to keep enumeration tractable.
+
+Both oracles are memoised by (complex, t, s): the test complexes are
+shared instances (helpers.built), and several suites ask for the same
+grid of values.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import upsilonkit as uk
 from upsilonkit.gf2 import Gf2Solver, combine, support
@@ -35,6 +40,7 @@ def gamma2_eligible(C) -> bool:
     )
 
 
+@cache
 def brute_gamma(C, t) -> Fraction:
     """min over representing cycles of max weight over their support."""
     coset, members = _coset_members(C)
@@ -56,6 +62,7 @@ def _crossing_candidates(points):
     return sorted(cands)
 
 
+@cache
 def brute_gamma2(C, t, s):
     """gamma2 at parameter t evaluated at s; None encodes -infinity.
 

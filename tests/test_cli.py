@@ -159,6 +159,25 @@ def test_exit_code_parse_error(capsys):
     assert code == 1 and "valid names" in err
 
 
+def test_deep_dual_chain_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "upsilon", "--", "-" * 5000 + "T(2,3)")
+    assert code == 2 and out == ""
+    assert "parse error: expression nested deeper than 400 levels" in err
+
+
+def test_deep_brackets_are_a_parse_error(capsys):
+    code, out, err = run(capsys, "upsilon", "(" * 3000 + "T(2,3)" + ")" * 3000)
+    assert code == 2 and out == ""
+    assert "parse error: expression nested deeper than 400 levels" in err
+
+
+def test_nesting_depth_400_still_builds(capsys):
+    dual = run_json(capsys, "upsilon", "--json", "--", "-" * 400 + "T(2,3)")
+    bracketed = run_json(capsys, "upsilon", "--json", "(" * 400 + "T(2,3)" + ")" * 400)
+    plain = run_json(capsys, "upsilon", "--json", "T(2,3)")
+    assert dual == bracketed == plain
+
+
 def test_exit_code_invalid_complex(capsys, tmp_path):
     bad = tmp_path / "nonsq.txt"
     bad.write_text("gen a 0 0 0\ngen b 1 1 1\ngen c 2 2 2\nd c = b\nd b = a\n")

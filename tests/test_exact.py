@@ -11,9 +11,6 @@ from upsilonkit.exact import (
     PLFunction,
     as_rational,
     format_rational,
-    pl_evaluate,
-    pl_negate_scale,
-    pl_one_sided_slope,
 )
 
 
@@ -72,7 +69,7 @@ def test_evaluate_and_domain():
     assert f.evaluate(Fraction(1, 3)) == -1
     assert f.evaluate("2/3") == -2
     assert f(1) == -2
-    assert pl_evaluate(f, 2) == 0
+    assert f.evaluate(2) == 0
     with pytest.raises(DomainError):
         f.evaluate(Fraction(-1, 2))
     with pytest.raises(DomainError):
@@ -99,7 +96,7 @@ def test_one_sided_slope():
     assert f.one_sided_slope(1, "right") == 3
     assert f.one_sided_slope(Fraction(1, 2), "left") == -3
     assert f.one_sided_slope(Fraction(1, 2), "right") == -3
-    assert pl_one_sided_slope(f, 2, "left") == 3
+    assert f.one_sided_slope(2, "left") == 3
     with pytest.raises(DomainError):
         f.one_sided_slope(0, "left")
     with pytest.raises(DomainError):
@@ -113,7 +110,6 @@ def test_scale_and_neg():
     assert f.scale(-2).breakpoints == ((0, 0), (1, -2), (2, 0))
     assert f.scale(2, 1).evaluate(1) == 3
     assert (-f) == f.scale(-1)
-    assert pl_negate_scale(f, -2) == f.scale(-2)
     inf = PLFunction(infinite=NEG_INF)
     assert inf.scale(-2).infinite_value == POS_INF
     with pytest.raises(DomainError):

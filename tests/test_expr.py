@@ -2,6 +2,7 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit.expr import (
+    MAX_DEPTH,
     Atom,
     Dual,
     ExprParseError,
@@ -62,6 +63,22 @@ def test_parse_errors():
     err = pytest.raises(ExprParseError, parse_expression, "T(3,")
     assert err.value.offset == 4
     assert "an integer" in err.value.expected
+
+
+def test_nesting_limit():
+    # Up to MAX_DEPTH levels parse and build; one more is a parse error,
+    # whether the levels come from duals, brackets or an operator chain.
+    deep = parse_expression("-" * MAX_DEPTH + "unknot")
+    assert build(deep).names == ("a" + "*" * MAX_DEPTH,)
+    parse_expression("(" * MAX_DEPTH + "unknot" + ")" * MAX_DEPTH)
+    parse_expression(" + ".join(["unknot"] * (MAX_DEPTH + 1)))
+    for text in (
+        "-" * (MAX_DEPTH + 1) + "unknot",
+        "(" * (MAX_DEPTH + 1) + "unknot" + ")" * (MAX_DEPTH + 1),
+        " + ".join(["unknot"] * (MAX_DEPTH + 2)),
+    ):
+        with pytest.raises(ExprParseError, match=f"nested deeper than {MAX_DEPTH}"):
+            parse_expression(text)
 
 
 def test_build_matches_constructors():

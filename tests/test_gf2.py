@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -6,9 +5,6 @@ from upsilonkit.gf2 import (
     Gf2Solver,
     Gf2Span,
     combine,
-    f2_member,
-    f2_rank,
-    f2_solve,
     from_support,
     support,
 )
@@ -77,20 +73,14 @@ def test_solver_copy_is_independent():
     assert solver.num_columns == 1 and clone.num_columns == 2
 
 
-def test_f2_wrappers():
+def test_solve_membership_and_rank():
     cols = [0b011, 0b110]
-    x = f2_solve(cols, 0b101)
+    x = Gf2Solver(cols).solve(0b101)
     assert x is not None and combine(cols, x) == 0b101
-    assert f2_solve(cols, 0b100) is None
-    assert f2_member(cols, 0b101)
-    assert not f2_member(cols, 0b001)
-    assert f2_rank([0b1, 0b10, 0b11]) == 2
-
-
-def test_f2_solve_nrows_guard():
-    with pytest.raises(ValueError):
-        f2_solve([0b1000], 0b1, nrows=3)
-    assert f2_solve([0b100], 0b100, nrows=3) is not None
+    assert Gf2Solver(cols).solve(0b100) is None
+    assert 0b101 in Gf2Span(cols)
+    assert 0b001 not in Gf2Span(cols)
+    assert Gf2Span([0b1, 0b10, 0b11]).rank == 2
 
 
 @given(st.lists(vectors, max_size=8), vectors)
@@ -98,7 +88,7 @@ def test_solver_agrees_with_span(cols, target):
     solver = Gf2Solver(cols)
     x = solver.solve(target)
     if x is None:
-        assert not f2_member(cols, target)
+        assert target not in Gf2Span(cols)
     else:
         assert combine(cols, x) == target
     for k in solver.kernel_basis():
@@ -110,6 +100,6 @@ def test_solver_agrees_with_span(cols, target):
 def test_span_basis_spans_inputs(vs):
     span = Gf2Span(vs)
     basis = span.basis()
-    assert len(basis) == span.rank == f2_rank(vs)
+    assert len(basis) == span.rank == Gf2Span(basis).rank
     for v in vs:
-        assert f2_member(basis, v)
+        assert v in Gf2Span(basis)

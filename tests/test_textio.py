@@ -61,6 +61,19 @@ def test_serialize_u_powers():
     assert "d b = U^2 a" in serialize_complex(C)
 
 
+def test_generator_named_zero_is_rejected_both_ways():
+    # 'd x = 0' means a zero boundary, so a term on a generator named 0
+    # would silently vanish in a round trip.
+    C = uk.ModelComplex(
+        [uk.Generator("0", 0, 0, 0), uk.Generator("x", 1, 1, 1)], {"x": [(0, "0")]}
+    )
+    with pytest.raises(ValueError, match="'0'"):
+        serialize_complex(C)
+    with pytest.raises(ComplexParseError, match="bad generator name '0'") as err:
+        parse_complex("gen x 1 1 1\ngen 0 0 0 0\nd x = 0\n")
+    assert err.value.lineno == 2
+
+
 @pytest.mark.parametrize("name", CATALOG_SCAN)
 def test_round_trip_preserves_invariants(name):
     C = built(name)

@@ -107,3 +107,39 @@ def test_jump_cross_check_everywhere():
             jump = uk.delta_upsilon_prime(C, t)
             f = uk.upsilon(C)
             assert jump == f.one_sided_slope(t, "right") - f.one_sided_slope(t, "left")
+
+
+def oss_gamma(p, q):
+    """gamma(t) of T(p,q) from the Ozsvath-Stipsicz-Szabo formula: the
+    minimum over 0 <= m <= 2g of #(S cap [0, m)) + t (g - m) / 2, with S
+    the semigroup generated by p and q.  Returns the formula as a
+    function and the t in (0, 2) where two of its lines cross."""
+    g = (p - 1) * (q - 1) // 2
+    semigroup = {a * p + b * q for a in range(2 * g // p + 1) for b in range(2 * g // q + 1)}
+    lines = [(sum(1 for x in semigroup if x < m), F(g - m, 2)) for m in range(2 * g + 1)]
+
+    def gamma(t):
+        return min(c + t * slope for c, slope in lines)
+
+    crossings = {
+        (c2 - c1) / (k1 - k2)
+        for c1, k1 in lines for c2, k2 in lines if k1 != k2
+    }
+    return gamma, {t for t in crossings if 0 < t < 2}
+
+
+@pytest.mark.parametrize("p,q", [(8, 11), (9, 11)])
+def test_torus_knots_match_oss_formula_past_brute_force(p, q):
+    # Coset dimensions 20 and 24 exceed the brute-force oracle's MAX_DIM.
+    C = uk.torus_knot_complex(p, q)
+    gamma, formula_crossings = oss_gamma(p, q)
+    engine = uk.upsilon(C)
+    # Both sides are PL with breakpoints inside this union, so agreeing on
+    # it means agreeing everywhere.
+    for t in set(uk.breakpoint_candidates(C)) | formula_crossings:
+        assert engine.evaluate(t) == -2 * gamma(t), (p, q, t)
+
+
+def test_upsilon_additive_on_a_sum():
+    a, b = uk.torus_knot_complex(3, 4), uk.torus_knot_complex(2, 5)
+    assert uk.upsilon(uk.tensor(a, uk.dual(b))) == uk.upsilon(a) + -uk.upsilon(b)

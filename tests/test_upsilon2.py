@@ -103,12 +103,6 @@ def test_upsilon2_scalar():
     assert uk.upsilon2_scalar(built("T(5,7)")) == -1
 
 
-def test_gamma2_alias():
-    r1 = uk.gamma2(built("T(3,4)"), F(2, 3))
-    r2 = uk.upsilon2(built("T(3,4)"), F(2, 3))
-    assert r1.gamma2 == r2.gamma2 and r1.upsilon2 == r2.upsilon2
-
-
 def test_subadditivity():
     pairs = [
         ("T(2,3)", "T(2,5)"),
