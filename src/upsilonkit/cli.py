@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (invalid complex, failed
-validation), 2 on usage or parse errors.
+validation, a complex over complexes.MAX_GENERATORS), 2 on usage or parse
+errors, 3 when an internal cross-check fails (an engine bug); the last
+prints a reproducer: the command line and the complex in the text format.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .complexes import InvalidComplexError
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational, format_rational
 from .expr import ExprParseError, parse_and_build
 from .textio import ComplexParseError, serialize_complex
-from .upsilon import delta_upsilon_prime, pivot_points, upsilon
+from .upsilon import ConsistencyError, delta_upsilon_prime, pivot_points, upsilon
 from .upsilon2 import upsilon2, upsilon2_scalar, z_sets
 
 MIRROR_NOTE = (
@@ -116,6 +118,21 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        print(_reproducer(args), file=sys.stderr, end="")
+        return 3
+
+
+def _reproducer(args) -> str:
+    """The failing command line and the complex it built, in the text format."""
+    import shlex  # deferred: only this error path needs it
+
+    ts = getattr(args, "t", [])  # one value, a list (bounds) or none
+    ts = ts if isinstance(ts, list) else [ts]
+    argv = [args.command] + [arg for t in ts for arg in ("--t", str(t))] + ["--", args.expr]
+    text = serialize_complex(parse_and_build(args.expr))
+    return f"reproducer: upsilonkit {shlex.join(argv)}\ncomplex:\n{text}"
 
 
 def _dispatch(args) -> int:

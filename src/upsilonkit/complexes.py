@@ -7,17 +7,27 @@ model tensored with F2[U, U^-1]; the action of U drops the grading by
 two and both filtration levels by one, so each grading slice of the
 full complex is finite and can be handled with exact GF(2) linear
 algebra.
+
+Internally a complex is integer-indexed (see ModelComplex); generator
+names matter only at the I/O edge.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .gf2 import Gf2Solver, Gf2Span
 
 LatticePoint = tuple[int, int]
+
+# Most generators tensor, tensor_power and direct_sum may build; 3*hom-K
+# has 3375, 4*hom-K would have 50625.
+MAX_GENERATORS = 10_000
+# U-powers are stored as signed 64-bit integers.
+_MAX_U_POWER = 2**63 - 1
 
 
 class InvalidComplexError(ValueError):
@@ -38,7 +48,7 @@ def memoized(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
     grading: int
@@ -104,57 +114,94 @@ class CycleCoset:
 
 
 class ModelComplex:
-    """Immutable finite model of a bifiltered complex over F2[U, U^-1]."""
+    """Immutable finite model of a bifiltered complex over F2[U, U^-1].
+
+    Generators are integer ids 0..n-1 in declaration order.  Names,
+    gradings and filtration levels are parallel tuples indexed by id, and
+    the boundary is one flat array of (U-power, target id) pairs: the
+    terms of generator x fill positions offsets[x] to offsets[x + 1].
+    Names appear only at the edges: Generator objects, name-keyed
+    boundaries and grading slices are views built on demand.
+    """
 
     def __init__(self, generators: Iterable[Generator], boundary: Mapping[str, Iterable]):
         gens = tuple(generators)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
+        names = tuple(g.name for g in gens)
+        ids = {name: x for x, name in enumerate(names)}
+        if len(ids) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate generator names: {dup}")
-        known = set(names)
-        bmap = {}
+        term_lists = []
         for name in names:
-            terms = set()
+            terms = {}  # a repeated term counts once
             for term in boundary.get(name, ()):
                 k, target = term
-                if target not in known:
+                if target not in ids:
                     raise ValueError(f"boundary of {name} hits unknown generator {target!r}")
                 if not isinstance(k, int) or k < 0:
                     raise ValueError(f"boundary of {name}: U-power must be a non-negative integer")
-                terms.add(BoundaryTerm(k, target))
-            bmap[name] = frozenset(terms)
-        extra = set(boundary) - known
+                if k > _MAX_U_POWER:
+                    raise ValueError(f"boundary of {name}: U-power {k} does not fit in 64 bits")
+                terms[k, ids[target]] = None
+            term_lists.append(terms)
+        extra = set(boundary) - ids.keys()
         if extra:
             raise ValueError(f"boundary given for unknown generators: {sorted(extra)}")
-        self._generators = gens
-        self._boundary = bmap
-        self._by_name = {g.name: g for g in gens}
+        self._store(names, tuple(g.grading for g in gens), tuple(g.i for g in gens),
+                    tuple(g.j for g in gens), *_pack(term_lists))
+
+    @classmethod
+    def _from_arrays(cls, names, grading, i, j, offsets, terms) -> "ModelComplex":
+        """A complex from storage that a construction derived from existing
+        complexes, so without the checks on outside input."""
+        C = cls.__new__(cls)
+        C._store(names, grading, i, j, offsets, terms)
+        return C
+
+    def _store(self, names, grading, i, j, offsets, terms) -> None:
+        self._names: tuple[str, ...] = names
+        self._grading: tuple[int, ...] = grading
+        self._i: tuple[int, ...] = i
+        self._j: tuple[int, ...] = j
+        self._offsets: array = offsets
+        self._terms: array = terms
         self._cache: dict = {}
+
+    # -- views by name -------------------------------------------------------
 
     @property
     def generators(self) -> tuple[Generator, ...]:
-        return self._generators
+        return tuple(map(Generator, self._names, self._grading, self._i, self._j))
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self._generators)
+        return self._names
 
     def generator(self, name: str) -> Generator:
-        return self._by_name[name]
+        x = self._ids()[name]
+        return Generator(name, self._grading[x], self._i[x], self._j[x])
 
     def boundary_of(self, name: str) -> frozenset:
-        return self._boundary[name]
+        return self._boundary_view(self._ids()[name])
 
     @property
     def boundary(self) -> dict:
-        return dict(self._boundary)
+        return {name: self._boundary_view(x) for x, name in enumerate(self._names)}
+
+    def _boundary_view(self, x: int) -> frozenset:
+        names, terms = self._names, self._terms
+        return frozenset(BoundaryTerm(terms[p], names[terms[p + 1]])
+                         for p in range(self._offsets[x], self._offsets[x + 1], 2))
+
+    @memoized
+    def _ids(self) -> dict[str, int]:
+        return {name: x for x, name in enumerate(self._names)}
 
     def __len__(self):
-        return len(self._generators)
+        return len(self._names)
 
     def __repr__(self):
-        return f"ModelComplex({len(self._generators)} generators)"
+        return f"ModelComplex({len(self._names)} generators)"
 
     # -- grading slices of the full complex ---------------------------------
 
@@ -166,30 +213,45 @@ class ModelComplex:
         one U-translate; order follows generator declaration.
         """
         out = []
-        for gen in self._generators:
-            if (gen.grading - g) % 2 == 0:
-                k = (gen.grading - g) // 2
-                out.append(SliceElement(gen.name, k, (gen.i - k, gen.j - k)))
+        for name, grading, i, j in zip(self._names, self._grading, self._i, self._j):
+            if (grading - g) % 2 == 0:
+                k = (grading - g) // 2
+                out.append(SliceElement(name, k, (i - k, j - k)))
         return tuple(out)
 
-    @memoized
     def slice_boundary(self, g: int) -> tuple[int, ...]:
-        """Columns of the boundary matrix from slice g to slice g-1."""
-        codomain = self.grading_slice(g - 1)
-        index = {e.name: idx for idx, e in enumerate(codomain)}
+        """Columns of the boundary matrix from slice g to slice g-1.
+
+        U shifts slice g onto slice g+2 element by element, so both have
+        the same columns; they are built once per grading parity."""
+        return self._columns(g % 2)
+
+    @memoized
+    def _columns(self, parity: int) -> tuple[int, ...]:
+        grading, offsets, terms = self._grading, self._offsets, self._terms
+        row = [-1] * len(grading)  # position in the slice below, for the other parity
+        below = [x for x, gr in enumerate(grading) if (gr - parity) % 2]
+        for r, x in enumerate(below):
+            row[x] = r
         cols = []
-        for elem in self.grading_slice(g):
-            v = 0
-            for _, target in self._boundary[elem.name]:
-                v ^= 1 << index[target]
-            cols.append(v)
+        for x, gr in enumerate(grading):
+            if (gr - parity) % 2 == 0:
+                v = 0
+                for p in range(offsets[x] + 1, offsets[x + 1], 2):
+                    r = row[terms[p]]
+                    if r < 0:  # a target of the same parity is not in the slice below
+                        raise KeyError(self._names[terms[p]])
+                    v ^= 1 << r
+                cols.append(v)
         return tuple(cols)
 
+    @memoized
+    def _rank(self, parity: int) -> int:
+        return Gf2Span(self.slice_boundary(parity)).rank
+
     def homology_dimension(self, g: int) -> int:
-        dim = len(self.grading_slice(g))
-        rank_out = Gf2Solver(self.slice_boundary(g)).rank
-        rank_in = Gf2Solver(self.slice_boundary(g + 1)).rank
-        return dim - rank_out - rank_in
+        dim = sum(1 for grading in self._grading if (grading - g) % 2 == 0)
+        return dim - self._rank(g % 2) - self._rank((g + 1) % 2)
 
     @memoized
     def generator_coset(self) -> CycleCoset:
@@ -229,27 +291,30 @@ class ModelComplex:
         return all(c.passed for c in self._structural_checks())
 
     def _structural_checks(self):
+        names, grading, i, j = self._names, self._grading, self._i, self._j
+        offsets, terms = self._offsets, self._terms
         drop_bad = []
         mono_bad = []
-        for gen in self._generators:
-            for k, target in self._boundary[gen.name]:
-                tg = self._by_name[target]
-                if tg.grading - 2 * k != gen.grading - 1:
-                    drop_bad.append(f"d({gen.name}) term U^{k}.{target}")
-                if tg.i - k > gen.i or tg.j - k > gen.j:
-                    mono_bad.append(f"d({gen.name}) term U^{k}.{target}")
+        for x in range(len(names)):
+            for p in range(offsets[x], offsets[x + 1], 2):
+                k, t = terms[p], terms[p + 1]
+                if grading[t] - 2 * k != grading[x] - 1:
+                    drop_bad.append(f"d({names[x]}) term U^{k}.{names[t]}")
+                if i[t] - k > i[x] or j[t] - k > j[x]:
+                    mono_bad.append(f"d({names[x]}) term U^{k}.{names[t]}")
         yield CheckResult("grading-drop", not drop_bad, detail="; ".join(drop_bad[:3]))
         yield CheckResult("filtration-monotone", not mono_bad, detail="; ".join(mono_bad[:3]))
 
         square_bad = []
-        for gen in self._generators:
-            counts: dict[tuple[int, str], int] = {}
-            for k1, mid in self._boundary[gen.name]:
-                for k2, target in self._boundary[mid]:
-                    key = (k1 + k2, target)
+        for x in range(len(names)):
+            counts: dict[tuple[int, int], int] = {}
+            for p in range(offsets[x], offsets[x + 1], 2):
+                k1, mid = terms[p], terms[p + 1]
+                for q in range(offsets[mid], offsets[mid + 1], 2):
+                    key = (k1 + terms[q], terms[q + 1])
                     counts[key] = counts.get(key, 0) ^ 1
             if any(counts.values()):
-                square_bad.append(gen.name)
+                square_bad.append(names[x])
         yield CheckResult("d-squared", not square_bad,
                           detail=f"d(d(x)) != 0 for x in {square_bad[:3]}")
 
@@ -283,9 +348,31 @@ class ModelComplex:
                           detail="bifiltration multiset not invariant under (i,j) -> (j,i)")
 
     def _symmetry_ok(self) -> bool:
-        levels = sorted((g.grading, g.i, g.j) for g in self._generators)
-        swapped = sorted((g.grading, g.j, g.i) for g in self._generators)
+        levels = sorted(zip(self._grading, self._i, self._j))
+        swapped = sorted(zip(self._grading, self._j, self._i))
         return levels == swapped
+
+
+def _pack(term_lists) -> tuple[array, array]:
+    """Offsets and the flat (U-power, target id) array of per-generator terms."""
+    offsets, flat = array("q", [0]), array("q")
+    for terms in term_lists:
+        for k, t in terms:
+            flat.append(k)
+            flat.append(t)
+        offsets.append(len(flat))
+    return offsets, flat
+
+
+def _term_lists(C: ModelComplex) -> list[list[tuple[int, int]]]:
+    """The (U-power, target id) terms of each generator of C."""
+    o, t = C._offsets, C._terms
+    return [list(zip(t[a:b:2], t[a + 1:b:2])) for a, b in zip(o, o[1:])]
+
+
+def _size_error(what: str, count: str) -> ValueError:
+    return ValueError(f"{what} would have {count} generators, more than the limit of "
+                      f"{MAX_GENERATORS}")
 
 
 # -- constructions ------------------------------------------------------------
@@ -293,38 +380,57 @@ class ModelComplex:
 
 def dual(C: ModelComplex) -> ModelComplex:
     """Mirror complex: gradings and filtrations negated, boundary transposed."""
-    gens = [Generator(g.name + "*", -g.grading, -g.i, -g.j) for g in C.generators]
-    boundary: dict[str, list] = {g.name: [] for g in gens}
-    for g in C.generators:
-        for k, target in C.boundary_of(g.name):
-            boundary[target + "*"].append((k, g.name + "*"))
-    return ModelComplex(gens, boundary)
+    incoming: list[list] = [[] for _ in range(len(C))]
+    for x, terms in enumerate(_term_lists(C)):
+        for k, t in terms:
+            incoming[t].append((k, x))
+    return ModelComplex._from_arrays(
+        tuple(name + "*" for name in C._names), tuple(-g for g in C._grading),
+        tuple(-i for i in C._i), tuple(-j for j in C._j), *_pack(incoming),
+    )
 
 
 def tensor(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
-    """Tensor product over F2[U, U^-1]; models a connected sum."""
-    gens = []
-    pair = {}
-    for x in C1.generators:
-        for y in C2.generators:
-            name = f"({x.name}.{y.name})"
-            pair[(x.name, y.name)] = name
-            gens.append(Generator(name, x.grading + y.grading, x.i + y.i, x.j + y.j))
-    boundary = {}
-    for x in C1.generators:
-        for y in C2.generators:
-            terms = []
-            for k, xt in C1.boundary_of(x.name):
-                terms.append((k, pair[(xt, y.name)]))
-            for k, yt in C2.boundary_of(y.name):
-                terms.append((k, pair[(x.name, yt)]))
-            boundary[pair[(x.name, y.name)]] = terms
-    return ModelComplex(gens, boundary)
+    """Tensor product over F2[U, U^-1]; models a connected sum.
+
+    Generator (x.y) has id x * len(C2) + y."""
+    n1, n2 = len(C1), len(C2)
+    if n1 * n2 > MAX_GENERATORS:
+        raise _size_error("tensor product", f"{n1} x {n2} = {n1 * n2}")
+    left, right = _term_lists(C1), _term_lists(C2)
+    offsets, flat = array("q", [0]), array("q")
+    append = flat.append
+    for x, dx in enumerate(left):
+        shifted = [(k, xt * n2) for k, xt in dx]
+        row = x * n2
+        for y, dy in enumerate(right):
+            # d(x.y) = dx.y + x.dy
+            for k, base in shifted:
+                append(k)
+                append(base + y)
+            for k, yt in dy:
+                # U^k x in dx and U^k y in dy both give U^k (x.y), which counts once.
+                if yt != y or (k, x) not in dx:
+                    append(k)
+                    append(row + yt)
+            offsets.append(len(flat))
+    return ModelComplex._from_arrays(
+        tuple(f"({a}.{b})" for a in C1._names for b in C2._names),
+        tuple(a + b for a in C1._grading for b in C2._grading),
+        tuple(a + b for a in C1._i for b in C2._i),
+        tuple(a + b for a in C1._j for b in C2._j),
+        offsets, flat,
+    )
 
 
 def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
+    m = len(C)
+    # Past MAX_GENERATORS.bit_length() factors even m = 2 is over the limit,
+    # so m ** n is only computed while it is small.
+    if n > 1 and m > 1 and (n > MAX_GENERATORS.bit_length() or m ** n > MAX_GENERATORS):
+        raise _size_error("tensor power", f"{m}^{n}")
     out = C
     for _ in range(n - 1):
         out = tensor(out, C)
@@ -333,17 +439,21 @@ def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
 
 def direct_sum(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
     """Disjoint union; right-hand names pick up ~ suffixes on collision."""
-    taken = set(C1.names)
-    rename = {}
-    for name in C2.names:
+    n1, n2 = len(C1), len(C2)
+    if n1 + n2 > MAX_GENERATORS:
+        raise _size_error("direct sum", f"{n1} + {n2} = {n1 + n2}")
+    taken = set(C1._names)
+    renamed = []
+    for name in C2._names:
         new = name
         while new in taken:
             new += "~"
-        rename[name] = new
+        renamed.append(new)
         taken.add(new)
-    gens = list(C1.generators)
-    gens += [Generator(rename[g.name], g.grading, g.i, g.j) for g in C2.generators]
-    boundary: dict[str, list] = {g.name: list(C1.boundary_of(g.name)) for g in C1.generators}
-    for g in C2.generators:
-        boundary[rename[g.name]] = [(k, rename[t]) for k, t in C2.boundary_of(g.name)]
-    return ModelComplex(gens, boundary)
+    terms2 = array("q", C2._terms)
+    terms2[1::2] = array("q", [t + n1 for t in C2._terms[1::2]])
+    start = len(C1._terms)
+    return ModelComplex._from_arrays(
+        C1._names + tuple(renamed), C1._grading + C2._grading, C1._i + C2._i, C1._j + C2._j,
+        C1._offsets + array("q", [o + start for o in C2._offsets[1:]]), C1._terms + terms2,
+    )

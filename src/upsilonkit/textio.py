@@ -92,8 +92,9 @@ def serialize_complex(C: ModelComplex) -> str:
         if g.name == "0":
             raise ValueError("generator name '0' would read back as a zero boundary")
         lines.append(f"gen {g.name} {g.grading} {g.i} {g.j}")
+    boundary = C.boundary
     for g in C.generators:
-        terms = sorted(C.boundary_of(g.name), key=lambda t: (t[1], t[0]))
+        terms = sorted(boundary[g.name], key=lambda t: (t[1], t[0]))
         if not terms:
             lines.append(f"d {g.name} = 0")
         else:

@@ -34,19 +34,19 @@ def phi(t, point: LatticePoint) -> Fraction:
     return t / 2 * j + (1 - t / 2) * i
 
 
-def threshold(base_span: Gf2Span, target: int, items, weight):
+def threshold(base_span: Gf2Span, target: int, items, weight, vector):
     """Least weight at which target enters base_span grown by items.
 
-    The (vector, point) items join a copy of base_span in increasing
-    weight(point), one level at a time.  Returns (level, points of that
-    level), or None if target never enters."""
+    The (key, point) items join a copy of base_span as vector(key), in
+    increasing weight(point), one level at a time.  Returns (level,
+    points of that level), or None if target never enters."""
     groups: dict[Fraction, list] = {}
-    for vec, point in items:
-        groups.setdefault(weight(point), []).append((vec, point))
+    for key, point in items:
+        groups.setdefault(weight(point), []).append((key, point))
     span = base_span.copy()
     for level in sorted(groups):
-        for vec, _ in groups[level]:
-            span.add(vec)
+        for key, _ in groups[level]:
+            span.add(vector(key))
         if target in span:
             return level, {point for _, point in groups[level]}
     return None
@@ -80,18 +80,19 @@ def certified_pl(f: Callable[[Fraction], Fraction], xs, what: str) -> PLFunction
 
 @memoized
 def _gamma_search(C: ModelComplex):
-    """The H0 coset as threshold input: boundary span, cycle, and one
-    unit vector per grading-0 slice element."""
+    """The H0 coset as threshold input: boundary span, cycle, and the
+    points of the grading-0 slice, whose indices threshold admits as unit
+    vectors."""
     coset = C.generator_coset()
-    units = [(1 << idx, e.point) for idx, e in enumerate(coset.basis)]
-    return Gf2Span(coset.boundaries), coset.cycle, units
+    return Gf2Span(coset.boundaries), coset.cycle, tuple(e.point for e in coset.basis)
 
 
 def _gamma(C: ModelComplex, t) -> tuple[Fraction, set]:
     """gamma(t) and the slice points of weight gamma(t) that admit the
     cycle; needs a one-dimensional H0 but no other validity."""
     t = as_rational(t)
-    found = threshold(*_gamma_search(C), lambda p: phi(t, p))
+    span, cycle, points = _gamma_search(C)
+    found = threshold(span, cycle, enumerate(points), lambda p: phi(t, p), lambda idx: 1 << idx)
     if found is None:
         raise ConsistencyError("cycle not in the span of the full slice")
     return found

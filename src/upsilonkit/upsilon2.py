@@ -141,10 +141,10 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     if target in base:
         return infinite  # already homologous through the t half-plane alone, for every s
 
-    items = [(columns[idx], slice1[idx].point) for idx in outside]
+    items = [(idx, slice1[idx].point) for idx in outside]
 
     def value_at(s: Fraction) -> Fraction:
-        found = threshold(base, target, items, lambda p: phi(s, p))
+        found = threshold(base, target, items, lambda p: phi(s, p), columns.__getitem__)
         if found is None:
             raise ConsistencyError("one-sided cycles not homologous in the full complex")
         return found[0]

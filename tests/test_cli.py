@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -191,3 +192,41 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         make_parser().parse_args(["upsilon2", "T(3,4)", "--t", "x"])
+
+
+def test_internal_error_exits_3_with_a_reproducer(capsys, monkeypatch):
+    def fail(*args):
+        raise uk.ConsistencyError("gamma not linear on (0, 1)")
+
+    monkeypatch.setattr("upsilonkit.cli.upsilon2", fail)
+    code, out, err = run(capsys, "upsilon2", "T(2,3)", "--t", "2/3")
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "internal error: gamma not linear on (0, 1)",
+        "reproducer: upsilonkit upsilon2 --t 2/3 -- 'T(2,3)'",
+        "complex:",
+        *uk.serialize_complex(uk.catalog("T(2,3)")).splitlines(),
+    ]
+    assert uk.parse_complex(err.split("complex:\n", 1)[1]).names == ("a1", "b1", "a2")
+    monkeypatch.setattr("upsilonkit.cli.upsilon", fail)
+    code, _, err = run(capsys, "upsilon", "--", "-T(2,3)")
+    assert code == 3 and "reproducer: upsilonkit upsilon -- '-T(2,3)'" in err
+    monkeypatch.setattr("upsilonkit.cli.genus_report", fail)
+    code, _, err = run(capsys, "bounds", "T(2,3)", "--t", "1", "--t", "1/2")
+    assert code == 3 and "reproducer: upsilonkit bounds --t 1 --t 1/2 -- 'T(2,3)'" in err
+
+
+@pytest.mark.parametrize("expr", ["20*T(2,3)", "4*hom-K", "hom-K # hom-K # hom-K # hom-K"])
+def test_generator_limit_exits_1_fast(capsys, expr):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "show", expr)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "more than the limit of" in err
+
+
+def test_largest_tensor_power_in_use_still_builds(capsys):
+    code, out, _ = run(capsys, "show", "3*hom-K")
+    assert code == 0
+    assert sum(line.startswith("gen ") for line in out.splitlines()) == 3375

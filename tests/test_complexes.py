@@ -1,7 +1,14 @@
+import re
+import tracemalloc
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upsilonkit as uk
-from upsilonkit import Generator, InvalidComplexError, ModelComplex
+from upsilonkit import Generator, InvalidComplexError, ModelComplex, SliceElement
+from upsilonkit.complexes import MAX_GENERATORS
 from upsilonkit.gf2 import support
 from helpers import CATALOG_SCAN, built
 
@@ -11,16 +18,20 @@ def single(point=(0, 0)):
 
 
 def test_construction_errors():
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=re.escape("duplicate generator names: ['a']")):
         ModelComplex([Generator("a", 0, 0, 0), Generator("a", 0, 0, 0)], {})
-    with pytest.raises(ValueError, match="unknown generator"):
+    with pytest.raises(ValueError, match="^boundary of a hits unknown generator 'b'$"):
         ModelComplex([Generator("a", 0, 0, 0)], {"a": [(0, "b")]})
-    with pytest.raises(ValueError, match="U-power"):
+    with pytest.raises(ValueError, match="^boundary of b: U-power must be a non-negative integer$"):
         ModelComplex(
             [Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(-1, "a")]}
         )
-    with pytest.raises(ValueError, match="unknown generators"):
+    with pytest.raises(ValueError, match=re.escape("boundary given for unknown generators: ['zz']")):
         ModelComplex([Generator("a", 0, 0, 0)], {"zz": []})
+    with pytest.raises(ValueError, match=f"U-power {2**63} does not fit in 64 bits"):
+        ModelComplex(
+            [Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(2**63, "a")]}
+        )
 
 
 def test_accessors():
@@ -173,6 +184,9 @@ def test_tensor():
     # Leibniz: d(b1 . a1) hits (a1.a1), (a2.a1) from the left factor only.
     terms = {t for _, t in T.boundary_of("(b1.a1)")}
     assert terms == {"(a1.a1)", "(a2.a1)"}
+    # A term both factors produce (from a loop U^k x in each) counts once.
+    loop = ModelComplex([Generator("x", 0, 0, 0)], {"x": [(1, "x")]})
+    assert uk.tensor(loop, loop).boundary == {"(x.x)": frozenset({(1, "(x.x)")})}
 
 
 def test_tensor_power():
@@ -190,3 +204,153 @@ def test_direct_sum_renames_collisions():
     S2 = uk.direct_sum(C, C)
     assert "a1~" in S2.names
     assert (0, "a1~") in S2.boundary_of("b1~")
+
+
+# -- integer-indexed storage against the name-keyed definitions ---------------
+
+TEXT = """gen a1 0 0 1
+gen b1 1 1 1
+gen a2 0 1 0
+gen r 0 2 2
+gen s 1 2 2
+d a1 = 0
+d b1 = a1 + a2
+d a2 = 0
+d r = U^1 s
+d s = 0
+"""
+
+SHOWN = """gen (a1*.a1) 0 0 0
+gen (a1*.b1) 1 1 0
+gen (a1*.a2) 0 1 -1
+gen (b1*.a1) -1 -1 0
+gen (b1*.b1) 0 0 0
+gen (b1*.a2) -1 0 -1
+gen (a2*.a1) 0 -1 1
+gen (a2*.b1) 1 0 1
+gen (a2*.a2) 0 0 0
+gen a1 0 0 1
+gen b1 1 1 1
+gen a2 0 1 0
+d (a1*.a1) = (b1*.a1)
+d (a1*.b1) = (a1*.a1) + (a1*.a2) + (b1*.b1)
+d (a1*.a2) = (b1*.a2)
+d (b1*.a1) = 0
+d (b1*.b1) = (b1*.a1) + (b1*.a2)
+d (b1*.a2) = 0
+d (a2*.a1) = (b1*.a1)
+d (a2*.b1) = (a2*.a1) + (a2*.a2) + (b1*.b1)
+d (a2*.a2) = (b1*.a2)
+d a1 = 0
+d b1 = a1 + a2
+d a2 = 0
+"""
+
+
+def reference_slice(C, g):
+    """grading_slice(g) from the Generator views."""
+    out = []
+    for gen in C.generators:
+        if (gen.grading - g) % 2 == 0:
+            k = (gen.grading - g) // 2
+            out.append(SliceElement(gen.name, k, (gen.i - k, gen.j - k)))
+    return tuple(out)
+
+
+def reference_slice_boundary(C, g):
+    """slice_boundary(g) from the name-keyed boundary view."""
+    index = {e.name: idx for idx, e in enumerate(reference_slice(C, g - 1))}
+    cols = []
+    for e in reference_slice(C, g):
+        v = 0
+        for _, target in C.boundary_of(e.name):
+            v ^= 1 << index[target]
+        cols.append(v)
+    return tuple(cols)
+
+
+def check_storage(C):
+    for g in range(-3, 4):
+        assert C.grading_slice(g) == reference_slice(C, g)
+        assert C.slice_boundary(g) == reference_slice_boundary(C, g)
+        assert C.slice_boundary(g) == C.slice_boundary(g + 2)
+    assert C.names == tuple(g.name for g in C.generators)
+    assert [C.generator(name) for name in C.names] == list(C.generators)
+    assert C.boundary == {name: C.boundary_of(name) for name in C.names}
+    rebuilt = ModelComplex(C.generators, C.boundary)
+    assert (rebuilt.generators, rebuilt.boundary) == (C.generators, C.boundary)
+    text = uk.serialize_complex(C)
+    assert uk.serialize_complex(rebuilt) == text
+    assert uk.serialize_complex(uk.parse_complex(text)) == text
+
+
+STORAGE_CASES = {
+    **{name: (lambda name=name: uk.catalog(name)) for name in CATALOG_SCAN},
+    "dual": lambda: uk.dual(built("figure6")),
+    "tensor": lambda: uk.tensor(built("T(3,4)"), uk.parse_complex(TEXT)),
+    "tensor power": lambda: uk.tensor_power(built("box(1)"), 3),
+    "direct sum": lambda: uk.direct_sum(built("hom-K"), uk.acyclic_box((1, -1), 2)),
+    "text round trip": lambda: uk.parse_complex(uk.serialize_complex(built("nK(1)"))),
+    "text with U-powers": lambda: uk.parse_complex(TEXT),
+}
+
+
+@pytest.mark.parametrize("case", list(STORAGE_CASES))
+def test_storage_matches_name_keyed_reference(case):
+    check_storage(STORAGE_CASES[case]())
+
+
+def test_show_text_unchanged():
+    assert uk.serialize_complex(uk.parse_and_build("-T(2,3) # T(2,3) + T(2,3)")) == SHOWN
+    assert uk.serialize_complex(uk.parse_complex(TEXT)) == TEXT
+
+
+# Small atoms and their generator counts, for the size cap below.
+SMALL_ATOMS = {"unknot": 1, "T(2,3)": 3, "hom-C1": 3, "fig8": 5, "box(1)": 5, "figure6": 7}
+# (expression, generator count) trees under '#', '-', '+' and '2*'.
+EXPRESSIONS = st.recursive(
+    st.sampled_from(sorted(SMALL_ATOMS.items())),
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: (f"({a[0]}) # ({b[0]})", a[1] * b[1]), inner, inner),
+        st.builds(lambda a, b: (f"({a[0]}) + ({b[0]})", a[1] + b[1]), inner, inner),
+        st.builds(lambda a: (f"-({a[0]})", a[1]), inner),
+        st.builds(lambda a: (f"2*({a[0]})", a[1] ** 2), inner),
+    ),
+    max_leaves=5,
+).filter(lambda tree: tree[1] <= 300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(EXPRESSIONS)
+def test_random_expressions_match_reference(tree):
+    expr, size = tree
+    C = uk.parse_and_build(expr)
+    assert len(C) == size
+    check_storage(C)
+
+
+def test_generator_limit_refuses_before_building():
+    three = built("T(2,3)")
+    with pytest.raises(ValueError, match=r"tensor power would have 3\^20 generators"):
+        uk.tensor_power(three, 20)
+    big = uk.tensor_power(built("hom-K"), 3)
+    assert len(big) == 3375 <= MAX_GENERATORS
+    with pytest.raises(ValueError, match="3375 x 15 = 50625"):
+        uk.tensor(big, built("hom-K"))
+    with pytest.raises(ValueError, match=r"6750 \+ 3375 = 10125 generators, more than the limit"):
+        uk.direct_sum(uk.direct_sum(big, big), big)
+    assert len(uk.tensor_power(built("unknot"), 30)) == 1
+
+
+def test_memory_of_a_genus_report():
+    """Traced peak of build, validation and genus report on 2*hom-K (225
+    generators); the bound holds for CPython 3.11 object sizes."""
+    tracemalloc.start()
+    try:
+        C = uk.parse_and_build("2*hom-K")
+        C.validate()
+        uk.genus_report(C, [F(2, 3), 1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
