@@ -6,7 +6,8 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .complexes import Generator, LatticePoint, ModelComplex, direct_sum, dual, tensor
+from .complexes import (MAX_GENERATORS, Generator, LatticePoint, ModelComplex, _size_error,
+                        direct_sum, dual, tensor)
 
 
 def unknot() -> ModelComplex:
@@ -40,54 +41,38 @@ def stairway(steps) -> ModelComplex:
 
 
 def torus_knot_steps(p: int, q: int) -> list[int]:
-    """Step vector of the T(p, q) staircase from the gap sequence of
-    (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1))."""
+    """Step vector of the T(p, q) staircase: the lengths of the alternating
+    runs of members and gaps of the semigroup <p, q> below its conductor
+    (p - 1)(q - 1), starting with the run of members at 0."""
+    _check_coprime(p, q)
+    conductor = (p - 1) * (q - 1)
+    member = bytearray(conductor)
+    for b in range(0, conductor, q):  # each member below it is b + a*p, b a multiple of q
+        member[b::p] = b"\x01" * len(range(b, conductor, p))
+    return [len(run) for run in re.findall(rb"\x01+|\x00+", member)]
+
+
+def torus_knot_generators(p: int, q: int) -> int:
+    """Number of generators of the T(p, q) staircase, without building it.
+
+    With u = q^-1 mod p, the members s of <p, q> with s + 1 a gap are
+    a*p + b*q for 0 <= b < p - u and 0 <= a < (u*q - 1)/p; each ends a run
+    of members, and the staircase has one generator per run end and one
+    more."""
+    _check_coprime(p, q)
+    u = pow(q, -1, p)
+    return 2 * (p - u) * (u * q - 1) // p + 1
+
+
+def _check_coprime(p: int, q: int) -> None:
     if p < 2 or q < 2 or gcd(p, q) != 1:
         raise ValueError(f"need coprime p, q >= 2, got ({p}, {q})")
-    # Exact division of polynomials with int coefficients, dense lists
-    # with index = exponent.
-    num = _poly_mul(_cyclic(p * q), _cyclic(1))
-    den = _poly_mul(_cyclic(p), _cyclic(q))
-    quot = _poly_divexact(num, den)
-    exponents = [e for e, c in enumerate(quot) if c]
-    if any(c not in (-1, 0, 1) for c in quot):
-        raise AssertionError("torus knot polynomial should have coefficients in {-1, 0, 1}")
-    exponents.sort(reverse=True)
-    return [a - b for a, b in zip(exponents, exponents[1:])]
-
-
-def _cyclic(n: int) -> list[int]:
-    return [-1] + [0] * (n - 1) + [1]  # t^n - 1
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                out[i + k] += ai * bk
-    return out
-
-
-def _poly_divexact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for top in range(len(num) - 1, len(den) - 2, -1):
-        c = num[top]
-        if c == 0:
-            continue
-        assert c % den[-1] == 0
-        k = top - (len(den) - 1)
-        f = c // den[-1]
-        out[k] = f
-        for e, dc in enumerate(den):
-            num[k + e] -= f * dc
-    if any(num):
-        raise AssertionError("polynomial division left a remainder")
-    return out
 
 
 def torus_knot_complex(p: int, q: int) -> ModelComplex:
+    n = torus_knot_generators(p, q)
+    if n > MAX_GENERATORS:
+        raise _size_error(f"T({p},{q})", str(n))
     return stairway(torus_knot_steps(p, q))
 
 
@@ -181,6 +166,8 @@ def nk_complex(n: int) -> ModelComplex:
     stairway [2]*2n tensored with the dual of stairway [1]*4n."""
     if not isinstance(n, int) or n <= 0:
         raise ValueError(f"nK needs n >= 1, got {n}")
+    if (2 * n + 1) * (4 * n + 1) > MAX_GENERATORS:
+        raise _size_error(f"nK({n})", f"{2 * n + 1} x {4 * n + 1} = {(2 * n + 1) * (4 * n + 1)}")
     return tensor(stairway([2] * (2 * n)), dual(stairway([1] * (4 * n))))
 
 
@@ -190,7 +177,7 @@ _FIXED = {
     "figure6": figure6_complex,
     "hom-C1": lambda: stairway([2, 2]),
     "hom-C2": lambda: stairway([1, 1, 1, 1]),
-    "hom-K": lambda: tensor(stairway([2, 2]), dual(stairway([1, 1, 1, 1]))),
+    "hom-K": lambda: nk_complex(1),
 }
 
 CATALOG_NAMES = sorted(_FIXED) + ["T(p,q)", "box(n)", "nK(n)"]

@@ -4,12 +4,14 @@ Exit codes: 0 on success, 1 on a domain error (invalid complex, failed
 validation, a complex over complexes.MAX_GENERATORS), 2 on usage or parse
 errors, 3 when an internal cross-check fails (an engine bug); the last
 prints a reproducer: the command line and the complex in the text format.
+A closed output pipe ends the run quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -110,7 +112,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # exit cannot fail again (the recipe in the signal module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ExprParseError, ComplexParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

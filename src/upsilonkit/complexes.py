@@ -23,8 +23,8 @@ from .gf2 import Gf2Solver, Gf2Span
 
 LatticePoint = tuple[int, int]
 
-# Most generators tensor, tensor_power and direct_sum may build; 3*hom-K
-# has 3375, 4*hom-K would have 50625.
+# Most generators tensor, tensor_power, direct_sum, T(p,q) and nK(n) may build,
+# and the largest tensor power; 3*hom-K has 3375 generators, 4*hom-K 50625.
 MAX_GENERATORS = 10_000
 # U-powers are stored as signed 64-bit integers.
 _MAX_U_POWER = 2**63 - 1
@@ -426,10 +426,11 @@ def tensor(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
 def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
+    # Each factor costs a tensor product even when C has at most one generator.
+    if n > MAX_GENERATORS:
+        raise ValueError(f"tensor power {n} is more than the limit of {MAX_GENERATORS}")
     m = len(C)
-    # Past MAX_GENERATORS.bit_length() factors even m = 2 is over the limit,
-    # so m ** n is only computed while it is small.
-    if n > 1 and m > 1 and (n > MAX_GENERATORS.bit_length() or m ** n > MAX_GENERATORS):
+    if n > 1 and m ** n > MAX_GENERATORS:
         raise _size_error("tensor power", f"{m}^{n}")
     out = C
     for _ in range(n - 1):

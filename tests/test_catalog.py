@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
 
 import upsilonkit as uk
 from helpers import built
+from upsilonkit.catalog import torus_knot_generators
 
 
 def test_unknot():
@@ -38,6 +41,31 @@ def test_torus_knot_steps_are_symmetric():
         assert steps == steps[::-1]
         assert sum(steps) == (p - 1) * (q - 1)  # degree of the gap polynomial
         assert uk.torus_knot_complex(p, q).validate().ok
+
+
+def _times_cyclic(poly, n):
+    """poly * (t^n - 1), polynomials as coefficient lists indexed by exponent."""
+    return [a - b for a, b in zip([0] * n + poly, poly + [0] * n)]
+
+
+def test_torus_knot_staircase_is_the_alexander_polynomial():
+    # Coefficients +1, -1, +1, ... from the top at the staircase corners give
+    # Delta(t) = (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), checked by multiplying.
+    for p in range(2, 31):
+        for q in range(2, 31):
+            if p == q or gcd(p, q) != 1:
+                continue
+            steps = uk.torus_knot_steps(p, q)
+            delta = [0] * (sum(steps) + 1)
+            corner, sign = len(delta) - 1, 1
+            delta[corner] = sign
+            for step in steps:
+                corner, sign = corner - step, -sign
+                delta[corner] = sign
+            assert corner == 0
+            expected = _times_cyclic(_times_cyclic([1], p * q), 1)
+            assert _times_cyclic(_times_cyclic(delta, p), q) == expected, (p, q)
+            assert torus_knot_generators(p, q) == len(steps) + 1, (p, q)
 
 
 def test_torus_knot_errors():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -217,7 +220,9 @@ def test_internal_error_exits_3_with_a_reproducer(capsys, monkeypatch):
     assert code == 3 and "reproducer: upsilonkit bounds --t 1 --t 1/2 -- 'T(2,3)'" in err
 
 
-@pytest.mark.parametrize("expr", ["20*T(2,3)", "4*hom-K", "hom-K # hom-K # hom-K # hom-K"])
+@pytest.mark.parametrize("expr", ["20*T(2,3)", "4*hom-K", "hom-K # hom-K # hom-K # hom-K",
+                                  "T(2,200001)", "T(100000,100001)", "nK(100000)",
+                                  "1000000*unknot"])
 def test_generator_limit_exits_1_fast(capsys, expr):
     start = time.perf_counter()
     code, out, err = run(capsys, "show", expr)
@@ -230,3 +235,24 @@ def test_largest_tensor_power_in_use_still_builds(capsys):
     code, out, _ = run(capsys, "show", "3*hom-K")
     assert code == 0
     assert sum(line.startswith("gen ") for line in out.splitlines()) == 3375
+
+
+def test_largest_torus_knot_under_the_limit_builds(capsys):
+    code, out, _ = run(capsys, "show", "T(5000,5001)")
+    assert code == 0
+    assert sum(line.startswith("gen ") for line in out.splitlines()) == 9999
+
+
+@pytest.mark.parametrize("argv", [["show", "3*hom-K"], ["catalog"]])
+def test_closed_output_pipe_exits_1_quietly(argv):
+    # Output too large for the pipe fails in print; small buffered output
+    # (PYTHONUNBUFFERED unset) fails when stdout is flushed.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uk.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "upsilonkit.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the child can write anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""

@@ -1,0 +1,136 @@
+"""Print the engine's outputs on a fixed set of inputs, to diff two checkouts.
+
+For each input it prints the show text and the validation report, Upsilon
+and its candidate count, the pivots and the slope jump at each interior
+breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
+v2, the genus report and the diagonal width.  Then it runs CLI commands
+(every subcommand, --json, exit codes 1 and 2) and prints their exit codes
+and output.  The output does not depend on PYTHONHASHSEED.
+
+    python3 tools/fingerprint.py [CHECKOUT]
+
+CHECKOUT (default: the checkout holding this script) is the directory whose
+src/ is imported and run, so one copy of the script fingerprints any
+checkout:
+
+    python3 tools/fingerprint.py > new.txt
+    python3 tools/fingerprint.py ../other-checkout > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+
+ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+import upsilonkit as uk  # noqa: E402
+
+CATALOG_SCAN = ["unknot", "fig8", "figure6", "hom-C1", "hom-C2", "hom-K",
+                "T(2,3)", "T(3,4)", "T(2,5)", "box(1)", "box(2)", "nK(1)", "nK(2)"]
+EXPRESSIONS = CATALOG_SCAN + [f"-{name}" for name in CATALOG_SCAN] + [
+    "T(5,7)", "T(8,11)", "T(13,17)", "T(3,4) # -T(2,5)", "T(2,3) # T(2,3) # -T(2,5)",
+    "2*hom-K", "box(1) # box(2) # box(3)", "stair[2,2] # -stair[1,1,1,1]", "T(2,3) + -fig8",
+]
+INVALID_TEXTS = {
+    "d-squared": "gen a 0 0 0\ngen b 1 1 1\ngen c 2 2 2\nd c = b\nd b = a\n",
+    "two-generators-of-homology": "gen a 0 0 0\ngen b 0 1 1\n",
+    "filtration-increasing": "gen a 0 0 0\ngen b 1 0 0\ngen c 0 1 1\nd b = a + c\n",
+    "unknown-target": "gen a 0 0 0\nd a = z\n",
+    "bad-grading": "gen a x 0 0\n",
+}
+TS = [Fraction(2, 3), Fraction(1)]
+CLI_COMMANDS = [
+    ["catalog"], ["catalog", "--json"],
+    ["validate", "T(3,4)"], ["validate", "--json", "T(3,4)"], ["validate", "@d-squared.txt"],
+    ["upsilon", "T(5,7)"], ["upsilon", "--json", "T(5,7)"],
+    ["upsilon", "T(3,4)", "--csv", "out.csv", "--samples", "5", "--quiet"],
+    ["upsilon2", "T(3,4)", "--t", "2/3"], ["upsilon2", "--json", "hom-K", "--t", "1"],
+    ["upsilon2", "--", "-T(3,4)", "--t", "2/3"],
+    ["pivots", "T(3,4)", "--t", "2/3"], ["pivots", "--json", "T(5,7)", "--t", "1/2"],
+    ["v2", "box(2)"], ["v2", "--json", "--", "-box(1)"],
+    ["bounds", "nK(2)", "--t", "1", "--t", "2/3"], ["bounds", "--json", "T(5,7)", "--t", "1"],
+    ["show", "stair[2,2] # -stair[1,1,1,1]"],
+    ["upsilon", "T(2,4)"], ["show", "4*hom-K"],
+    ["upsilon", "@no-such-file.txt"], ["upsilon", "T(3,"], ["upsilon2", "T(3,4)"],
+]
+
+
+def attempt(label, fn):
+    try:
+        value = fn()
+    except Exception as exc:  # the failure is part of the fingerprint
+        value = f"{type(exc).__name__}: {exc}"
+    print(f"{label}: {value}")
+
+
+def fingerprint(label, build):
+    print(f"=== {label}")
+    try:
+        C = build()
+    except Exception as exc:
+        print(f"build: {type(exc).__name__}: {exc}")
+        return
+    print(uk.serialize_complex(C), end="")
+    print(C.validate())
+    attempt("upsilon", lambda: uk.upsilon(C))
+    attempt("candidates", lambda: len(uk.breakpoint_candidates(C)))
+    try:
+        interior = [x for x, _ in uk.upsilon(C).breakpoints[1:-1]]
+    except Exception:
+        interior = []
+    for x in interior:
+        attempt(f"pivots at {x}", lambda: _pivots(uk.pivot_points(C, x)))
+        attempt(f"slope jump at {x}", lambda: uk.delta_upsilon_prime(C, x))
+    for t in TS:
+        attempt(f"upsilon2 at {t}", lambda: _upsilon2(uk.upsilon2(C, t)))
+    attempt("v2", lambda: uk.upsilon2_scalar(C))
+    attempt("genus report", lambda: uk.genus_report(C, TS))
+    attempt("diagonal width", lambda: uk.diagonal_width(C))
+
+
+def _pivots(pd):
+    return f"gamma {pd.gamma_t}, on line {sorted(pd.on_line)}, p- {pd.p_minus}, p+ {pd.p_plus}, delta {pd.delta}"
+
+
+def _upsilon2(res):
+    return (f"gamma {res.gamma_t}, smooth {res.smooth_point}\n  upsilon2 {res.upsilon2}\n"
+            f"  gamma2 {res.gamma2}\n  witnesses {res.witnesses}\n  zsets {res.zsets}")
+
+
+def run_cli(workdir):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv in CLI_COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "upsilonkit.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, text=True)
+        print(f"=== cli {argv}: exit {proc.returncode}")
+        print(proc.stdout, end="")
+        print(proc.stderr, end="")
+        if "--csv" in argv:
+            with open(os.path.join(workdir, "out.csv"), encoding="utf-8") as fh:
+                print(fh.read(), end="")
+
+
+def main():
+    for expr in EXPRESSIONS:
+        fingerprint(expr, lambda: uk.parse_and_build(expr))
+    fingerprint("T(3,4) + acyclic box at (1,-1) of size 2",
+                lambda: uk.add_acyclic_box(uk.torus_knot_complex(3, 4), (1, -1), 2))
+    for name, text in INVALID_TEXTS.items():
+        fingerprint(f"invalid text complex {name}", lambda: uk.parse_complex(text))
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, text in INVALID_TEXTS.items():
+            with open(os.path.join(workdir, f"{name}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        sys.stdout.flush()
+        run_cli(workdir)
+
+
+if __name__ == "__main__":
+    main()
