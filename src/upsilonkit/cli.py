@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -69,7 +70,14 @@ def write_csv(f: PLFunction, path: str, samples: int) -> None:
             fh.write(f"{float(x)},{float(y)}\n")
 
 
+# The P/Q forms of --t: an integer or p/q.  Fraction also reads decimals and
+# exponents, and 1e-100000000 would take it minutes.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rational_arg(text: str) -> Fraction:
+    if not _RATIONAL_RE.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"not an integer or p/q: {text!r}")
     try:
         return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:

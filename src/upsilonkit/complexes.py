@@ -26,6 +26,11 @@ LatticePoint = tuple[int, int]
 # Most generators tensor, tensor_power, direct_sum, T(p,q) and nK(n) may build,
 # and the largest tensor power; 3*hom-K has 3375 generators, 4*hom-K 50625.
 MAX_GENERATORS = 10_000
+# Most characters of generator names tensor and tensor_power may build.  The
+# names of a product pair up its factors' names as (a.b), so a power of a
+# one-generator complex passes MAX_GENERATORS while its one name grows with
+# every factor.  3*hom-K has 101 250 characters of names, 10000*unknot 39 997.
+MAX_NAME_CHARS = 500_000
 # U-powers are stored as signed 64-bit integers.
 _MAX_U_POWER = 2**63 - 1
 
@@ -375,6 +380,16 @@ def _size_error(what: str, count: str) -> ValueError:
                       f"{MAX_GENERATORS}")
 
 
+def _check_name_chars(what: str, chars: int) -> None:
+    if chars > MAX_NAME_CHARS:
+        raise ValueError(f"{what} would have {chars} characters of generator names, more than "
+                         f"the limit of {MAX_NAME_CHARS}")
+
+
+def _name_chars(C: ModelComplex) -> int:
+    return sum(map(len, C._names))
+
+
 # -- constructions ------------------------------------------------------------
 
 
@@ -397,6 +412,7 @@ def tensor(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
     n1, n2 = len(C1), len(C2)
     if n1 * n2 > MAX_GENERATORS:
         raise _size_error("tensor product", f"{n1} x {n2} = {n1 * n2}")
+    _check_name_chars("tensor product", n2 * _name_chars(C1) + n1 * _name_chars(C2) + 3 * n1 * n2)
     left, right = _term_lists(C1), _term_lists(C2)
     offsets, flat = array("q", [0]), array("q")
     append = flat.append
@@ -430,8 +446,13 @@ def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     if n > MAX_GENERATORS:
         raise ValueError(f"tensor power {n} is more than the limit of {MAX_GENERATORS}")
     m = len(C)
-    if n > 1 and m ** n > MAX_GENERATORS:
-        raise _size_error("tensor power", f"{m}^{n}")
+    if n > 1:
+        if m ** n > MAX_GENERATORS:
+            raise _size_error("tensor power", f"{m}^{n}")
+        # The m^n names ((x1.x2).x3)... each hold n names of C and 3 (n - 1)
+        # more characters; each name of C is in n m^(n - 1) of them.
+        chars = n * m ** (n - 1) * _name_chars(C) + 3 * (n - 1) * m ** n
+        _check_name_chars(f"tensor power {n}", chars)
     out = C
     for _ in range(n - 1):
         out = tensor(out, C)

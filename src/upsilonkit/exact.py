@@ -35,6 +35,17 @@ def as_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# One Fraction per small integer value, as CPython keeps one int: the values
+# of Upsilon and its slope jumps are mostly small integers, and a caller
+# holding many results then holds each of them once.
+_SMALL_INTS = {n: Fraction(n) for n in range(-256, 257)}
+
+
+def shared(q: Fraction) -> Fraction:
+    """q, or the shared equal Fraction if q is an integer in [-256, 256]."""
+    return _SMALL_INTS.get(q.numerator, q) if q.denominator == 1 else q
+
+
 def format_rational(q) -> str:
     """Render as 'p/q' (denominator always present); infinities pass through."""
     if q == POS_INF:
@@ -66,7 +77,7 @@ class PLFunction:
             self._infinite = infinite
             return
         self._infinite = None
-        pts = [(as_rational(x), as_rational(y)) for x, y in points]
+        pts = [(shared(as_rational(x)), shared(as_rational(y))) for x, y in points]
         if len(pts) < 2:
             raise ValueError("need breakpoints at both endpoints 0 and 2")
         if pts[0][0] != 0 or pts[-1][0] != 2:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import re
 
-from .complexes import Generator, ModelComplex
+from .complexes import _MAX_U_POWER, Generator, ModelComplex
 
 _NAME_RE = re.compile(r"[^\s=+#]+$")
-_UPOW_RE = re.compile(r"U\^(\d+)$")
+_UPOW_RE = re.compile(r"U\^(\d{1,19})$")  # digits enough for any 64-bit U-power
 
 
 class ComplexParseError(ValueError):
@@ -74,9 +74,10 @@ def parse_complex(text: str) -> ModelComplex:
                 k, target = 0, tokens[0]
             elif len(tokens) == 2:
                 m = _UPOW_RE.match(tokens[0])
-                if not m or int(m.group(1)) < 1:
-                    raise ComplexParseError(lineno, f"malformed term {part.strip()!r} (expected 'U^K NAME', K >= 1)")
-                k, target = int(m.group(1)), tokens[1]
+                k, target = int(m.group(1)) if m else 0, tokens[1]
+                if not 1 <= k <= _MAX_U_POWER:
+                    raise ComplexParseError(
+                        lineno, f"malformed term {part.strip()!r} (expected 'U^K NAME', 1 <= K < 2^63)")
             else:
                 raise ComplexParseError(lineno, f"malformed term {part.strip()!r}")
             if target not in seen:

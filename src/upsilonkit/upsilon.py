@@ -7,7 +7,10 @@ points of weight at most w, and Upsilon(t) = -2 gamma(t).
 
 gamma(t) is one call to threshold, the kernel upsilon2 shares: slice
 elements join the coset's boundary span in phi_t order until it holds
-the cycle.  crossings and certified_pl are shared the same way.
+the cycle.  The order is that of the integer key 2q phi_t for t = p/q
+(phi_key), so the search does no Fraction arithmetic; only the winning
+level becomes a Fraction.  crossings and certified_pl are shared the
+same way.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .complexes import LatticePoint, ModelComplex, memoized
-from .exact import DomainError, PLFunction, as_rational
+from .exact import DomainError, PLFunction, as_rational, shared
 from .gf2 import Gf2Span
 
 
@@ -34,13 +37,24 @@ def phi(t, point: LatticePoint) -> Fraction:
     return t / 2 * j + (1 - t / 2) * i
 
 
+def phi_key(t) -> tuple[Callable[[LatticePoint], int], int]:
+    """(weight, d) with weight(point) = d * phi(t, point) an integer: for
+    t = p/q in lowest terms, d = 2q and weight(i, j) = (2q - p) i + p j."""
+    t = as_rational(t)
+    if not 0 <= t <= 2:
+        raise DomainError(f"t = {t} outside [0, 2]")
+    p, d = t.numerator, 2 * t.denominator
+    a = d - p
+    return (lambda point: a * point[0] + p * point[1]), d
+
+
 def threshold(base_span: Gf2Span, target: int, items, weight, vector):
     """Least weight at which target enters base_span grown by items.
 
     The (key, point) items join a copy of base_span as vector(key), in
     increasing weight(point), one level at a time.  Returns (level,
     points of that level), or None if target never enters."""
-    groups: dict[Fraction, list] = {}
+    groups: dict = {}
     for key, point in items:
         groups.setdefault(weight(point), []).append((key, point))
     span = base_span.copy()
@@ -90,12 +104,12 @@ def _gamma_search(C: ModelComplex):
 def _gamma(C: ModelComplex, t) -> tuple[Fraction, set]:
     """gamma(t) and the slice points of weight gamma(t) that admit the
     cycle; needs a one-dimensional H0 but no other validity."""
-    t = as_rational(t)
+    weight, d = phi_key(t)
     span, cycle, points = _gamma_search(C)
-    found = threshold(span, cycle, enumerate(points), lambda p: phi(t, p), lambda idx: 1 << idx)
+    found = threshold(span, cycle, enumerate(points), weight, lambda idx: 1 << idx)
     if found is None:
         raise ConsistencyError("cycle not in the span of the full slice")
-    return found
+    return Fraction(found[0], d), found[1]
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
@@ -175,4 +189,4 @@ def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:
         raise ConsistencyError(
             f"slope jump {jump} disagrees with pivot formula {from_pivots} at t = {t}"
         )
-    return jump
+    return shared(jump)

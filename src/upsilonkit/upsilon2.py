@@ -22,8 +22,8 @@ from .complexes import ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
 from .upsilon import (
-    ConsistencyError, certified_pl, crossings, delta_upsilon_prime, gamma_at, phi, pivot_points,
-    threshold,
+    ConsistencyError, certified_pl, crossings, delta_upsilon_prime, gamma_at, phi, phi_key,
+    pivot_points, threshold,
 )
 
 
@@ -144,10 +144,11 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     items = [(idx, slice1[idx].point) for idx in outside]
 
     def value_at(s: Fraction) -> Fraction:
-        found = threshold(base, target, items, lambda p: phi(s, p), columns.__getitem__)
+        weight, d = phi_key(s)
+        found = threshold(base, target, items, weight, columns.__getitem__)
         if found is None:
             raise ConsistencyError("one-sided cycles not homologous in the full complex")
-        return found[0]
+        return Fraction(found[0], d)
 
     g2 = certified_pl(value_at, crossings(p for _, p in items), "gamma2")
     u2 = PLFunction([(x, -2 * (y - pd.gamma_t)) for x, y in g2.breakpoints])

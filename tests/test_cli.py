@@ -222,13 +222,35 @@ def test_internal_error_exits_3_with_a_reproducer(capsys, monkeypatch):
 
 @pytest.mark.parametrize("expr", ["20*T(2,3)", "4*hom-K", "hom-K # hom-K # hom-K # hom-K",
                                   "T(2,200001)", "T(100000,100001)", "nK(100000)",
-                                  "1000000*unknot"])
+                                  "1000000*unknot", "3000*(3000*unknot)"])
 def test_generator_limit_exits_1_fast(capsys, expr):
     start = time.perf_counter()
     code, out, err = run(capsys, "show", expr)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "more than the limit of" in err
+
+
+@pytest.mark.parametrize("argv", [["upsilon2", "T(3,4)", "--t", "1e-100000000"],
+                                  ["bounds", "--t", "1e-5000", "T(3,4)"],
+                                  ["pivots", "T(3,4)", "--t", "0.5"]])
+def test_t_accepts_only_integers_and_p_over_q(capsys, argv):
+    # Fraction reads all three: the first takes it minutes, and the second
+    # fails later, on converting a 5000-digit denominator to a string.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    value = argv[argv.index("--t") + 1]
+    assert f"argument --t: not an integer or p/q: {value!r}" in capsys.readouterr().err
+
+
+def test_t_forms(capsys):
+    for text, value in [("2/3", F(2, 3)), ("1", F(1)), ("+4/6", F(2, 3)), (" 1/2 ", F(1, 2))]:
+        assert make_parser().parse_args(["pivots", "T(3,4)", "--t", text]).t == value
+    code, _, err = run(capsys, "pivots", "T(3,4)", "--t", "-1")
+    assert code == 1 and "(0, 2)" in err
 
 
 def test_largest_tensor_power_in_use_still_builds(capsys):

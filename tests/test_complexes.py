@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import upsilonkit as uk
 from upsilonkit import Generator, InvalidComplexError, ModelComplex, SliceElement
+from upsilonkit import complexes
 from upsilonkit.complexes import MAX_GENERATORS
 from upsilonkit.gf2 import support
 from helpers import CATALOG_SCAN, built
@@ -340,6 +341,25 @@ def test_generator_limit_refuses_before_building():
     with pytest.raises(ValueError, match=r"6750 \+ 3375 = 10125 generators, more than the limit"):
         uk.direct_sum(uk.direct_sum(big, big), big)
     assert len(uk.tensor_power(built("unknot"), 30)) == 1
+
+
+def test_name_limit_refuses_before_building(monkeypatch):
+    # Names pair up as (a.b), so a power of a one-generator complex passes
+    # MAX_GENERATORS while its one name grows with every factor.
+    with pytest.raises(ValueError, match="tensor power 3000 would have 35999997 characters of "
+                                         "generator names, more than the limit of 500000"):
+        uk.tensor_power(uk.tensor_power(built("unknot"), 3000), 3000)
+    # The closed forms count exactly the characters built: the names of
+    # T(2,3) are a1, b1, a2, and T(2,3)^2 has 9 names of 7 characters.
+    three = built("T(2,3)")
+    monkeypatch.setattr(complexes, "MAX_NAME_CHARS", 63)
+    assert sum(map(len, uk.tensor_power(three, 2).names)) == 63
+    assert sum(map(len, uk.tensor(three, three).names)) == 63
+    with pytest.raises(ValueError, match="tensor power 3 would have 324 characters"):
+        uk.tensor_power(three, 3)
+    monkeypatch.setattr(complexes, "MAX_NAME_CHARS", 62)
+    with pytest.raises(ValueError, match="tensor product would have 63 characters"):
+        uk.tensor(three, three)
 
 
 def test_memory_of_a_genus_report():

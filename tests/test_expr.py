@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upsilonkit as uk
 from upsilonkit.expr import (
@@ -13,6 +15,7 @@ from upsilonkit.expr import (
     parse_and_build,
     parse_expression,
 )
+from upsilonkit.textio import ComplexParseError
 
 
 def test_atoms():
@@ -107,3 +110,50 @@ def test_build_file_atom(tmp_path):
 def test_build_rejects_unknown_node():
     with pytest.raises(TypeError):
         build(object())
+
+
+# The expression grammar's alphabet: keywords, catalog names and one unknown
+# name, every punctuation mark, integers small and over the limits, @file
+# atoms naming a valid complex, an invalid one and a missing file, and a
+# character outside the grammar.
+EXPR_TOKENS = [
+    "T", "stair", "box", "nK", "unknot", "hom-K", "fig8", "knot",
+    "(", ")", "[", "]", ",", "#", "+", "*", "-",
+    "0", "1", "2", "3", "5", "12", "100000",
+    "@ok.txt", "@bad.txt", "@missing.txt", "$",
+]
+# The domain errors of the constructors and the size limits.
+BUILD_ERRORS = ("more than the limit of", "need coprime", "needs n >= 1", "step vector",
+                "step lengths")
+
+
+@pytest.fixture(scope="module")
+def atom_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("atoms")
+    (path / "ok.txt").write_text(uk.serialize_complex(uk.catalog("T(2,3)")))
+    (path / "bad.txt").write_text("gen a 0 0 0\nd a = U^1\n")
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(st.sampled_from(EXPR_TOKENS), max_size=24),
+       separator=st.sampled_from(["", " "]))
+def test_random_token_strings_build_or_fail_cleanly(atom_dir, tokens, separator):
+    # Joined without spaces, neighbouring names and integers merge into new
+    # tokens, such as unknown names.
+    text = separator.join(tokens)
+    try:
+        node = parse_expression(text)
+    except ExprParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+        return
+    try:
+        assert isinstance(build(node, atom_dir), uk.ModelComplex)
+    except ComplexParseError:
+        assert "@bad.txt" in text
+    except FileNotFoundError as exc:  # @missing.txt, or a name merged into ok.txtT
+        assert exc.filename.startswith(atom_dir) and not exc.filename.endswith(("/ok.txt", "/bad.txt"))
+    except KeyError as exc:
+        assert exc.args[0].startswith("unknown catalog name")
+    except ValueError as exc:
+        assert any(fragment in str(exc) for fragment in BUILD_ERRORS), str(exc)

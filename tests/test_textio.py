@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import upsilonkit as uk
 from upsilonkit.textio import ComplexParseError, parse_complex, serialize_complex
@@ -39,6 +41,9 @@ def test_parse_errors_carry_line_numbers():
         ("gen a 0 0 0\nd a = 0\nd a = 0\n", 3, "duplicate d"),
         ("gen a 0 0 0\ngen b 1 1 1\nd b = U^0 a\n", 3, "malformed term"),
         ("gen a 0 0 0\ngen b 1 1 1\nd b = U^1 a extra\n", 3, "malformed term"),
+        # Past 64 bits, and past the interpreter's limit on digits to convert.
+        ("gen a 0 0 0\ngen b 1 1 1\nd b = U^9223372036854775808 a\n", 3, "1 <= K < 2\\^63"),
+        ("gen a 0 0 0\ngen b 1 1 1\nd b = U^" + "9" * 5000 + " a\n", 3, "malformed term"),
         ("gen a 0 0 0\ngen b 1 1 1\nd b = zz\n", 3, "unknown generator"),
     ]
     for text, lineno, fragment in cases:
@@ -81,3 +86,33 @@ def test_round_trip_preserves_invariants(name):
     assert D.names == C.names
     assert {n: D.boundary_of(n) for n in D.names} == {n: C.boundary_of(n) for n in C.names}
     assert uk.upsilon(D) == uk.upsilon(C)
+
+
+# The text format's alphabet: both statements and an unknown one, names valid
+# and not (0 is reserved), integers small, negative and too long to convert,
+# U-powers valid, zero and past 64 bits, the separators and a comment.
+TEXT_NAMES = ["a", "b", "c", "0", "U^1"]
+TEXT_INTS = ["0", "1", "-1", "2", "3", "-2", "x", "9" * 5000]
+TEXT_POWERS = ["", "U^1", "U^2", "U^0", "U^" + "9" * 20, "U^" + "9" * 5000, "U"]
+TEXT_TOKENS = ["gen", "d", "dd", "=", "+", "#"] + TEXT_NAMES + TEXT_INTS + TEXT_POWERS[1:]
+
+_pick = st.sampled_from
+gen_lines = st.builds("gen {} {} {} {}".format, _pick(TEXT_NAMES), _pick(TEXT_INTS),
+                      _pick(TEXT_INTS), _pick(TEXT_INTS))
+terms = st.builds("{} {}".format, _pick(TEXT_POWERS), _pick(TEXT_NAMES))
+d_lines = st.builds(lambda name, ts: f"d {name} = {' + '.join(ts) or '0'}", _pick(TEXT_NAMES),
+                    st.lists(terms, max_size=3))
+token_lines = st.lists(_pick(TEXT_TOKENS), max_size=7).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(gen_lines, max_size=4), st.lists(d_lines, max_size=3),
+       st.lists(token_lines, max_size=1))
+def test_random_text_lines_parse_or_fail_cleanly(gens, ds, others):
+    lines = gens + ds + others
+    try:
+        C = parse_complex("\n".join(lines))
+    except ComplexParseError as exc:
+        assert 1 <= exc.lineno <= len(lines)
+        return
+    assert isinstance(C, uk.ModelComplex)

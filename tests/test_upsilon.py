@@ -4,6 +4,8 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit import DomainError, InvalidComplexError
+from upsilonkit.gf2 import Gf2Span
+from upsilonkit.upsilon import _gamma, crossings, threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
 
 
@@ -143,3 +145,45 @@ def test_torus_knots_match_oss_formula_past_brute_force(p, q):
 def test_upsilon_additive_on_a_sum():
     a, b = uk.torus_knot_complex(3, 4), uk.torus_knot_complex(2, 5)
     assert uk.upsilon(uk.tensor(a, uk.dual(b))) == uk.upsilon(a) + -uk.upsilon(b)
+
+
+def midpoints_and(xs):
+    """xs and the midpoint of each pair of neighbours."""
+    return list(xs) + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+
+
+@pytest.mark.parametrize("expr", ["T(13,17)", "2*hom-K"])
+def test_integer_keys_match_fraction_weights_for_gamma(expr):
+    # The engine orders slice points by the integer 2q phi_t; the reference
+    # runs the same kernel with the Fraction weight phi_t itself.  Both
+    # complexes are past the brute-force oracle's MAX_DIM.
+    C = uk.parse_and_build(expr)
+    coset = C.generator_coset()
+    span = Gf2Span(coset.boundaries)
+    items = list(enumerate(e.point for e in coset.basis))
+    for t in midpoints_and(uk.breakpoint_candidates(C)):
+        reference = threshold(span, coset.cycle, items, lambda p: uk.phi(t, p), lambda k: 1 << k)
+        assert _gamma(C, t) == reference, (expr, t)
+
+
+@pytest.mark.parametrize("expr,t", [
+    ("2*hom-K", F(1)), ("nK(3)", F(1)),
+    # At t = 2/3 the Z sets of 2*hom-K and nK(3) meet, so there is no sweep;
+    # a sum with T(3,4) has one.
+    ("2*hom-K # T(3,4)", F(2, 3)), ("nK(3) # T(3,4)", F(2, 3)),
+])
+def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
+    # The gamma2 sweep's search, rebuilt as upsilon2 sets it up and run with
+    # Fraction weights at every s crossing and midpoint.
+    C = uk.parse_and_build(expr)
+    res = uk.upsilon2(C, t)
+    zs = res.zsets
+    assert zs.disjoint
+    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
+    inside = [k for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
+    base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[k] for k in inside])
+    items = [(k, e.point) for k, e in enumerate(slice1) if k not in set(inside)]
+    for s in midpoints_and(crossings(p for _, p in items)):
+        level, _ = threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p),
+                             columns.__getitem__)
+        assert res.gamma2.evaluate(s) == level, (expr, t, s)

@@ -4,8 +4,9 @@ For each input it prints the show text and the validation report, Upsilon
 and its candidate count, the pivots and the slope jump at each interior
 breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
 v2, the genus report and the diagonal width.  Then it runs CLI commands
-(every subcommand, --json, exit codes 1 and 2) and prints their exit codes
-and output.  The output does not depend on PYTHONHASHSEED.
+(every subcommand, --json, exit codes 1 and 2, hostile inputs) and prints
+their exit codes and output, or that one gave no result in CLI_TIMEOUT
+seconds.  The output does not depend on PYTHONHASHSEED.
 
     python3 tools/fingerprint.py [CHECKOUT]
 
@@ -37,6 +38,9 @@ CATALOG_SCAN = ["unknot", "fig8", "figure6", "hom-C1", "hom-C2", "hom-K",
 EXPRESSIONS = CATALOG_SCAN + [f"-{name}" for name in CATALOG_SCAN] + [
     "T(5,7)", "T(8,11)", "T(13,17)", "T(3,4) # -T(2,5)", "T(2,3) # T(2,3) # -T(2,5)",
     "2*hom-K", "box(1) # box(2) # box(3)", "stair[2,2] # -stair[1,1,1,1]", "T(2,3) + -fig8",
+    # The benchmark's costliest inputs: many crossing candidates, and large
+    # slices for the gamma2 sweep.
+    "T(17,19)", "nK(3)", "3*hom-K",
 ]
 INVALID_TEXTS = {
     "d-squared": "gen a 0 0 0\ngen b 1 1 1\ngen c 2 2 2\nd c = b\nd b = a\n",
@@ -46,6 +50,9 @@ INVALID_TEXTS = {
     "bad-grading": "gen a x 0 0\n",
 }
 TS = [Fraction(2, 3), Fraction(1)]
+# Seconds a CLI command may take; a checkout without the input limits hangs on
+# some of the hostile commands below.
+CLI_TIMEOUT = 20
 CLI_COMMANDS = [
     ["catalog"], ["catalog", "--json"],
     ["validate", "T(3,4)"], ["validate", "--json", "T(3,4)"], ["validate", "@d-squared.txt"],
@@ -59,6 +66,8 @@ CLI_COMMANDS = [
     ["show", "stair[2,2] # -stair[1,1,1,1]"],
     ["upsilon", "T(2,4)"], ["show", "4*hom-K"],
     ["upsilon", "@no-such-file.txt"], ["upsilon", "T(3,"], ["upsilon2", "T(3,4)"],
+    ["show", "3000*(3000*unknot)"], ["upsilon2", "T(3,4)", "--t", "1e-100000000"],
+    ["bounds", "--t", "1e-5000", "T(3,4)"], ["pivots", "T(3,4)", "--t", "0.5"],
 ]
 
 
@@ -107,8 +116,12 @@ def _upsilon2(res):
 def run_cli(workdir):
     env = {**os.environ, "PYTHONPATH": SRC}
     for argv in CLI_COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "upsilonkit.cli", *argv], cwd=workdir, env=env,
-                              capture_output=True, text=True)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "upsilonkit.cli", *argv], cwd=workdir,
+                                  env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            print(f"=== cli {argv}: no result in {CLI_TIMEOUT} s")
+            continue
         print(f"=== cli {argv}: exit {proc.returncode}")
         print(proc.stdout, end="")
         print(proc.stderr, end="")
