@@ -10,6 +10,7 @@ equality is function equality.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Union
@@ -24,14 +25,26 @@ class DomainError(ValueError):
     """Argument outside the domain of an exact operation."""
 
 
+# The string forms of a rational: an integer or p/q, with an optional sign and
+# surrounding whitespace.  Fraction also reads decimals and exponents, and
+# 1e-100000000 would take it minutes.
+_RATIONAL_RE = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions, and integer or 'p/q' strings to an exact
+    Fraction; any other string, a decimal included, is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        if not _RATIONAL_RE.fullmatch(value):
+            raise ValueError(f"not an integer or p/q: {value!r}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational: {value!r} ({exc})") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

@@ -10,7 +10,8 @@ elements join the coset's boundary span in phi_t order until it holds
 the cycle.  The order is that of the integer key 2q phi_t for t = p/q
 (phi_key), so the search does no Fraction arithmetic; only the winning
 level becomes a Fraction.  crossings and certified_pl are shared the
-same way.
+same way.  Just left or right of t the key is paired with the slope of
+phi_t (symbolic perturbation), so the pivots come from the kernel at t.
 """
 
 from __future__ import annotations
@@ -37,14 +38,19 @@ def phi(t, point: LatticePoint) -> Fraction:
     return t / 2 * j + (1 - t / 2) * i
 
 
-def phi_key(t) -> tuple[Callable[[LatticePoint], int], int]:
-    """(weight, d) with weight(point) = d * phi(t, point) an integer: for
-    t = p/q in lowest terms, d = 2q and weight(i, j) = (2q - p) i + p j."""
+def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
+    """(weight, d) ordering points by phi at t (side 0), or just left (-1) or
+    right (+1) of t.  For t = p/q in lowest terms, d = 2q and weight(i, j) =
+    d phi_t(i, j) = (2q - p) i + p j; at side +-1 it is the pair (d phi_t,
+    side (j - i)), lexicographically the phi order at t + side eps for all
+    small eps > 0, as phi_t has slope (j - i) / 2 in t: no two points tie."""
     t = as_rational(t)
     if not 0 <= t <= 2:
         raise DomainError(f"t = {t} outside [0, 2]")
     p, d = t.numerator, 2 * t.denominator
     a = d - p
+    if side:
+        return (lambda point: (a * point[0] + p * point[1], side * (point[1] - point[0]))), d
     return (lambda point: a * point[0] + p * point[1]), d
 
 
@@ -101,15 +107,17 @@ def _gamma_search(C: ModelComplex):
     return Gf2Span(coset.boundaries), coset.cycle, tuple(e.point for e in coset.basis)
 
 
-def _gamma(C: ModelComplex, t) -> tuple[Fraction, set]:
-    """gamma(t) and the slice points of weight gamma(t) that admit the
-    cycle; needs a one-dimensional H0 but no other validity."""
-    weight, d = phi_key(t)
+def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
+    """gamma(t) and the slice points of the level that admits the cycle,
+    in the order of phi_key(t, side); needs a one-dimensional H0 but no
+    other validity."""
+    weight, d = phi_key(t, side)
     span, cycle, points = _gamma_search(C)
     found = threshold(span, cycle, enumerate(points), weight, lambda idx: 1 << idx)
     if found is None:
         raise ConsistencyError("cycle not in the span of the full slice")
-    return Fraction(found[0], d), found[1]
+    level, winners = found
+    return Fraction(level[0] if side else level, d), winners
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
@@ -147,13 +155,13 @@ class PivotData:
     on_line: frozenset  # grading-0 slice points of weight exactly gamma(t)
     p_minus: LatticePoint
     p_plus: LatticePoint
-    delta: Fraction  # margin within which the one-sided minimizers are constant
+    delta: Fraction  # reported only: half the distance to the nearest other crossing
 
 
-def _one_sided_minimizer(C: ModelComplex, t: Fraction) -> LatticePoint:
-    _, points = _gamma(C, t)
+def _one_sided_minimizer(C: ModelComplex, t: Fraction, side: int) -> LatticePoint:
+    _, points = _gamma(C, t, side)
     if len(points) != 1:
-        raise ConsistencyError(f"weight tie off the crossing arrangement at t = {t}")
+        raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
     return next(iter(points))
 
 
@@ -169,8 +177,8 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
     on_line = frozenset(
         p for p in {e.point for e in C.grading_slice(0)} if phi(t, p) == gamma_t
     )
-    p_minus = _one_sided_minimizer(C, t - delta)
-    p_plus = _one_sided_minimizer(C, t + delta)
+    p_minus = _one_sided_minimizer(C, t, -1)
+    p_plus = _one_sided_minimizer(C, t, 1)
     if phi(t, p_minus) != gamma_t or phi(t, p_plus) != gamma_t:
         raise ConsistencyError("pivot point not on the support line")
     return PivotData(t, gamma_t, on_line, p_minus, p_plus, delta)

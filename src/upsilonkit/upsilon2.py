@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ModelComplex, SliceElement, tensor
+from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
 from .upsilon import (
-    ConsistencyError, certified_pl, crossings, delta_upsilon_prime, gamma_at, phi, phi_key,
+    ConsistencyError, PivotData, certified_pl, crossings, delta_upsilon_prime, phi, phi_key,
     pivot_points, threshold,
 )
 
@@ -45,21 +45,19 @@ class ZSets:
     disjoint: bool
 
 
-def _one_sided_set(C: ModelComplex, t_side: Fraction):
-    """Representative and direction basis for the cycles supported in the
-    half-plane of weight at most gamma(t_side)."""
+def _one_sided_set(C: ModelComplex, t: Fraction, side: int, pivot: LatticePoint):
+    """Representative and direction basis for the cycles supported on the
+    slice points no later than pivot in the phi order just left (side -1)
+    or right (+1) of t: the minimal half-plane on that side."""
     coset = C.generator_coset()
-    level = gamma_at(C, t_side)
-    allowed = 0
-    for idx, elem in enumerate(coset.basis):
-        if phi(t_side, elem.point) <= level:
-            allowed |= 1 << idx
-    outside = ~allowed
+    weight, _ = phi_key(t, side)
+    bound = weight(pivot)
+    outside = ~sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) <= bound)
     columns = [b & outside for b in coset.boundaries]
     solver = Gf2Solver(columns)
     x = solver.solve(coset.cycle & outside)
     if x is None:
-        raise ConsistencyError(f"no minimizing cycle at t = {t_side}")
+        raise ConsistencyError(f"no minimizing cycle on side {side} of t = {t}")
     rep = coset.cycle ^ combine(list(coset.boundaries), x)
     directions = Gf2Span()
     for kernel_combo in solver.kernel_basis():
@@ -67,35 +65,22 @@ def _one_sided_set(C: ModelComplex, t_side: Fraction):
     return rep, tuple(directions.basis())
 
 
-def _same_affine(rep1, dirs1, rep2, dirs2) -> bool:
-    span1 = Gf2Span(dirs1)
-    span2 = Gf2Span(dirs2)
-    if span1.rank != span2.rank or any(v not in span1 for v in dirs2):
-        return False
-    return (rep1 ^ rep2) in span1
-
-
 def z_sets(C: ModelComplex, t) -> ZSets:
-    """Z- and Z+ at t, certified stable under halving the margin delta."""
-    C.require_valid()
-    t = as_rational(t)
-    pd = pivot_points(C, t)
+    """Z- and Z+ at t, from the pivots just left and right of t."""
+    return _z_sets(C, pivot_points(C, t))
+
+
+def _z_sets(C: ModelComplex, pd: PivotData) -> ZSets:
+    """z_sets from the pivot data of C at pd.t, which upsilon2 shares."""
+    t = pd.t
     coset = C.generator_coset()
-
-    def at_delta(d):
-        return _one_sided_set(C, t - d), _one_sided_set(C, t + d)
-
-    (zm, vm), (zp, vp) = at_delta(pd.delta)
-    (zm2, vm2), (zp2, vp2) = at_delta(pd.delta / 2)
-    if not (_same_affine(zm, vm, zm2, vm2) and _same_affine(zp, vp, zp2, vp2)):
-        raise ConsistencyError(f"one-sided cycle sets unstable under delta halving at t = {t}")
+    zm, vm = _one_sided_set(C, t, -1, pd.p_minus)
+    zp, vp = _one_sided_set(C, t, 1, pd.p_plus)
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
-    level = pd.gamma_t
-    for vec in (zm, zp) + vm + vp:
-        for idx, elem in enumerate(coset.basis):
-            if vec >> idx & 1 and phi(t, elem.point) > level:
-                raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
+    outside = sum(1 << idx for idx, e in enumerate(coset.basis) if phi(t, e.point) > pd.gamma_t)
+    if any(vec & outside for vec in (zm, zp) + vm + vp):
+        raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
 
     disjoint = (zm ^ zp) not in Gf2Span(vm + vp)
     return ZSets(t, pd.delta, coset.basis, zm, zp, vm, vp, disjoint)
@@ -122,7 +107,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     C.require_valid()
     t = as_rational(t)
     pd = pivot_points(C, t)
-    zs = z_sets(C, t)
+    zs = _z_sets(C, pd)
     smooth = pd.p_minus == pd.p_plus
     infinite = Upsilon2Result(
         t, pd.gamma_t, zs, smooth, PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),

@@ -1,21 +1,26 @@
-"""Brute-force reference implementations of gamma and gamma2.
+"""Reference implementations of gamma, gamma2 and the one-sided sets.
 
-These enumerate the full cycle coset (and, for gamma2, every
-connecting chain for every pair of one-sided minimizers) instead of
-using threshold spans, so they share no algorithmic ideas with the
+The brute-force oracles enumerate the full cycle coset (and, for gamma2,
+every connecting chain for every pair of one-sided minimizers) instead
+of using threshold spans, so they share no algorithmic ideas with the
 engine beyond the definitions themselves.  Guarded to dimension
 MAX_DIM to keep enumeration tractable.
 
-Both oracles are memoised by (complex, t, s): the test complexes are
-shared instances (helpers.built), and several suites ask for the same
-grid of values.
+margin_one_sided takes "just left and right of t" literally, at t -+ delta
+for a margin delta inside which no two weights cross, where the engine
+orders by an exact one-sided key at t; it has no dimension limit.
+
+The brute-force oracles are memoised by (complex, t, s): the test
+complexes are shared instances (helpers.built), and several suites ask
+for the same grid of values.
 """
 
 from fractions import Fraction
 from functools import cache
 
 import upsilonkit as uk
-from upsilonkit.gf2 import Gf2Solver, combine, support
+from upsilonkit.gf2 import Gf2Solver, Gf2Span, combine, support
+from upsilonkit.upsilon import _gamma
 
 MAX_DIM = 16
 
@@ -113,3 +118,53 @@ def brute_gamma2(C, t, s):
                 if best is None or level < best:
                     best = level
     return best
+
+
+def same_affine(rep1, dirs1, rep2, dirs2) -> bool:
+    """Whether rep1 + span(dirs1) and rep2 + span(dirs2) are one set."""
+    span1 = Gf2Span(dirs1)
+    span2 = Gf2Span(dirs2)
+    if span1.rank != span2.rank or any(v not in span1 for v in dirs2):
+        return False
+    return (rep1 ^ rep2) in span1
+
+
+def _margin_set(C, t_side):
+    """Representative and direction basis for the cycles supported in the
+    half-plane of weight at most gamma(t_side)."""
+    coset = C.generator_coset()
+    level = uk.gamma_at(C, t_side)
+    outside = ~sum(1 << k for k, e in enumerate(coset.basis) if uk.phi(t_side, e.point) <= level)
+    solver = Gf2Solver([b & outside for b in coset.boundaries])
+    x = solver.solve(coset.cycle & outside)
+    assert x is not None, f"no minimizing cycle at t = {t_side}"
+    boundaries = list(coset.boundaries)
+    directions = Gf2Span(combine(boundaries, combo) for combo in solver.kernel_basis())
+    return coset.cycle ^ combine(boundaries, x), tuple(directions.basis())
+
+
+def _margin_pivot(C, t_side):
+    _, points = _gamma(C, t_side)
+    assert len(points) == 1, f"weight tie off the crossing arrangement at t = {t_side}"
+    return next(iter(points))
+
+
+def margin_one_sided(C, t):
+    """(delta, p_minus, p_plus, Z-, Z+) at t from t -+ delta, where delta is
+    half the distance from t to the nearest other crossing of two grading-0
+    weights; Z-+ are (representative, directions).  The same computation at
+    delta / 2 must give the same pivots and cycle sets."""
+    t = Fraction(t)
+    cands = _crossing_candidates(e.point for e in C.grading_slice(0))
+    delta = min(abs(c - t) for c in cands if c != t) / 2
+
+    def at(d):
+        pivots = _margin_pivot(C, t - d), _margin_pivot(C, t + d)
+        return pivots, _margin_set(C, t - d), _margin_set(C, t + d)
+
+    pivots, zm, zp = at(delta)
+    pivots2, zm2, zp2 = at(delta / 2)
+    assert pivots == pivots2, f"pivots unstable under delta halving at t = {t}"
+    assert same_affine(*zm, *zm2) and same_affine(*zp, *zp2), (
+        f"one-sided cycle sets unstable under delta halving at t = {t}")
+    return (delta,) + pivots + (zm, zp)

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import upsilonkit as uk
 from upsilonkit.exact import (
     NEG_INF,
     POS_INF,
@@ -23,6 +27,31 @@ def test_as_rational():
         as_rational(0.5)
     with pytest.raises(ValueError):
         as_rational("x")
+    with pytest.raises(ValueError, match="not a rational"):
+        as_rational("1/0")
+
+
+# Each value must be refused in under 1 s.  Fraction reads all three: the
+# first takes it minutes, and the second fails on CPython's digit limit.
+REFUSE_FAST = """
+import sys, time
+import upsilonkit as uk
+C = uk.catalog("T(3,4)")
+start = time.perf_counter()
+try:
+    uk.gamma_at(C, sys.argv[1])
+except ValueError as exc:
+    print(time.perf_counter() - start < 1, exc)
+"""
+
+
+@pytest.mark.parametrize("text", ["1e-100000000", "1e-5000", "0.5"])
+def test_as_rational_refuses_other_forms_fast(text):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uk.__file__))
+    proc = subprocess.run([sys.executable, "-c", REFUSE_FAST, text], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.stdout == f"True not an integer or p/q: {text!r}\n", proc.stderr
 
 
 def test_format_rational():

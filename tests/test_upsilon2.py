@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
+from oracles import margin_one_sided, same_affine
 
 
 def names_of(zs, vec):
@@ -41,6 +43,47 @@ def test_z_sets_members_are_minimizing_cycles():
 def test_z_sets_mirror_not_disjoint():
     zs = uk.z_sets(built("-T(3,4)"), F(2, 3))
     assert not zs.disjoint
+
+
+# Mixed-sign sums, where a sweep that follows only one side of t errs, and
+# cosets past the brute-force oracle's MAX_DIM (2*hom-K and up).
+MARGIN_INPUTS = {
+    "T(3,4)": lambda: built("T(3,4)"),
+    "T(13,17)": lambda: uk.parse_and_build("T(13,17)"),
+    "T(3,4) # -T(2,5)": lambda: uk.parse_and_build("T(3,4) # -T(2,5)"),
+    "2*hom-K": lambda: uk.parse_and_build("2*hom-K"),
+    "nK(3)": lambda: uk.parse_and_build("nK(3)"),
+    "2*hom-K # T(3,4)": lambda: uk.parse_and_build("2*hom-K # T(3,4)"),
+    "hom-K with an acyclic box at (1,0)": lambda: uk.add_acyclic_box(built("hom-K"), (1, 0), 1),
+}
+
+
+@pytest.mark.parametrize("name", MARGIN_INPUTS)
+def test_one_sided_keys_match_the_margin_method(name):
+    # The engine takes its pivots and Z sets from exact one-sided keys at t;
+    # the oracle evaluates at t -+ delta and t -+ delta / 2.
+    C = MARGIN_INPUTS[name]()
+    for t in sorted({F(2, 3), F(1)} | set(interior_breakpoints(C))):
+        delta, p_minus, p_plus, (zm, vm), (zp, vp) = margin_one_sided(C, t)
+        pd = uk.pivot_points(C, t)
+        assert (pd.delta, pd.p_minus, pd.p_plus) == (delta, p_minus, p_plus), (name, t)
+        zs = uk.z_sets(C, t)
+        assert same_affine(zs.z_minus, zs.v_minus, zm, vm), (name, t)
+        assert same_affine(zs.z_plus, zs.v_plus, zp, vp), (name, t)
+
+
+def test_upsilon2_finds_the_pivots_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return uk.pivot_points(*args)
+
+    # The package exports the function upsilon2 under the module's name.
+    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "pivot_points", counting)
+    res = uk.upsilon2(built("T(3,4)"), F(2, 3))
+    assert res.zsets.disjoint and res.upsilon2.is_finite
+    assert len(calls) == 1
 
 
 def test_disjointness_theorem_scan():

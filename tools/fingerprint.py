@@ -3,10 +3,11 @@
 For each input it prints the show text and the validation report, Upsilon
 and its candidate count, the pivots and the slope jump at each interior
 breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
-v2, the genus report and the diagonal width.  Then it runs CLI commands
-(every subcommand, --json, exit codes 1 and 2, hostile inputs) and prints
-their exit codes and output, or that one gave no result in CLI_TIMEOUT
-seconds.  The output does not depend on PYTHONHASHSEED.
+v2, the genus report and the diagonal width, and for the inputs in
+ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Then it
+runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
+inputs) and prints their exit codes and output, or that one gave no result
+in CLI_TIMEOUT seconds.  The output does not depend on PYTHONHASHSEED.
 
     python3 tools/fingerprint.py [CHECKOUT]
 
@@ -40,8 +41,11 @@ EXPRESSIONS = CATALOG_SCAN + [f"-{name}" for name in CATALOG_SCAN] + [
     "2*hom-K", "box(1) # box(2) # box(3)", "stair[2,2] # -stair[1,1,1,1]", "T(2,3) + -fig8",
     # The benchmark's costliest inputs: many crossing candidates, and large
     # slices for the gamma2 sweep.
-    "T(17,19)", "nK(3)", "3*hom-K",
+    "T(17,19)", "nK(3)", "3*hom-K", "2*hom-K # T(3,4)",
 ]
+# Inputs whose one-sided cycle sets are printed at every interior breakpoint:
+# mixed-sign sums, and cosets past the brute-force oracle's reach.
+ZSETS_AT_BREAKS = {"figure6", "hom-K", "nK(3)", "T(3,4) # -T(2,5)", "2*hom-K # T(3,4)"}
 INVALID_TEXTS = {
     "d-squared": "gen a 0 0 0\ngen b 1 1 1\ngen c 2 2 2\nd c = b\nd b = a\n",
     "two-generators-of-homology": "gen a 0 0 0\ngen b 0 1 1\n",
@@ -97,6 +101,8 @@ def fingerprint(label, build):
     for x in interior:
         attempt(f"pivots at {x}", lambda: _pivots(uk.pivot_points(C, x)))
         attempt(f"slope jump at {x}", lambda: uk.delta_upsilon_prime(C, x))
+        if label in ZSETS_AT_BREAKS:
+            attempt(f"zsets at {x}", lambda: _zsets(uk.z_sets(C, x)))
     for t in TS:
         attempt(f"upsilon2 at {t}", lambda: _upsilon2(uk.upsilon2(C, t)))
     attempt("v2", lambda: uk.upsilon2_scalar(C))
@@ -106,6 +112,11 @@ def fingerprint(label, build):
 
 def _pivots(pd):
     return f"gamma {pd.gamma_t}, on line {sorted(pd.on_line)}, p- {pd.p_minus}, p+ {pd.p_plus}, delta {pd.delta}"
+
+
+def _zsets(zs):
+    return (f"t {zs.t}, disjoint {zs.disjoint}, z- {zs.z_minus}, z+ {zs.z_plus}, "
+            f"v- {zs.v_minus}, v+ {zs.v_plus}")
 
 
 def _upsilon2(res):
