@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 from array import array
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .gf2 import Gf2Solver, Gf2Span
@@ -413,6 +414,12 @@ def tensor(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
     if n1 * n2 > MAX_GENERATORS:
         raise _size_error("tensor product", f"{n1} x {n2} = {n1 * n2}")
     _check_name_chars("tensor product", n2 * _name_chars(C1) + n1 * _name_chars(C2) + 3 * n1 * n2)
+    return _tensor(C1, C2, tuple(f"({a}.{b})" for a in C1._names for b in C2._names))
+
+
+def _tensor(C1: ModelComplex, C2: ModelComplex, names: tuple[str, ...]) -> ModelComplex:
+    """tensor(C1, C2) with the given names, without the size checks."""
+    n2 = len(C2)
     left, right = _term_lists(C1), _term_lists(C2)
     offsets, flat = array("q", [0]), array("q")
     append = flat.append
@@ -431,7 +438,7 @@ def tensor(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
                     append(row + yt)
             offsets.append(len(flat))
     return ModelComplex._from_arrays(
-        tuple(f"({a}.{b})" for a in C1._names for b in C2._names),
+        names,
         tuple(a + b for a in C1._grading for b in C2._grading),
         tuple(a + b for a in C1._i for b in C2._i),
         tuple(a + b for a in C1._j for b in C2._j),
@@ -453,9 +460,12 @@ def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
         # more characters; each name of C is in n m^(n - 1) of them.
         chars = n * m ** (n - 1) * _name_chars(C) + 3 * (n - 1) * m ** n
         _check_name_chars(f"tensor power {n}", chars)
+    # The names ((x1.x2).x3)... are built once; the fold leaves products before the last unnamed.
+    tails = [f".{name})" for name in C._names]
+    names = tuple("(" * (n - 1) + "".join(parts) for parts in product(C._names, *[tails] * (n - 1)))
     out = C
-    for _ in range(n - 1):
-        out = tensor(out, C)
+    for k in range(2, n + 1):
+        out = _tensor(out, C, names if k == n else ("",) * m ** k)
     return out
 
 

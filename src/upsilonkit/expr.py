@@ -162,8 +162,7 @@ class _Parser:
             return Atom("file", val[1:])
         if kind == "name":
             if val == "T":
-                p, q = self.int_pair()
-                return Atom("torus", (p, q))
+                return Atom("torus", tuple(self.int_args(2)))
             if val == "stair":
                 return Atom("stair", tuple(self.int_list()))
             if val == "box":
@@ -175,10 +174,6 @@ class _Parser:
             f"unexpected token {val or 'end of input'!r}", off,
             {"a name", "'('", "'-'", "'@file'", "an integer"},
         )
-
-    def int_pair(self):
-        a, b = self.int_args(2)
-        return a, b
 
     def int_args(self, count: int):
         self.expect("(")

@@ -8,7 +8,7 @@ echelon bases, solutions, and kernel bases deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 def support(v: int) -> tuple[int, ...]:
@@ -30,7 +30,7 @@ def from_support(indices: Iterable[int]) -> int:
     return v
 
 
-def combine(vectors: list[int], combo: int) -> int:
+def combine(vectors: Sequence[int], combo: int) -> int:
     """XOR of the vectors selected by the bits of combo."""
     acc = 0
     idx = 0

@@ -7,15 +7,17 @@ points of weight at most w, and Upsilon(t) = -2 gamma(t).
 
 gamma(t) is one call to threshold, the kernel upsilon2 shares: slice
 elements join the coset's boundary span in phi_t order until it holds
-the cycle.  The order is that of the integer key 2q phi_t for t = p/q
-(phi_key), so the search does no Fraction arithmetic; only the winning
-level becomes a Fraction.  crossings and certified_pl are shared the
-same way.  Just left or right of t the key is paired with the slope of
-phi_t (symbolic perturbation), so the pivots come from the kernel at t.
+the cycle, and the points of the last level are those on the support
+line.  The engine orders points only by the integer key 2q phi_t for
+t = p/q (phi_key), with no Fraction arithmetic per point; phi is the
+Fraction reference.  Just left or right of t the key is paired with the
+slope of phi_t (symbolic perturbation), so the pivots come from the
+kernel at t.  crossings and certified_pl are shared the same way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -158,30 +160,25 @@ class PivotData:
     delta: Fraction  # reported only: half the distance to the nearest other crossing
 
 
-def _one_sided_minimizer(C: ModelComplex, t: Fraction, side: int) -> LatticePoint:
-    _, points = _gamma(C, t, side)
-    if len(points) != 1:
-        raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
-    return next(iter(points))
-
-
 def pivot_points(C: ModelComplex, t) -> PivotData:
     """The unique minimizing points just left and just right of t."""
     C.require_valid()
     t = as_rational(t)
     if not 0 < t < 2:
         raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
-    cands = breakpoint_candidates(C)
-    delta = min(abs(c - t) for c in cands if c != t) / 2
-    gamma_t = gamma_at(C, t)
-    on_line = frozenset(
-        p for p in {e.point for e in C.grading_slice(0)} if phi(t, p) == gamma_t
-    )
-    p_minus = _one_sided_minimizer(C, t, -1)
-    p_plus = _one_sided_minimizer(C, t, 1)
-    if phi(t, p_minus) != gamma_t or phi(t, p_plus) != gamma_t:
+    cands = breakpoint_candidates(C)  # sorted, from 0 to 2
+    below, above = cands[bisect_left(cands, t) - 1], cands[bisect_right(cands, t)]
+    delta = min(t - below, above - t) / 2
+    gamma_t, on_line = _gamma(C, t)
+    pivots = []
+    for side in (-1, 1):
+        winners = _gamma(C, t, side)[1]
+        if len(winners) != 1:
+            raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
+        pivots.extend(winners)
+    if not on_line.issuperset(pivots):
         raise ConsistencyError("pivot point not on the support line")
-    return PivotData(t, gamma_t, on_line, p_minus, p_plus, delta)
+    return PivotData(t, gamma_t, frozenset(on_line), *pivots, delta)
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:

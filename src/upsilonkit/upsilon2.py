@@ -10,7 +10,8 @@ intersect, gamma2 is identically -inf and Upsilon2 identically +inf.
 
 gamma2(s) is one call to upsilon.threshold, the kernel gamma(t) uses:
 grading-1 boundary columns outside the t half-plane join the span of the
-rest in phi_s order until it holds z- + z+.
+rest in phi_s order until it holds z- + z+.  Half-planes compare the
+integer keys of upsilon.phi_key with 2q times the level.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
 from .upsilon import (
-    ConsistencyError, PivotData, certified_pl, crossings, delta_upsilon_prime, phi, phi_key,
+    ConsistencyError, PivotData, certified_pl, crossings, delta_upsilon_prime, phi_key,
     pivot_points, threshold,
 )
 
@@ -53,15 +54,12 @@ def _one_sided_set(C: ModelComplex, t: Fraction, side: int, pivot: LatticePoint)
     weight, _ = phi_key(t, side)
     bound = weight(pivot)
     outside = ~sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) <= bound)
-    columns = [b & outside for b in coset.boundaries]
-    solver = Gf2Solver(columns)
+    solver = Gf2Solver(b & outside for b in coset.boundaries)
     x = solver.solve(coset.cycle & outside)
     if x is None:
         raise ConsistencyError(f"no minimizing cycle on side {side} of t = {t}")
-    rep = coset.cycle ^ combine(list(coset.boundaries), x)
-    directions = Gf2Span()
-    for kernel_combo in solver.kernel_basis():
-        directions.add(combine(list(coset.boundaries), kernel_combo))
+    rep = coset.cycle ^ combine(coset.boundaries, x)
+    directions = Gf2Span(combine(coset.boundaries, combo) for combo in solver.kernel_basis())
     return rep, tuple(directions.basis())
 
 
@@ -78,7 +76,9 @@ def _z_sets(C: ModelComplex, pd: PivotData) -> ZSets:
     zp, vp = _one_sided_set(C, t, 1, pd.p_plus)
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
-    outside = sum(1 << idx for idx, e in enumerate(coset.basis) if phi(t, e.point) > pd.gamma_t)
+    weight, d = phi_key(t)
+    bound = pd.gamma_t * d  # a Fraction: compared exactly with the integer keys
+    outside = sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) > bound)
     if any(vec & outside for vec in (zm, zp) + vm + vp):
         raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
 
@@ -116,17 +116,16 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
         return infinite
 
     target = zs.z_minus ^ zs.z_plus
-    slice1 = C.grading_slice(1)
-    columns = C.slice_boundary(1)
-    inside = [idx for idx, e in enumerate(slice1) if phi(t, e.point) <= pd.gamma_t]
-    outside = [idx for idx, e in enumerate(slice1) if phi(t, e.point) > pd.gamma_t]
+    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
+    weight, d = phi_key(t)
+    bound = pd.gamma_t * d
+    inside = [idx for idx, e in enumerate(slice1) if weight(e.point) <= bound]
+    items = [(idx, e.point) for idx, e in enumerate(slice1) if weight(e.point) > bound]
 
     base_columns = list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside]
     base = Gf2Span(base_columns)
     if target in base:
         return infinite  # already homologous through the t half-plane alone, for every s
-
-    items = [(idx, slice1[idx].point) for idx in outside]
 
     def value_at(s: Fraction) -> Fraction:
         weight, d = phi_key(s)
@@ -138,26 +137,24 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     g2 = certified_pl(value_at, crossings(p for _, p in items), "gamma2")
     u2 = PLFunction([(x, -2 * (y - pd.gamma_t)) for x, y in g2.breakpoints])
 
-    # Chain witness per linear piece, from a solve at the piece midpoint.
+    # Chain witness per linear piece, from a solve at the piece midpoint that
+    # extends a copy of the base columns' elimination.
     witnesses = []
+    base_solver = Gf2Solver(base_columns)
     bps = [x for x, _ in g2.breakpoints]
     for s0, s1 in zip(bps, bps[1:]):
         mid = (s0 + s1) / 2
-        level = g2.evaluate(mid)
-        solver = Gf2Solver(base_columns)
-        admitted = [idx for idx in outside if phi(mid, slice1[idx].point) <= level]
+        weight, d = phi_key(mid)
+        bound = g2.evaluate(mid) * d
+        admitted = [idx for idx, point in items if weight(point) <= bound]
+        solver = base_solver.copy()
         for idx in admitted:
             solver.add_column(columns[idx])
         x = solver.solve(target)
         if x is None:
             raise ConsistencyError("witness solve failed on a certified piece")
-        offset = len(base_columns)
-        names = tuple(
-            slice1[admitted[pos - offset]].name
-            for pos in range(offset, solver.num_columns)
-            if x >> pos & 1
-        )
-        witnesses.append((s0, s1, names))
+        chain = enumerate(admitted, len(base_columns))
+        witnesses.append((s0, s1, tuple(slice1[idx].name for pos, idx in chain if x >> pos & 1)))
 
     return Upsilon2Result(t, pd.gamma_t, zs, smooth, g2, u2, tuple(witnesses))
 

@@ -196,6 +196,15 @@ def test_tensor_power():
     assert len(uk.tensor_power(C, 3)) == 27
     with pytest.raises(ValueError):
         uk.tensor_power(C, 0)
+    # tensor_power builds its names once; they are those of the left fold.
+    pair = ModelComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, 1)], {"b": [(0, "a")]})
+    for C in (single(), pair, C):
+        fold = C
+        for n in range(2, 6):
+            fold = uk.tensor(fold, C)
+            power = uk.tensor_power(C, n)
+            assert power.names == fold.names, (len(C), n)
+            assert (power.generators, power.boundary) == (fold.generators, fold.boundary)
 
 
 def test_direct_sum_renames_collisions():

@@ -5,6 +5,8 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
+from upsilonkit.gf2 import Gf2Span
+from upsilonkit.upsilon import threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
 from oracles import margin_one_sided, same_affine
 
@@ -67,9 +69,42 @@ def test_one_sided_keys_match_the_margin_method(name):
         delta, p_minus, p_plus, (zm, vm), (zp, vp) = margin_one_sided(C, t)
         pd = uk.pivot_points(C, t)
         assert (pd.delta, pd.p_minus, pd.p_plus) == (delta, p_minus, p_plus), (name, t)
+        # gamma(t) and on_line come from the integer search; the reference
+        # runs the kernel with Fraction weights and scans the slice.
+        coset = C.generator_coset()
+        items = list(enumerate(e.point for e in coset.basis))
+        level, _ = threshold(Gf2Span(coset.boundaries), coset.cycle, items,
+                             lambda p: uk.phi(t, p), lambda k: 1 << k)
+        assert pd.gamma_t == level, (name, t)
+        assert pd.on_line == {e.point for e in C.grading_slice(0) if uk.phi(t, e.point) == level}
         zs = uk.z_sets(C, t)
         assert same_affine(zs.z_minus, zs.v_minus, zm, vm), (name, t)
         assert same_affine(zs.z_plus, zs.v_plus, zp, vp), (name, t)
+
+
+@pytest.mark.parametrize("expr,t", [
+    ("2*hom-K", F(1)), ("nK(3) # T(3,4)", F(2, 3)), ("T(5,7)", F(4, 5)), ("figure6", F(1)),
+])
+def test_witness_chains_connect_the_z_sets(expr, t):
+    # Each piece's witness names grading-1 elements outside the t half-plane
+    # but inside the s half-plane at gamma2, whose boundaries with those of
+    # the t half-plane and the one-sided directions join z- to z+.
+    C = uk.parse_and_build(expr)
+    res = uk.upsilon2(C, t)
+    zs = res.zsets
+    assert res.witnesses
+    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
+    index = {e.name: k for k, e in enumerate(slice1)}
+    inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
+    for s0, s1, names in res.witnesses:
+        mid = (s0 + s1) / 2
+        assert set(names) <= index.keys(), (expr, s0)
+        for name in names:
+            point = slice1[index[name]].point
+            assert uk.phi(t, point) > res.gamma_t, (expr, s0, name)
+            assert uk.phi(mid, point) <= res.gamma2.evaluate(mid), (expr, s0, name)
+        span = Gf2Span(list(zs.v_minus + zs.v_plus) + inside + [columns[index[n]] for n in names])
+        assert zs.z_minus ^ zs.z_plus in span, (expr, s0)
 
 
 def test_upsilon2_finds_the_pivots_once(monkeypatch):
