@@ -18,11 +18,11 @@ from fractions import Fraction
 from .bounds import diagonal_width, genus_report
 from .catalog import CATALOG_NAMES
 from .complexes import InvalidComplexError
-from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational, format_rational
+from .exact import POS_INF, DomainError, PLFunction, as_rational, format_rational
 from .expr import ExprParseError, parse_and_build
 from .textio import ComplexParseError, serialize_complex
 from .upsilon import ConsistencyError, delta_upsilon_prime, pivot_points, upsilon
-from .upsilon2 import upsilon2, upsilon2_scalar, z_sets
+from .upsilon2 import upsilon2, upsilon2_scalar
 
 MIRROR_NOTE = (
     "the one-sided minimizing cycle sets intersect, so the secondary invariant "
@@ -145,28 +145,29 @@ def _reproducer(args) -> str:
     return f"reproducer: upsilonkit {shlex.join(argv)}\ncomplex:\n{text}"
 
 
+def _emit(args, data, lines, notes=()) -> None:
+    """Print data as JSON under --json; otherwise the text lines, then the
+    note lines unless --quiet, and nothing when no line is left."""
+    if args.json:
+        print(json.dumps(data))
+        return
+    lines = list(lines) + ([] if args.quiet else list(notes))
+    if lines:
+        print("\n".join(lines))
+
+
 def _dispatch(args) -> int:
     if args.command == "catalog":
-        if args.json:
-            print(json.dumps({"names": CATALOG_NAMES}))
-        else:
-            print("\n".join(CATALOG_NAMES))
+        print(json.dumps({"names": CATALOG_NAMES}) if args.json else "\n".join(CATALOG_NAMES))
         return 0
 
     C = parse_and_build(args.expr)
 
     if args.command == "validate":
         report = C.validate()
-        if args.json:
-            print(json.dumps({
-                "ok": report.ok,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "advisory": c.advisory, "detail": c.detail}
-                    for c in report.checks
-                ],
-            }))
-        else:
-            print(report)
+        checks = [{"name": c.name, "passed": c.passed, "advisory": c.advisory, "detail": c.detail}
+                  for c in report.checks]
+        _emit(args, {"ok": report.ok, "checks": checks}, [str(report)])
         return 0 if report.ok else 1
 
     if args.command == "show":
@@ -177,11 +178,8 @@ def _dispatch(args) -> int:
         f = upsilon(C)
         if args.csv:
             write_csv(f, args.csv, args.samples)
-        if args.json:
-            print(json.dumps({"upsilon": pl_to_json(f)}))
-        elif not args.quiet or not args.csv:
-            print("Upsilon(t):")
-            print(pl_to_text(f, "t"))
+        lines = [] if args.quiet and args.csv else ["Upsilon(t):", pl_to_text(f, "t")]
+        _emit(args, {"upsilon": pl_to_json(f)}, lines)
         return 0
 
     if args.command == "upsilon2":
@@ -193,88 +191,63 @@ def _dispatch(args) -> int:
             notes.append("smooth point: Upsilon has equal one-sided pivots at this t")
         if args.csv and res.upsilon2.is_finite:
             write_csv(res.upsilon2, args.csv, args.samples)
-        if args.json:
-            print(json.dumps({
-                "t": format_rational(res.t),
-                "gamma_t": format_rational(res.gamma_t),
-                "upsilon2": pl_to_json(res.upsilon2),
-                "gamma2": pl_to_json(res.gamma2),
-                "disjoint": res.zsets.disjoint,
-                "notes": notes,
-                "witnesses": [
-                    {"from": format_rational(a), "to": format_rational(b), "chain": list(names)}
-                    for a, b, names in res.witnesses
-                ],
-            }))
-        else:
-            print(f"Upsilon2 at t = {res.t} (as a function of s):")
-            print(pl_to_text(res.upsilon2, "s"))
-            if not args.quiet:
-                for note in notes:
-                    print(f"note: {note}")
+        data = {
+            "t": format_rational(res.t),
+            "gamma_t": format_rational(res.gamma_t),
+            "upsilon2": pl_to_json(res.upsilon2),
+            "gamma2": pl_to_json(res.gamma2),
+            "disjoint": res.zsets.disjoint,
+            "notes": notes,
+            "witnesses": [
+                {"from": format_rational(a), "to": format_rational(b), "chain": list(names)}
+                for a, b, names in res.witnesses
+            ],
+        }
+        lines = [f"Upsilon2 at t = {res.t} (as a function of s):", pl_to_text(res.upsilon2, "s")]
+        _emit(args, data, lines, [f"note: {note}" for note in notes])
         return 0
 
     if args.command == "pivots":
         pd = pivot_points(C, args.t)
         jump = delta_upsilon_prime(C, args.t)
-        if args.json:
-            print(json.dumps({
-                "t": format_rational(pd.t),
-                "gamma_t": format_rational(pd.gamma_t),
-                "on_line": sorted(list(p) for p in pd.on_line),
-                "p_minus": list(pd.p_minus),
-                "p_plus": list(pd.p_plus),
-                "delta": format_rational(pd.delta),
-                "derivative_jump": format_rational(jump),
-            }))
-        else:
-            print(f"t = {pd.t}: gamma = {pd.gamma_t}, support-line points {sorted(pd.on_line)}")
-            print(f"p- = {pd.p_minus}, p+ = {pd.p_plus}, margin delta = {pd.delta}")
-            print(f"derivative jump of Upsilon: {jump}")
+        data = {
+            "t": format_rational(pd.t),
+            "gamma_t": format_rational(pd.gamma_t),
+            "on_line": sorted(list(p) for p in pd.on_line),
+            "p_minus": list(pd.p_minus),
+            "p_plus": list(pd.p_plus),
+            "delta": format_rational(pd.delta),
+            "derivative_jump": format_rational(jump),
+        }
+        _emit(args, data, [
+            f"t = {pd.t}: gamma = {pd.gamma_t}, support-line points {sorted(pd.on_line)}",
+            f"p- = {pd.p_minus}, p+ = {pd.p_plus}, margin delta = {pd.delta}",
+            f"derivative jump of Upsilon: {jump}",
+        ])
         return 0
 
     if args.command == "v2":
         value = upsilon2_scalar(C)
         notes = [MIRROR_NOTE] if value == POS_INF else []
-        if args.json:
-            print(json.dumps({"v2": format_rational(value), "notes": notes}))
-        else:
-            print("+inf" if value == POS_INF else str(value))
-            if not args.quiet:
-                for note in notes:
-                    print(f"note: {note}")
+        _emit(args, {"v2": format_rational(value), "notes": notes},
+              ["+inf" if value == POS_INF else str(value)], [f"note: {note}" for note in notes])
         return 0
 
     if args.command == "bounds":
         report = genus_report(C, args.t)
         width = diagonal_width(C)
-        if args.json:
-            print(json.dumps({
-                "combined": report.combined,
-                "diagonal_width": width,
-                "skipped_infinite": list(report.skipped),
-                "reports": [
-                    {
-                        "source": r.source,
-                        "slope_bound": r.slope_bound,
-                        "breakpoint_bounds": [
-                            {"location": format_rational(x), "bound": b}
-                            for x, b in r.breakpoint_bounds
-                        ],
-                        "combined": r.combined,
-                    }
-                    for r in report.reports
-                ],
-            }))
-        else:
-            for r in report.reports:
-                bps = ", ".join(f"{x} -> {b}" for x, b in r.breakpoint_bounds) or "none"
-                print(f"{r.source}: slope bound {r.slope_bound}, breakpoint bounds {bps}")
-            for t in report.skipped:
-                print(f"upsilon2[t={t}]: infinite, skipped")
-            print(f"combined concordance-genus lower bound: {report.combined}")
-            if not args.quiet:
-                print(f"diagonal width of the model: {width}")
+        reports, lines = [], []
+        for r in report.reports:
+            bps = [{"location": format_rational(x), "bound": b} for x, b in r.breakpoint_bounds]
+            reports.append({"source": r.source, "slope_bound": r.slope_bound,
+                            "breakpoint_bounds": bps, "combined": r.combined})
+            text = ", ".join(f"{x} -> {b}" for x, b in r.breakpoint_bounds) or "none"
+            lines.append(f"{r.source}: slope bound {r.slope_bound}, breakpoint bounds {text}")
+        lines += [f"upsilon2[t={t}]: infinite, skipped" for t in report.skipped]
+        lines.append(f"combined concordance-genus lower bound: {report.combined}")
+        _emit(args, {"combined": report.combined, "diagonal_width": width,
+                     "skipped_infinite": list(report.skipped), "reports": reports},
+              lines, [f"diagonal width of the model: {width}"])
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -24,8 +24,9 @@ from .gf2 import Gf2Solver, Gf2Span
 
 LatticePoint = tuple[int, int]
 
-# Most generators tensor, tensor_power, direct_sum, T(p,q) and nK(n) may build,
-# and the largest tensor power; 3*hom-K has 3375 generators, 4*hom-K 50625.
+# Most generators of a complex (the ModelComplex constructor, so stair[...] and
+# @file; tensor, tensor_power, direct_sum, T(p,q), nK(n)), and the largest
+# tensor power; 3*hom-K has 3375 generators, 4*hom-K 50625.
 MAX_GENERATORS = 10_000
 # Most characters of generator names tensor and tensor_power may build.  The
 # names of a product pair up its factors' names as (a.b), so a power of a
@@ -132,6 +133,8 @@ class ModelComplex:
 
     def __init__(self, generators: Iterable[Generator], boundary: Mapping[str, Iterable]):
         gens = tuple(generators)
+        if len(gens) > MAX_GENERATORS:
+            raise _size_error("the complex", str(len(gens)))
         names = tuple(g.name for g in gens)
         ids = {name: x for x, name in enumerate(names)}
         if len(ids) != len(names):

@@ -122,8 +122,8 @@ class _Parser:
         while True:
             # An operand: tensor powers, then duals, then a bracket or an atom.
             while self.peek()[0] == "int":
-                _, val, off = self.next()
-                n = int(val)
+                off = self.peek()[2]
+                n = self.integer()
                 if n <= 0:
                     raise ExprParseError(f"tensor power must be positive, got {n}", off)
                 self.expect("*")
@@ -197,7 +197,10 @@ class _Parser:
         kind, val, off = self.next()
         if kind != "int":
             raise ExprParseError(f"unexpected token {val or 'end of input'!r}", off, {"an integer"})
-        return int(val)
+        try:
+            return int(val)
+        except ValueError:  # past the interpreter's limit on digits
+            raise ExprParseError(f"integer of {len(val)} digits is too long", off) from None
 
 
 def _reduce(operands: list, operators: list, binding: int) -> None:

@@ -5,14 +5,17 @@ phi_t(i, j) = (t/2) j + (1 - t/2) i.  gamma(t) is the smallest w such
 that some grading-0 cycle carrying the H0 generator is supported on
 points of weight at most w, and Upsilon(t) = -2 gamma(t).
 
-gamma(t) is one call to threshold, the kernel upsilon2 shares: slice
-elements join the coset's boundary span in phi_t order until it holds
-the cycle, and the points of the last level are those on the support
-line.  The engine orders points only by the integer key 2q phi_t for
-t = p/q (phi_key), with no Fraction arithmetic per point; phi is the
-Fraction reference.  Just left or right of t the key is paired with the
-slope of phi_t (symbolic perturbation), so the pivots come from the
-kernel at t.  crossings and certified_pl are shared the same way.
+gamma(t) is one call to threshold, the kernel upsilon2 shares: the
+unit vectors of the slice elements join the coset's boundary span in
+phi_t order until it holds the cycle, and the points of the last level
+are those on the support line.  The engine orders points only by the
+integer key 2q phi_t for t = p/q (phi_key), with no Fraction arithmetic
+per point; phi is the Fraction reference.  Just left or right of t the
+key is paired with the slope of phi_t (symbolic perturbation), so the
+pivots come from the kernel at t.  crossings and certified_pl are shared
+the same way.  Upsilon and the pivots at each t are memoized on the
+complex, so upsilon2, z_sets, delta_upsilon_prime and the CLI share one
+search.
 """
 
 from __future__ import annotations
@@ -56,19 +59,19 @@ def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
     return (lambda point: a * point[0] + p * point[1]), d
 
 
-def threshold(base_span: Gf2Span, target: int, items, weight, vector):
+def threshold(base_span: Gf2Span, target: int, items, weight):
     """Least weight at which target enters base_span grown by items.
 
-    The (key, point) items join a copy of base_span as vector(key), in
+    The vectors of the (vector, point) items join a copy of base_span in
     increasing weight(point), one level at a time.  Returns (level,
     points of that level), or None if target never enters."""
     groups: dict = {}
-    for key, point in items:
-        groups.setdefault(weight(point), []).append((key, point))
+    for vector, point in items:
+        groups.setdefault(weight(point), []).append((vector, point))
     span = base_span.copy()
     for level in sorted(groups):
-        for key, _ in groups[level]:
-            span.add(vector(key))
+        for vector, _ in groups[level]:
+            span.add(vector)
         if target in span:
             return level, {point for _, point in groups[level]}
     return None
@@ -103,10 +106,10 @@ def certified_pl(f: Callable[[Fraction], Fraction], xs, what: str) -> PLFunction
 @memoized
 def _gamma_search(C: ModelComplex):
     """The H0 coset as threshold input: boundary span, cycle, and the
-    points of the grading-0 slice, whose indices threshold admits as unit
-    vectors."""
+    grading-0 slice as (unit vector, point) items."""
     coset = C.generator_coset()
-    return Gf2Span(coset.boundaries), coset.cycle, tuple(e.point for e in coset.basis)
+    items = tuple((1 << idx, e.point) for idx, e in enumerate(coset.basis))
+    return Gf2Span(coset.boundaries), coset.cycle, items
 
 
 def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
@@ -114,8 +117,8 @@ def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
     in the order of phi_key(t, side); needs a one-dimensional H0 but no
     other validity."""
     weight, d = phi_key(t, side)
-    span, cycle, points = _gamma_search(C)
-    found = threshold(span, cycle, enumerate(points), weight, lambda idx: 1 << idx)
+    span, cycle, items = _gamma_search(C)
+    found = threshold(span, cycle, items, weight)
     if found is None:
         raise ConsistencyError("cycle not in the span of the full slice")
     level, winners = found
@@ -145,6 +148,7 @@ def gamma_pl(C: ModelComplex) -> PLFunction:
     return certified_pl(lambda t: gamma_at(C, t), breakpoint_candidates(C), "gamma")
 
 
+@memoized
 def upsilon(C: ModelComplex) -> PLFunction:
     """Upsilon(t) = -2 gamma(t), exact on [0, 2]."""
     return gamma_pl(C).scale(-2)
@@ -160,6 +164,7 @@ class PivotData:
     delta: Fraction  # reported only: half the distance to the nearest other crossing
 
 
+@memoized
 def pivot_points(C: ModelComplex, t) -> PivotData:
     """The unique minimizing points just left and just right of t."""
     C.require_valid()

@@ -8,10 +8,13 @@ of Z+ inside the union of the t half-plane at gamma(t) and the s
 half-plane at r; Upsilon2(s) = -2 (gamma2(s) - gamma(t)).  When they
 intersect, gamma2 is identically -inf and Upsilon2 identically +inf.
 
-gamma2(s) is one call to upsilon.threshold, the kernel gamma(t) uses:
-grading-1 boundary columns outside the t half-plane join the span of the
-rest in phi_s order until it holds z- + z+.  Half-planes compare the
-integer keys of upsilon.phi_key with 2q times the level.
+z_sets is the one path to Z- and Z+; it reads the pivots that
+upsilon.pivot_points memoizes on the complex, so upsilon2, which calls
+both, searches once.  gamma2(s) is one call to upsilon.threshold, the kernel
+gamma(t) uses: the (column, point) items of the grading-1 slice outside
+the t half-plane join the span of the rest in phi_s order until it holds
+z- + z+.  Half-planes compare the integer keys of upsilon.phi_key with
+2q times the level.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
 from .upsilon import (
-    ConsistencyError, PivotData, certified_pl, crossings, delta_upsilon_prime, phi_key,
-    pivot_points, threshold,
+    ConsistencyError, certified_pl, crossings, delta_upsilon_prime, phi_key, pivot_points,
+    threshold,
 )
 
 
@@ -65,11 +68,7 @@ def _one_sided_set(C: ModelComplex, t: Fraction, side: int, pivot: LatticePoint)
 
 def z_sets(C: ModelComplex, t) -> ZSets:
     """Z- and Z+ at t, from the pivots just left and right of t."""
-    return _z_sets(C, pivot_points(C, t))
-
-
-def _z_sets(C: ModelComplex, pd: PivotData) -> ZSets:
-    """z_sets from the pivot data of C at pd.t, which upsilon2 shares."""
+    pd = pivot_points(C, t)
     t = pd.t
     coset = C.generator_coset()
     zm, vm = _one_sided_set(C, t, -1, pd.p_minus)
@@ -107,7 +106,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     C.require_valid()
     t = as_rational(t)
     pd = pivot_points(C, t)
-    zs = _z_sets(C, pd)
+    zs = z_sets(C, t)  # the same memoized pivots
     smooth = pd.p_minus == pd.p_plus
     infinite = Upsilon2Result(
         t, pd.gamma_t, zs, smooth, PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),
@@ -120,7 +119,8 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     weight, d = phi_key(t)
     bound = pd.gamma_t * d
     inside = [idx for idx, e in enumerate(slice1) if weight(e.point) <= bound]
-    items = [(idx, e.point) for idx, e in enumerate(slice1) if weight(e.point) > bound]
+    outside = [idx for idx, e in enumerate(slice1) if weight(e.point) > bound]
+    items = [(columns[idx], slice1[idx].point) for idx in outside]
 
     base_columns = list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside]
     base = Gf2Span(base_columns)
@@ -129,13 +129,13 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
 
     def value_at(s: Fraction) -> Fraction:
         weight, d = phi_key(s)
-        found = threshold(base, target, items, weight, columns.__getitem__)
+        found = threshold(base, target, items, weight)
         if found is None:
             raise ConsistencyError("one-sided cycles not homologous in the full complex")
         return Fraction(found[0], d)
 
     g2 = certified_pl(value_at, crossings(p for _, p in items), "gamma2")
-    u2 = PLFunction([(x, -2 * (y - pd.gamma_t)) for x, y in g2.breakpoints])
+    u2 = g2.scale(-2, 2 * pd.gamma_t)
 
     # Chain witness per linear piece, from a solve at the piece midpoint that
     # extends a copy of the base columns' elimination.
@@ -146,7 +146,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
         mid = (s0 + s1) / 2
         weight, d = phi_key(mid)
         bound = g2.evaluate(mid) * d
-        admitted = [idx for idx, point in items if weight(point) <= bound]
+        admitted = [idx for idx in outside if weight(slice1[idx].point) <= bound]
         solver = base_solver.copy()
         for idx in admitted:
             solver.add_column(columns[idx])

@@ -175,6 +175,15 @@ def test_deep_brackets_are_a_parse_error(capsys):
     assert "parse error: expression nested deeper than 400 levels" in err
 
 
+@pytest.mark.parametrize("template", ["{}*unknot", "T({},3)", "box({})", "nK({})", "stair[{},1]"],
+                         ids=["power", "T", "box", "nK", "stair"])
+def test_overlong_integer_is_a_parse_error(capsys, template):
+    # 5000 digits: past the interpreter's limit on converting a string to int.
+    code, out, err = run(capsys, "show", template.format("1" * 5000))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "Exceeds the limit" not in err
+
+
 def test_nesting_depth_400_still_builds(capsys):
     dual = run_json(capsys, "upsilon", "--json", "--", "-" * 400 + "T(2,3)")
     bracketed = run_json(capsys, "upsilon", "--json", "(" * 400 + "T(2,3)" + ")" * 400)
@@ -222,7 +231,9 @@ def test_internal_error_exits_3_with_a_reproducer(capsys, monkeypatch):
 
 @pytest.mark.parametrize("expr", ["20*T(2,3)", "4*hom-K", "hom-K # hom-K # hom-K # hom-K",
                                   "T(2,200001)", "T(100000,100001)", "nK(100000)",
-                                  "1000000*unknot", "3000*(3000*unknot)"])
+                                  "1000000*unknot", "3000*(3000*unknot)",
+                                  pytest.param("stair[" + ",".join(["1"] * 24000) + "]",
+                                               id="stair[1,...,1] of 24000 steps")])
 def test_generator_limit_exits_1_fast(capsys, expr):
     start = time.perf_counter()
     code, out, err = run(capsys, "show", expr)

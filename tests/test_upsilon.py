@@ -160,9 +160,9 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     C = uk.parse_and_build(expr)
     coset = C.generator_coset()
     span = Gf2Span(coset.boundaries)
-    items = list(enumerate(e.point for e in coset.basis))
+    items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
     for t in midpoints_and(uk.breakpoint_candidates(C)):
-        reference = threshold(span, coset.cycle, items, lambda p: uk.phi(t, p), lambda k: 1 << k)
+        reference = threshold(span, coset.cycle, items, lambda p: uk.phi(t, p))
         assert _gamma(C, t) == reference, (expr, t)
 
 
@@ -182,8 +182,7 @@ def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
     slice1, columns = C.grading_slice(1), C.slice_boundary(1)
     inside = [k for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
     base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[k] for k in inside])
-    items = [(k, e.point) for k, e in enumerate(slice1) if k not in set(inside)]
+    items = [(columns[k], e.point) for k, e in enumerate(slice1) if k not in set(inside)]
     for s in midpoints_and(crossings(p for _, p in items)):
-        level, _ = threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p),
-                             columns.__getitem__)
+        level, _ = threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p))
         assert res.gamma2.evaluate(s) == level, (expr, t, s)

@@ -72,9 +72,8 @@ def test_one_sided_keys_match_the_margin_method(name):
         # gamma(t) and on_line come from the integer search; the reference
         # runs the kernel with Fraction weights and scans the slice.
         coset = C.generator_coset()
-        items = list(enumerate(e.point for e in coset.basis))
-        level, _ = threshold(Gf2Span(coset.boundaries), coset.cycle, items,
-                             lambda p: uk.phi(t, p), lambda k: 1 << k)
+        items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
+        level, _ = threshold(Gf2Span(coset.boundaries), coset.cycle, items, lambda p: uk.phi(t, p))
         assert pd.gamma_t == level, (name, t)
         assert pd.on_line == {e.point for e in C.grading_slice(0) if uk.phi(t, e.point) == level}
         zs = uk.z_sets(C, t)
@@ -108,17 +107,30 @@ def test_witness_chains_connect_the_z_sets(expr, t):
 
 
 def test_upsilon2_finds_the_pivots_once(monkeypatch):
-    calls = []
+    # upsilon2 reads the pivots directly and through z_sets; both share one
+    # memoized search, which runs the gamma kernel once per side of t.
+    sides, zsets_calls = [], []
+    upsilon_module = importlib.import_module("upsilonkit.upsilon")
+    gamma = upsilon_module._gamma
+
+    def searching(C, t, side=0):
+        sides.append(side)
+        return gamma(C, t, side)
 
     def counting(*args):
-        calls.append(args)
-        return uk.pivot_points(*args)
+        zsets_calls.append(args)
+        return uk.z_sets(*args)
 
+    C = uk.catalog("T(3,4)")  # a fresh complex: nothing memoized yet
+    C.require_valid()  # validation runs the kernel at t = 0 and 2
+    monkeypatch.setattr(upsilon_module, "_gamma", searching)
     # The package exports the function upsilon2 under the module's name.
-    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "pivot_points", counting)
-    res = uk.upsilon2(built("T(3,4)"), F(2, 3))
+    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "z_sets", counting)
+    res = uk.upsilon2(C, F(2, 3))
     assert res.zsets.disjoint and res.upsilon2.is_finite
-    assert len(calls) == 1
+    assert sorted(sides) == [-1, 0, 1]
+    assert len(zsets_calls) == 1
+    assert uk.pivot_points(C, F(2, 3)) is uk.pivot_points(C, F(2, 3))
 
 
 def test_disjointness_theorem_scan():

@@ -7,7 +7,8 @@ v2, the genus report and the diagonal width, and for the inputs in
 ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
 inputs) and prints their exit codes and output, or that one gave no result
-in CLI_TIMEOUT seconds.  The output does not depend on PYTHONHASHSEED.
+in CLI_TIMEOUT seconds; an argument over 80 characters shows as its head
+and length.  The output does not depend on PYTHONHASHSEED.
 
     python3 tools/fingerprint.py [CHECKOUT]
 
@@ -72,6 +73,7 @@ CLI_COMMANDS = [
     ["upsilon", "@no-such-file.txt"], ["upsilon", "T(3,"], ["upsilon2", "T(3,4)"],
     ["show", "3000*(3000*unknot)"], ["upsilon2", "T(3,4)", "--t", "1e-100000000"],
     ["bounds", "--t", "1e-5000", "T(3,4)"], ["pivots", "T(3,4)", "--t", "0.5"],
+    ["show", "1" * 5000 + "*unknot"], ["upsilon", "stair[" + ",".join(["1"] * 24000) + "]"],
 ]
 
 
@@ -124,16 +126,22 @@ def _upsilon2(res):
             f"  gamma2 {res.gamma2}\n  witnesses {res.witnesses}\n  zsets {res.zsets}")
 
 
+def _shown(argv):
+    """argv with each argument of over 80 characters cut to its head and length."""
+    return [arg if len(arg) <= 80 else f"{arg[:20]}... ({len(arg)} characters)" for arg in argv]
+
+
 def run_cli(workdir):
     env = {**os.environ, "PYTHONPATH": SRC}
     for argv in CLI_COMMANDS:
+        shown = _shown(argv)
         try:
             proc = subprocess.run([sys.executable, "-m", "upsilonkit.cli", *argv], cwd=workdir,
                                   env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT)
         except subprocess.TimeoutExpired:
-            print(f"=== cli {argv}: no result in {CLI_TIMEOUT} s")
+            print(f"=== cli {shown}: no result in {CLI_TIMEOUT} s")
             continue
-        print(f"=== cli {argv}: exit {proc.returncode}")
+        print(f"=== cli {shown}: exit {proc.returncode}")
         print(proc.stdout, end="")
         print(proc.stderr, end="")
         if "--csv" in argv:
