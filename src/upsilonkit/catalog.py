@@ -182,21 +182,22 @@ _FIXED = {
 
 CATALOG_NAMES = sorted(_FIXED) + ["T(p,q)", "box(n)", "nK(n)"]
 
-_TORUS_RE = re.compile(r"T\((\d+),(\d+)\)$")
-_BOX_RE = re.compile(r"box\((\d+)\)$")
-_NK_RE = re.compile(r"nK\((\d+)\)$")
+
+def fixed_complex(name: str) -> ModelComplex:
+    """The complex of a catalog name other than T(p,q), box(n) and nK(n)."""
+    if name not in _FIXED:
+        raise KeyError(f"unknown catalog name {name!r}; valid names: {', '.join(CATALOG_NAMES)}")
+    return _FIXED[name]()
 
 
 def catalog(name: str) -> ModelComplex:
-    """Look up a named complex; parameterized names accept any valid
-    parameters (coprime p, q for torus knots; n >= 1 for box/nK)."""
-    key = name.replace(" ", "")
-    if key in _FIXED:
-        return _FIXED[key]()
-    if m := _TORUS_RE.match(key):
-        return torus_knot_complex(int(m.group(1)), int(m.group(2)))
-    if m := _BOX_RE.match(key):
-        return box_complex(int(m.group(1)))
-    if m := _NK_RE.match(key):
-        return nk_complex(int(m.group(1)))
-    raise KeyError(f"unknown catalog name {name!r}; valid names: {', '.join(CATALOG_NAMES)}")
+    """The complex of one catalog atom, read by the expression grammar: a
+    fixed name, T(p,q) (coprime p, q >= 2), box(n) or nK(n) (n >= 1).  A
+    malformed parameter raises ExprParseError; any other expression (a sum,
+    a dual, stair[...], @file) and an unknown name raise KeyError."""
+    from .expr import Atom, build, parse_expression  # deferred: expr builds on this module
+
+    node = parse_expression(name)
+    if isinstance(node, Atom) and node.kind in ("catalog", "torus", "box", "nk"):
+        return build(node)
+    return fixed_complex(name)  # raises: each fixed name is one atom

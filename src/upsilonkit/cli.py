@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (invalid complex, failed
-validation, a complex over complexes.MAX_GENERATORS), 2 on usage or parse
-errors, 3 when an internal cross-check fails (an engine bug); the last
-prints a reproducer: the command line and the complex in the text format.
+validation, a complex over complexes.MAX_GENERATORS) or a file error (with
+the OS message), 2 on usage or parse errors, 3 when an internal cross-check
+fails (an engine bug); the last prints a reproducer: the command line and
+the complex in the text format.
 A closed output pipe ends the run quietly with exit code 1.
 """
 
@@ -125,7 +126,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, InvalidComplexError, KeyError, ValueError, OSError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # str() of a KeyError quotes it; an OSError's args[0] is only the errno.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

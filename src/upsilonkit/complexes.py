@@ -127,8 +127,8 @@ class ModelComplex:
     gradings and filtration levels are parallel tuples indexed by id, and
     the boundary is one flat array of (U-power, target id) pairs: the
     terms of generator x fill positions offsets[x] to offsets[x + 1].
-    Names appear only at the edges: Generator objects, name-keyed
-    boundaries and grading slices are views built on demand.
+    Names appear only at the edges: generators, names, boundary and the
+    grading slices are the views by name, built on demand.
     """
 
     def __init__(self, generators: Iterable[Generator], boundary: Mapping[str, Iterable]):
@@ -186,25 +186,12 @@ class ModelComplex:
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    def generator(self, name: str) -> Generator:
-        x = self._ids()[name]
-        return Generator(name, self._grading[x], self._i[x], self._j[x])
-
-    def boundary_of(self, name: str) -> frozenset:
-        return self._boundary_view(self._ids()[name])
-
     @property
     def boundary(self) -> dict:
-        return {name: self._boundary_view(x) for x, name in enumerate(self._names)}
-
-    def _boundary_view(self, x: int) -> frozenset:
-        names, terms = self._names, self._terms
-        return frozenset(BoundaryTerm(terms[p], names[terms[p + 1]])
-                         for p in range(self._offsets[x], self._offsets[x + 1], 2))
-
-    @memoized
-    def _ids(self) -> dict[str, int]:
-        return {name: x for x, name in enumerate(self._names)}
+        names, offsets, terms = self._names, self._offsets, self._terms
+        return {name: frozenset(BoundaryTerm(terms[p], names[terms[p + 1]])
+                                for p in range(offsets[x], offsets[x + 1], 2))
+                for x, name in enumerate(names)}
 
     def __len__(self):
         return len(self._names)
@@ -255,27 +242,24 @@ class ModelComplex:
         return tuple(cols)
 
     @memoized
-    def _rank(self, parity: int) -> int:
-        return Gf2Span(self.slice_boundary(parity)).rank
+    def _boundary_span(self, parity: int) -> Gf2Span:
+        """The span of one parity's boundary columns; callers must not add to it."""
+        return Gf2Span(self.slice_boundary(parity))
 
     def homology_dimension(self, g: int) -> int:
         dim = sum(1 for grading in self._grading if (grading - g) % 2 == 0)
-        return dim - self._rank(g % 2) - self._rank((g + 1) % 2)
+        return dim - self._boundary_span(g % 2).rank - self._boundary_span((g + 1) % 2).rank
 
     @memoized
     def generator_coset(self) -> CycleCoset:
         """The affine set of grading-0 cycles carrying the H0 generator."""
-        basis = self.grading_slice(0)
-        out = Gf2Solver(self.slice_boundary(0))
-        cycles = out.kernel_basis()
-        b0 = Gf2Span(self.slice_boundary(1))
-        h0 = len(cycles) - b0.rank
+        h0 = self.homology_dimension(0)
         if h0 != 1:
             raise InvalidComplexError(f"H0 has dimension {h0}, expected 1")
-        z0 = next((z for z in cycles if z not in b0), None)
-        if z0 is None:
-            raise InvalidComplexError("no cycle outside the boundary span")
-        return CycleCoset(basis, z0, tuple(b0.basis()))
+        b0 = self._boundary_span(1)
+        # H0 is not zero, so some vector of a basis of the cycles is no boundary.
+        z0 = next(z for z in Gf2Solver(self.slice_boundary(0)).kernel_basis() if z not in b0)
+        return CycleCoset(self.grading_slice(0), z0, tuple(b0.basis()))
 
     # -- validation ----------------------------------------------------------
 

@@ -132,8 +132,6 @@ class PLFunction:
         (x0, y0), (x1, y1) = self._points[k - 1], self._points[k]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    __call__ = evaluate
-
     def one_sided_slope(self, x: RationalLike, side: str) -> Fraction:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .catalog import box_complex, catalog, nk_complex, stairway, torus_knot_complex
+from .catalog import box_complex, fixed_complex, nk_complex, stairway, torus_knot_complex
 from .complexes import ModelComplex, direct_sum, dual, tensor, tensor_power
 from .textio import parse_complex
 
@@ -227,7 +227,7 @@ def build(node: Node, base_dir: str = ".") -> ModelComplex:
     """Evaluate a parsed expression to a model complex."""
     if isinstance(node, Atom):
         if node.kind == "catalog":
-            return catalog(node.payload)
+            return fixed_complex(node.payload)
         if node.kind == "torus":
             return torus_knot_complex(*node.payload)
         if node.kind == "stair":

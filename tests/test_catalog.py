@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 import upsilonkit as uk
-from helpers import built
+from helpers import CATALOG_SCAN, built
 from upsilonkit.catalog import torus_knot_generators
 
 
@@ -17,7 +17,7 @@ def test_stairway_structure():
     C = uk.stairway([2, 2])
     pts = {g.name: (g.grading, g.point) for g in C.generators}
     assert pts == {"a1": (0, (0, 2)), "b1": (1, (2, 2)), "a2": (0, (2, 0))}
-    assert C.boundary_of("b1") == frozenset({(0, "a1"), (0, "a2")})
+    assert C.boundary["b1"] == frozenset({(0, "a1"), (0, "a2")})
     assert C.validate().ok
 
 
@@ -78,8 +78,9 @@ def test_torus_knot_errors():
 def test_box_complex():
     C = uk.box_complex(2)
     assert len(C) == 5 and C.validate().ok
-    assert C.generator("A").point == (-2, 2)
-    assert C.generator("X").grading == 1
+    gens = {g.name: g for g in C.generators}
+    assert gens["A"].point == (-2, 2)
+    assert gens["X"].grading == 1
     assert uk.upsilon(C) == uk.PLFunction.constant(0)
     with pytest.raises(ValueError):
         uk.box_complex(0)
@@ -115,6 +116,15 @@ def test_catalog_lookup():
     assert len(uk.catalog("nK(1)")) == 15
     with pytest.raises(KeyError, match="valid names"):
         uk.catalog("nonsense")
+    # catalog reads one atom of the expression grammar, and builds it as the grammar does.
+    for name in CATALOG_SCAN + [" T(3, 4) "]:
+        assert uk.serialize_complex(uk.catalog(name)) == uk.serialize_complex(uk.parse_and_build(name))
+    for malformed in ("box(" + "1" * 5000 + ")", "T(3,"):
+        with pytest.raises(uk.ExprParseError):
+            uk.catalog(malformed)
+    for other in ("T(3,4) # T(2,3)", "-T(3,4)", "stair[2,2]", "@x.txt"):
+        with pytest.raises(KeyError, match="valid names"):
+            uk.catalog(other)
     with pytest.raises(ValueError):
         uk.catalog("T(2,4)")
     assert "unknot" in uk.CATALOG_NAMES and "T(p,q)" in uk.CATALOG_NAMES

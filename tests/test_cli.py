@@ -163,6 +163,20 @@ def test_exit_code_parse_error(capsys):
     assert code == 1 and "valid names" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["show", "@missing.txt"], "No such file or directory"),
+    (["show", "@."], "Is a directory"),
+    (["show", "@binary.bin"], "codec can't decode"),
+    (["upsilon", "--csv", "no-such-dir/x.csv", "T(3,4)"], "No such file or directory"),
+], ids=["missing", "directory", "binary", "csv"])
+def test_file_errors_print_the_message(capsys, tmp_path, monkeypatch, argv, message):
+    # An OSError's first argument is its errno, and a UnicodeDecodeError's the codec name.
+    (tmp_path / "binary.bin").write_bytes(b"\x80\x81\xff")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ") and message in err, err
+
+
 def test_deep_dual_chain_is_a_parse_error(capsys):
     code, out, err = run(capsys, "upsilon", "--", "-" * 5000 + "T(2,3)")
     assert code == 2 and out == ""

@@ -39,8 +39,8 @@ def test_accessors():
     C = built("T(3,4)")
     assert len(C) == 5
     assert C.names == ("a1", "b1", "a2", "b2", "a3")
-    assert C.generator("a2").point == (1, 1)
-    assert C.boundary_of("b1") == frozenset({(0, "a1"), (0, "a2")})
+    assert {g.name: g for g in C.generators}["a2"].point == (1, 1)
+    assert C.boundary["b1"] == frozenset({(0, "a1"), (0, "a2")})
     assert set(C.boundary) == set(C.names)
 
 
@@ -80,6 +80,21 @@ def test_generator_coset():
     # Unknot: the single generator is the whole story.
     coset_u = built("unknot").generator_coset()
     assert coset_u.cycle == 1 and coset_u.boundaries == ()
+
+
+def test_validation_and_coset_share_one_span_per_parity(monkeypatch):
+    built_spans = []
+
+    class CountingSpan(complexes.Gf2Span):
+        def __init__(self, vectors=()):
+            built_spans.append(self)
+            super().__init__(vectors)
+
+    monkeypatch.setattr(complexes, "Gf2Span", CountingSpan)
+    C = uk.catalog("T(5,7)")  # a fresh complex: nothing memoized yet
+    assert C.validate().ok
+    C.generator_coset()
+    assert len(built_spans) == 2
 
 
 def test_catalog_validates():
@@ -165,9 +180,9 @@ def test_dual():
     C = built("T(3,4)")
     D = uk.dual(C)
     assert D.validate().ok
-    g = D.generator("a1*")
+    g = {g.name: g for g in D.generators}["a1*"]
     assert (g.grading, g.point) == (0, (0, -3))
-    assert (0, "b1*") in D.boundary_of("a1*")
+    assert (0, "b1*") in D.boundary["a1*"]
     DD = uk.dual(D)
     assert [(g.name, g.grading, g.point) for g in DD.generators] == [
         (g.name + "**", g.grading, g.point) for g in C.generators
@@ -180,10 +195,10 @@ def test_tensor():
     T = uk.tensor(A, B)
     assert len(T) == len(A) * len(B)
     assert T.validate().ok
-    g = T.generator("(a2.a3)")
+    g = {g.name: g for g in T.generators}["(a2.a3)"]
     assert g.grading == 0 and g.point == (1 + 2, 0 + 0)
     # Leibniz: d(b1 . a1) hits (a1.a1), (a2.a1) from the left factor only.
-    terms = {t for _, t in T.boundary_of("(b1.a1)")}
+    terms = {t for _, t in T.boundary["(b1.a1)"]}
     assert terms == {"(a1.a1)", "(a2.a1)"}
     # A term both factors produce (from a loop U^k x in each) counts once.
     loop = ModelComplex([Generator("x", 0, 0, 0)], {"x": [(1, "x")]})
@@ -213,7 +228,7 @@ def test_direct_sum_renames_collisions():
     assert set(S.names) == set(C.names) | {"qtr", "qtl", "qbr", "qbl"}
     S2 = uk.direct_sum(C, C)
     assert "a1~" in S2.names
-    assert (0, "a1~") in S2.boundary_of("b1~")
+    assert (0, "a1~") in S2.boundary["b1~"]
 
 
 # -- integer-indexed storage against the name-keyed definitions ---------------
@@ -270,10 +285,11 @@ def reference_slice(C, g):
 def reference_slice_boundary(C, g):
     """slice_boundary(g) from the name-keyed boundary view."""
     index = {e.name: idx for idx, e in enumerate(reference_slice(C, g - 1))}
+    boundary = C.boundary
     cols = []
     for e in reference_slice(C, g):
         v = 0
-        for _, target in C.boundary_of(e.name):
+        for _, target in boundary[e.name]:
             v ^= 1 << index[target]
         cols.append(v)
     return tuple(cols)
@@ -285,8 +301,6 @@ def check_storage(C):
         assert C.slice_boundary(g) == reference_slice_boundary(C, g)
         assert C.slice_boundary(g) == C.slice_boundary(g + 2)
     assert C.names == tuple(g.name for g in C.generators)
-    assert [C.generator(name) for name in C.names] == list(C.generators)
-    assert C.boundary == {name: C.boundary_of(name) for name in C.names}
     rebuilt = ModelComplex(C.generators, C.boundary)
     assert (rebuilt.generators, rebuilt.boundary) == (C.generators, C.boundary)
     text = uk.serialize_complex(C)

@@ -97,7 +97,7 @@ def test_evaluate_and_domain():
     f = PLFunction([(0, 0), (Fraction(2, 3), -2), (Fraction(4, 3), -2), (2, 0)])
     assert f.evaluate(Fraction(1, 3)) == -1
     assert f.evaluate("2/3") == -2
-    assert f(1) == -2
+    assert f.evaluate(1) == -2
     assert f.evaluate(2) == 0
     with pytest.raises(DomainError):
         f.evaluate(Fraction(-1, 2))

@@ -19,15 +19,15 @@ d a1 = 0
 def test_parse_basic():
     C = parse_complex(SAMPLE)
     assert C.names == ("a1", "b1", "a2")
-    assert C.generator("b1").point == (1, 1)
-    assert C.boundary_of("b1") == frozenset({(0, "a1"), (0, "a2")})
-    assert C.boundary_of("a1") == frozenset()
-    assert C.boundary_of("a2") == frozenset()  # missing d line means zero
+    assert {g.name: g for g in C.generators}["b1"].point == (1, 1)
+    assert C.boundary["b1"] == frozenset({(0, "a1"), (0, "a2")})
+    assert C.boundary["a1"] == frozenset()
+    assert C.boundary["a2"] == frozenset()  # missing d line means zero
 
 
 def test_parse_u_powers():
     C = parse_complex("gen a 0 0 0\ngen b 1 2 2\nd b = U^2 a\n")
-    assert C.boundary_of("b") == frozenset({(2, "a")})
+    assert C.boundary["b"] == frozenset({(2, "a")})
 
 
 def test_parse_errors_carry_line_numbers():
@@ -84,7 +84,7 @@ def test_round_trip_preserves_invariants(name):
     C = built(name)
     D = parse_complex(serialize_complex(C))
     assert D.names == C.names
-    assert {n: D.boundary_of(n) for n in D.names} == {n: C.boundary_of(n) for n in C.names}
+    assert D.boundary == C.boundary
     assert uk.upsilon(D) == uk.upsilon(C)
 
 

@@ -6,9 +6,10 @@ breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
 v2, the genus report and the diagonal width, and for the inputs in
 ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
-inputs) and prints their exit codes and output, or that one gave no result
-in CLI_TIMEOUT seconds; an argument over 80 characters shows as its head
-and length.  The output does not depend on PYTHONHASHSEED.
+inputs, file errors) and prints their exit codes and output, or that one
+gave no result in CLI_TIMEOUT seconds; an argument over 80 characters shows
+as its head and length.  Last it prints what catalog() builds, or raises,
+for each of CATALOG_INPUTS.  The output does not depend on PYTHONHASHSEED.
 
     python3 tools/fingerprint.py [CHECKOUT]
 
@@ -74,7 +75,12 @@ CLI_COMMANDS = [
     ["show", "3000*(3000*unknot)"], ["upsilon2", "T(3,4)", "--t", "1e-100000000"],
     ["bounds", "--t", "1e-5000", "T(3,4)"], ["pivots", "T(3,4)", "--t", "0.5"],
     ["show", "1" * 5000 + "*unknot"], ["upsilon", "stair[" + ",".join(["1"] * 24000) + "]"],
+    ["show", "@."], ["upsilon", "T(3,4)", "--csv", "no-such-dir/out.csv"],
 ]
+# Inputs of catalog(): every name of the scan, spaces between tokens, malformed
+# parameters, and expressions that are not one catalog atom.
+CATALOG_INPUTS = CATALOG_SCAN + [" T(3, 4) ", "box(" + "1" * 5000 + ")", "T(3,", "T(3,4) # T(2,3)",
+                                 "-T(3,4)", "stair[2,2]", "@x.txt"]
 
 
 def attempt(label, fn):
@@ -144,8 +150,9 @@ def run_cli(workdir):
         print(f"=== cli {shown}: exit {proc.returncode}")
         print(proc.stdout, end="")
         print(proc.stderr, end="")
-        if "--csv" in argv:
-            with open(os.path.join(workdir, "out.csv"), encoding="utf-8") as fh:
+        csv = os.path.join(workdir, argv[argv.index("--csv") + 1]) if "--csv" in argv else None
+        if csv and os.path.exists(csv):
+            with open(csv, encoding="utf-8") as fh:
                 print(fh.read(), end="")
 
 
@@ -162,6 +169,9 @@ def main():
                 fh.write(text)
         sys.stdout.flush()
         run_cli(workdir)
+    print("=== catalog()")
+    for name in CATALOG_INPUTS:
+        attempt(_shown([name])[0], lambda: uk.serialize_complex(uk.catalog(name)).rstrip("\n"))
 
 
 if __name__ == "__main__":
