@@ -59,6 +59,11 @@ def pl_to_text(f: PLFunction, var: str = "t") -> str:
     return "\n".join(lines)
 
 
+# Most samples --samples accepts: each is one exact evaluation and one CSV row, so the
+# limit keeps a run to seconds and the file to a few MB.
+MAX_SAMPLES = 100_000
+
+
 def write_csv(f: PLFunction, path: str, samples: int) -> None:
     if samples < 2:
         raise DomainError("need at least 2 samples")
@@ -76,6 +81,17 @@ def _rational_arg(text: str) -> Fraction:
         return as_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _samples_arg(text: str) -> int:
+    """--samples: an integer from 2 to MAX_SAMPLES."""
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"{samples} is not from 2 to {MAX_SAMPLES}")
+    return samples
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -96,7 +112,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress informational notes")
         if pl_output:
             p.add_argument("--csv", metavar="PATH", help="write decimal samples for plotting")
-            p.add_argument("--samples", type=int, default=101, help="number of CSV samples")
+            p.add_argument("--samples", type=_samples_arg, default=101,
+                           help=f"number of CSV samples, 2 to {MAX_SAMPLES}")
         return p
 
     add("validate", "check the K-complex axioms")
@@ -191,7 +208,7 @@ def _dispatch(args) -> int:
             notes.append(MIRROR_NOTE)
         if res.smooth_point:
             notes.append("smooth point: Upsilon has equal one-sided pivots at this t")
-        if args.csv and res.upsilon2.is_finite:
+        if args.csv:
             write_csv(res.upsilon2, args.csv, args.samples)
         data = {
             "t": format_rational(res.t),

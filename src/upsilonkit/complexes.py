@@ -242,13 +242,19 @@ class ModelComplex:
         return tuple(cols)
 
     @memoized
-    def _boundary_span(self, parity: int) -> Gf2Span:
-        """The span of one parity's boundary columns; callers must not add to it."""
-        return Gf2Span(self.slice_boundary(parity))
+    def _elimination(self) -> tuple[int, Gf2Span, int | None]:
+        """One elimination per column set: the grading-0 rank, the grading-1
+        span (callers must not add to it), and the first grading-0 cycle of
+        a kernel basis outside that span, or None."""
+        cycles = Gf2Solver(self.slice_boundary(0))
+        boundaries = Gf2Span(self.slice_boundary(1))
+        z0 = next((z for z in cycles.kernel_basis() if z not in boundaries), None)
+        return cycles.rank, boundaries, z0
 
     def homology_dimension(self, g: int) -> int:
         dim = sum(1 for grading in self._grading if (grading - g) % 2 == 0)
-        return dim - self._boundary_span(g % 2).rank - self._boundary_span((g + 1) % 2).rank
+        rank0, boundaries, _ = self._elimination()
+        return dim - rank0 - boundaries.rank
 
     @memoized
     def generator_coset(self) -> CycleCoset:
@@ -256,10 +262,8 @@ class ModelComplex:
         h0 = self.homology_dimension(0)
         if h0 != 1:
             raise InvalidComplexError(f"H0 has dimension {h0}, expected 1")
-        b0 = self._boundary_span(1)
-        # H0 is not zero, so some vector of a basis of the cycles is no boundary.
-        z0 = next(z for z in Gf2Solver(self.slice_boundary(0)).kernel_basis() if z not in b0)
-        return CycleCoset(self.grading_slice(0), z0, tuple(b0.basis()))
+        _, boundaries, z0 = self._elimination()
+        return CycleCoset(self.grading_slice(0), z0, tuple(boundaries.basis()))
 
     # -- validation ----------------------------------------------------------
 

@@ -23,13 +23,6 @@ def support(v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def from_support(indices: Iterable[int]) -> int:
-    v = 0
-    for i in indices:
-        v |= 1 << i
-    return v
-
-
 def combine(vectors: Sequence[int], combo: int) -> int:
     """XOR of the vectors selected by the bits of combo."""
     acc = 0
@@ -130,12 +123,14 @@ class Gf2Solver:
     def rank(self) -> int:
         return len(self._rows)
 
-    @property
-    def num_columns(self) -> int:
-        return self._ncols
-
     def kernel_basis(self) -> list[int]:
         return list(self._kernel)
+
+    def span(self) -> Gf2Span:
+        """The column space, read off the rows; adding to it leaves the solver as is."""
+        span = Gf2Span()
+        span._rows = {pivot: v for pivot, (v, _) in self._rows.items()}
+        return span
 
     def copy(self) -> "Gf2Solver":
         other = Gf2Solver()

@@ -109,7 +109,7 @@ def _gamma_search(C: ModelComplex):
     grading-0 slice as (unit vector, point) items."""
     coset = C.generator_coset()
     items = tuple((1 << idx, e.point) for idx, e in enumerate(coset.basis))
-    return Gf2Span(coset.boundaries), coset.cycle, items
+    return C._elimination()[1], coset.cycle, items
 
 
 def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:

@@ -75,8 +75,8 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     zp, vp = _one_sided_set(C, t, 1, pd.p_plus)
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
-    weight, d = phi_key(t)
-    bound = pd.gamma_t * d  # a Fraction: compared exactly with the integer keys
+    weight, _ = phi_key(t)
+    bound = weight(pd.p_minus)  # p- is on the support line: its key is the level
     outside = sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) > bound)
     if any(vec & outside for vec in (zm, zp) + vm + vp):
         raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
@@ -116,14 +116,15 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
 
     target = zs.z_minus ^ zs.z_plus
     slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    weight, d = phi_key(t)
-    bound = pd.gamma_t * d
+    weight, _ = phi_key(t)
+    bound = weight(pd.p_minus)
     inside = [idx for idx, e in enumerate(slice1) if weight(e.point) <= bound]
     outside = [idx for idx, e in enumerate(slice1) if weight(e.point) > bound]
     items = [(columns[idx], slice1[idx].point) for idx in outside]
 
     base_columns = list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside]
-    base = Gf2Span(base_columns)
+    base_solver = Gf2Solver(base_columns)
+    base = base_solver.span()
     if target in base:
         return infinite  # already homologous through the t half-plane alone, for every s
 
@@ -140,7 +141,6 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     # Chain witness per linear piece, from a solve at the piece midpoint that
     # extends a copy of the base columns' elimination.
     witnesses = []
-    base_solver = Gf2Solver(base_columns)
     bps = [x for x, _ in g2.breakpoints]
     for s0, s1 in zip(bps, bps[1:]):
         mid = (s0 + s1) / 2

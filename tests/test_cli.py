@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import upsilonkit as uk
-from upsilonkit.cli import main, make_parser, pl_to_json, pl_to_text, write_csv
+from upsilonkit.cli import MAX_SAMPLES, main, make_parser, pl_to_json, pl_to_text, write_csv
 from helpers import pl
 
 
@@ -150,6 +150,35 @@ def test_csv_agrees_with_exact(capsys, tmp_path):
 def test_csv_needs_two_samples(tmp_path):
     with pytest.raises(uk.DomainError):
         write_csv(pl([(0, 0), (2, 0)]), str(tmp_path / "x.csv"), 1)
+
+
+@pytest.mark.parametrize("samples", ["0", "1", str(MAX_SAMPLES + 1), "1000000000"])
+def test_samples_out_of_range_exit_2_before_any_work(capsys, tmp_path, samples):
+    path = tmp_path / "u.csv"
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["upsilon", "T(5,7)", "--csv", str(path), "--samples", samples])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2 and not path.exists()
+    assert "argument --samples:" in capsys.readouterr().err
+
+
+def test_samples_range_is_documented_and_its_ends_accepted(capsys):
+    for command in ("upsilon", "upsilon2"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"2 to {MAX_SAMPLES}" in capsys.readouterr().out
+    for samples in (2, MAX_SAMPLES):
+        args = make_parser().parse_args(["upsilon", "T(5,7)", "--samples", str(samples)])
+        assert args.samples == samples
+
+
+def test_upsilon2_csv_of_an_infinite_result(capsys, tmp_path):
+    path = tmp_path / "z.csv"
+    code, _, _ = run(capsys, "upsilon2", "--t", "1", "--csv", str(path), "--samples", "5", "fig8")
+    assert code == 0
+    assert path.read_text().splitlines() == ["x,y", "0.0,inf", "0.5,inf", "1.0,inf", "1.5,inf",
+                                             "2.0,inf"]
 
 
 def test_exit_code_parse_error(capsys):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import upsilonkit as uk
 from upsilonkit import Generator, InvalidComplexError, ModelComplex, SliceElement
-from upsilonkit import complexes
+from upsilonkit import complexes, gf2
 from upsilonkit.complexes import MAX_GENERATORS
 from upsilonkit.gf2 import support
+from upsilonkit.upsilon import _gamma_search
 from helpers import CATALOG_SCAN, built
 
 
@@ -82,19 +83,21 @@ def test_generator_coset():
     assert coset_u.cycle == 1 and coset_u.boundaries == ()
 
 
-def test_validation_and_coset_share_one_span_per_parity(monkeypatch):
-    built_spans = []
-
-    class CountingSpan(complexes.Gf2Span):
-        def __init__(self, vectors=()):
-            built_spans.append(self)
-            super().__init__(vectors)
-
-    monkeypatch.setattr(complexes, "Gf2Span", CountingSpan)
-    C = uk.catalog("T(5,7)")  # a fresh complex: nothing memoized yet
-    assert C.validate().ok
+@pytest.mark.parametrize("name", ["T(5,7)", "nK(3)"])
+def test_each_column_set_is_eliminated_once(monkeypatch, name):
+    # The ranks, the H0 coset and the gamma search read one elimination of
+    # the grading-0 columns and one of the grading-1 columns.
+    C = uk.catalog(name)  # a fresh complex: nothing memoized yet
+    added = []
+    for cls, method in ((gf2.Gf2Span, "add"), (gf2.Gf2Solver, "add_column")):
+        def counting(self, v, original=getattr(cls, method)):
+            added.append(v)
+            return original(self, v)
+        monkeypatch.setattr(cls, method, counting)
+    C.homology_dimension(0)
     C.generator_coset()
-    assert len(built_spans) == 2
+    _gamma_search(C)
+    assert len(added) == len(C.slice_boundary(0)) + len(C.slice_boundary(1))
 
 
 def test_catalog_validates():

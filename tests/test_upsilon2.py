@@ -5,7 +5,7 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
-from upsilonkit.gf2 import Gf2Span
+from upsilonkit.gf2 import Gf2Solver, Gf2Span
 from upsilonkit.upsilon import threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
 from oracles import margin_one_sided, same_affine
@@ -131,6 +131,32 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
     assert sorted(sides) == [-1, 0, 1]
     assert len(zsets_calls) == 1
     assert uk.pivot_points(C, F(2, 3)) is uk.pivot_points(C, F(2, 3))
+
+
+@pytest.mark.parametrize("name, additions", [("2*hom-K", 244), ("figure6", 3)])
+def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions):
+    # Outside threshold and z_sets, upsilon2 puts each base column into one
+    # solver, whose span seeds threshold and whose copies give the witnesses.
+    module = importlib.import_module("upsilonkit.upsilon2")
+    C = uk.parse_and_build(name)
+    uk.upsilon2(C, 1)  # the pivots, the coset and validation are memoized now
+    added, paused = [], []
+    for cls, method in ((Gf2Span, "add"), (Gf2Solver, "add_column")):
+        def counting(self, v, original=getattr(cls, method)):
+            if not paused:
+                added.append(v)
+            return original(self, v)
+        monkeypatch.setattr(cls, method, counting)
+    for attr in ("threshold", "z_sets"):  # z_sets runs _one_sided_set
+        def pausing(*args, original=getattr(module, attr)):
+            paused.append(True)
+            try:
+                return original(*args)
+            finally:
+                paused.pop()
+        monkeypatch.setattr(module, attr, pausing)
+    assert uk.upsilon2(C, 1).upsilon2.is_finite
+    assert len(added) == additions
 
 
 def test_disjointness_theorem_scan():

@@ -6,9 +6,10 @@ breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
 v2, the genus report and the diagonal width, and for the inputs in
 ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
-inputs, file errors) and prints their exit codes and output, or that one
-gave no result in CLI_TIMEOUT seconds; an argument over 80 characters shows
-as its head and length.  Last it prints what catalog() builds, or raises,
+inputs, file errors, --csv of a +inf result, --samples over its limit) and
+prints their exit codes and output, or that one gave no result in
+CLI_TIMEOUT seconds; an argument over 80 characters shows as its head and
+length.  Last it prints what catalog() builds, or raises,
 for each of CATALOG_INPUTS.  The output does not depend on PYTHONHASHSEED.
 
     python3 tools/fingerprint.py [CHECKOUT]
@@ -76,6 +77,10 @@ CLI_COMMANDS = [
     ["bounds", "--t", "1e-5000", "T(3,4)"], ["pivots", "T(3,4)", "--t", "0.5"],
     ["show", "1" * 5000 + "*unknot"], ["upsilon", "stair[" + ",".join(["1"] * 24000) + "]"],
     ["show", "@."], ["upsilon", "T(3,4)", "--csv", "no-such-dir/out.csv"],
+    # A +inf result still writes its CSV; an over-limit --samples is refused
+    # before the file is opened (a checkout without the limit fails on the path).
+    ["upsilon2", "--t", "1", "--csv", "inf.csv", "--samples", "5", "fig8"],
+    ["upsilon", "T(5,7)", "--csv", "no-such-dir/big.csv", "--samples", "1000000000"],
 ]
 # Inputs of catalog(): every name of the scan, spaces between tokens, malformed
 # parameters, and expressions that are not one catalog atom.
