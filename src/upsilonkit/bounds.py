@@ -4,8 +4,8 @@ diagonal width of a model complex."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import ModelComplex
 from .exact import DomainError, PLFunction, as_rational
@@ -13,8 +13,7 @@ from .upsilon import upsilon
 from .upsilon2 import upsilon2
 
 
-@dataclass(frozen=True)
-class GenusBoundReport:
+class GenusBoundReport(NamedTuple):
     source: str
     slope_bound: int  # ceiling of the largest absolute slope
     breakpoint_bounds: tuple[tuple[Fraction, int], ...]  # (location, implied bound)
@@ -48,8 +47,7 @@ def diagonal_width(C: ModelComplex) -> int:
     return max((abs(g.i - g.j) for g in C.generators), default=0)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     reports: tuple[GenusBoundReport, ...]
     skipped: tuple[str, ...]  # t values whose secondary function was infinite
     combined: int

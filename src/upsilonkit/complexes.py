@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from array import array
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
@@ -55,8 +54,7 @@ def memoized(fn):
     return wrapper
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     grading: int
     i: int
@@ -78,8 +76,7 @@ class SliceElement(NamedTuple):
     point: LatticePoint
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     advisory: bool = False
@@ -91,8 +88,7 @@ class CheckResult:
         return f"{self.name}: {status}{tail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -107,8 +103,7 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-@dataclass(frozen=True)
-class CycleCoset:
+class CycleCoset(NamedTuple):
     """Affine set of grading-0 cycles representing the generator of H0.
 
     The coset is cycle + span(boundaries), as bit vectors over basis
@@ -440,7 +435,7 @@ def _tensor(C1: ModelComplex, C2: ModelComplex, names: tuple[str, ...]) -> Model
 def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    # Each factor costs a tensor product even when C has at most one generator.
+    # A power of the empty complex still costs a tensor product per factor.
     if n > MAX_GENERATORS:
         raise ValueError(f"tensor power {n} is more than the limit of {MAX_GENERATORS}")
     m = len(C)
@@ -454,6 +449,11 @@ def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     # The names ((x1.x2).x3)... are built once; the fold leaves products before the last unnamed.
     tails = [f".{name})" for name in C._names]
     names = tuple("(" * (n - 1) + "".join(parts) for parts in product(C._names, *[tails] * (n - 1)))
+    if m == 1:
+        # One generator x: x^n has n times its grading and (i, j), and its
+        # boundary terms are those of x (each repeated term counts once).
+        return ModelComplex._from_arrays(names, (n * C._grading[0],), (n * C._i[0],),
+                                         (n * C._j[0],), C._offsets, C._terms)
     out = C
     for k in range(2, n + 1):
         out = _tensor(out, C, names if k == n else ("",) * m ** k)

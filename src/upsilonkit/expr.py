@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .catalog import box_complex, fixed_complex, nk_complex, stairway, torus_knot_complex
 from .complexes import ModelComplex, direct_sum, dual, tensor, tensor_power
@@ -32,33 +31,43 @@ class ExprParseError(ValueError):
         self.expected = tuple(sorted(expected))
 
 
-@dataclass(frozen=True)
-class Atom:
+def _node_eq(a, b) -> bool:
+    """A NamedTuple equals any tuple of the same values, so Tensor(a, b)
+    would equal Sum(a, b); expression nodes compare their type as well."""
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _node_ne(a, b) -> bool:
+    return not _node_eq(a, b)
+
+
+class Atom(NamedTuple):
     kind: str  # "catalog" | "torus" | "stair" | "box" | "nk" | "file"
     payload: object
+    __eq__, __ne__ = _node_eq, _node_ne
 
 
-@dataclass(frozen=True)
-class Dual:
+class Dual(NamedTuple):
     operand: "Node"
+    __eq__, __ne__ = _node_eq, _node_ne
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(NamedTuple):
     n: int
     operand: "Node"
+    __eq__, __ne__ = _node_eq, _node_ne
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(NamedTuple):
     left: "Node"
     right: "Node"
+    __eq__, __ne__ = _node_eq, _node_ne
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(NamedTuple):
     left: "Node"
     right: "Node"
+    __eq__, __ne__ = _node_eq, _node_ne
 
 
 Node = Union[Atom, Dual, Power, Tensor, Sum]

@@ -55,13 +55,13 @@ class Gf2Span:
             v ^= row
         return v
 
-    def add(self, v: int) -> bool:
-        """Add v to the span; returns True iff the span grew."""
+    def add(self, v: int) -> int:
+        """Add v to the span; returns the new echelon row, or 0 if the span
+        did not grow."""
         v = self.reduce(v)
-        if v == 0:
-            return False
-        self._rows[v.bit_length() - 1] = v
-        return True
+        if v:
+            self._rows[v.bit_length() - 1] = v
+        return v
 
     def __contains__(self, v: int) -> bool:
         return self.reduce(v) == 0

@@ -21,9 +21,8 @@ search.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
 from .exact import DomainError, PLFunction, as_rational, shared
@@ -64,15 +63,23 @@ def threshold(base_span: Gf2Span, target: int, items, weight):
 
     The vectors of the (vector, point) items join a copy of base_span in
     increasing weight(point), one level at a time.  Returns (level,
-    points of that level), or None if target never enters."""
+    points of that level), or None if target never enters.
+
+    The target's residue modulo the span is carried along: a new row
+    changes it only when it has the residue's leading bit, and then the
+    residue's leading bit falls, so one call takes at most one residue
+    step per item."""
     groups: dict = {}
     for vector, point in items:
         groups.setdefault(weight(point), []).append((vector, point))
     span = base_span.copy()
+    residue = span.reduce(target)
     for level in sorted(groups):
         for vector, _ in groups[level]:
-            span.add(vector)
-        if target in span:
+            row = span.add(vector)
+            if row and row.bit_length() == residue.bit_length():
+                residue = span.reduce(residue ^ row)
+        if not residue:
             return level, {point for _, point in groups[level]}
     return None
 
@@ -154,8 +161,7 @@ def upsilon(C: ModelComplex) -> PLFunction:
     return gamma_pl(C).scale(-2)
 
 
-@dataclass(frozen=True)
-class PivotData:
+class PivotData(NamedTuple):
     t: Fraction
     gamma_t: Fraction
     on_line: frozenset  # grading-0 slice points of weight exactly gamma(t)

@@ -19,8 +19,8 @@ z- + z+.  Half-planes compare the integer keys of upsilon.phi_key with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
@@ -31,8 +31,7 @@ from .upsilon import (
 )
 
 
-@dataclass(frozen=True)
-class ZSets:
+class ZSets(NamedTuple):
     """Affine descriptions of the one-sided minimizing cycle sets at t.
 
     Members of Z- are z_minus + sums of v_minus vectors, as bit vectors
@@ -90,8 +89,7 @@ def check_disjointness_theorem(C: ModelComplex, t) -> bool:
     return delta_upsilon_prime(C, t) <= 0 or z_sets(C, t).disjoint
 
 
-@dataclass(frozen=True)
-class Upsilon2Result:
+class Upsilon2Result(NamedTuple):
     t: Fraction
     gamma_t: Fraction
     zsets: ZSets

@@ -319,6 +319,18 @@ def test_largest_torus_knot_under_the_limit_builds(capsys):
     assert sum(line.startswith("gen ") for line in out.splitlines()) == 9999
 
 
+def test_cli_start_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize; without them a CLI
+    # start loads 82 modules instead of 99 (under -S).
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(uk.__file__)))
+    code = "import sys, upsilonkit.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "upsilonkit.cli" in proc.stdout.split()
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(proc.stdout.split())
+
+
 @pytest.mark.parametrize("argv", [["show", "3*hom-K"], ["catalog"]])
 def test_closed_output_pipe_exits_1_quietly(argv):
     # Output too large for the pipe fails in print; small buffered output

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import upsilonkit as uk
 from upsilonkit import Generator, InvalidComplexError, ModelComplex, SliceElement
 from upsilonkit import complexes, gf2
-from upsilonkit.complexes import MAX_GENERATORS
+from upsilonkit.complexes import MAX_GENERATORS, CheckResult
 from upsilonkit.gf2 import support
 from upsilonkit.upsilon import _gamma_search
 from helpers import CATALOG_SCAN, built
@@ -111,6 +111,35 @@ def test_validation_is_cached():
     assert C.validate() is C.validate()
 
 
+def test_records_are_immutable_tuples():
+    C = built("T(3,4)")
+    report = uk.genus_report(C, [F(2, 3)])
+    records = [C.generators[0], C.validate().checks[0], C.validate(), C.generator_coset(),
+               uk.pivot_points(C, F(2, 3)), uk.z_sets(C, F(2, 3)), uk.upsilon2(C, F(2, 3)),
+               report.reports[0], report]
+    # Sum(Tensor(Dual(Power(2, Atom)), Atom), Atom): one node of each kind.
+    node = uk.parse_expression("-(2*unknot) # fig8 + unknot")
+    nodes = [node, node.left, node.left.left, node.left.left.operand, node.right]
+    assert len({type(r) for r in records + nodes}) == 14
+    for record in records + nodes:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    # A result record equals the plain tuple of its values; an expression node
+    # compares its type too, so a connected sum is not a direct sum.
+    assert all(record == tuple(record) for record in records)
+    assert all(n != tuple(n) for n in nodes)
+    assert uk.parse_expression("unknot # fig8") != uk.parse_expression("unknot + fig8")
+    assert uk.parse_expression("unknot # fig8") == uk.parse_expression("(unknot) # fig8")
+    assert C.generators[0].point == (C.generators[0].i, C.generators[0].j)
+
+    check = CheckResult("homology", False)
+    assert (check.advisory, check.detail) == (False, "")
+    assert str(check) == "homology: FAIL"
+    assert str(check._replace(detail="H0 has dimension 2")) == "homology: FAIL (H0 has dimension 2)"
+    assert str(CheckResult("symmetry", False, True, "x")) == "symmetry: ADVISORY-FAIL (x)"
+    assert str(CheckResult("d-squared", True, detail="unused")) == "d-squared: pass"
+
+
 def check_named(report, name):
     return next(c for c in report.checks if c.name == name)
 
@@ -208,19 +237,27 @@ def test_tensor():
     assert uk.tensor(loop, loop).boundary == {"(x.x)": frozenset({(1, "(x.x)")})}
 
 
-def test_tensor_power():
+def test_tensor_power(monkeypatch):
     C = built("T(2,3)")
     assert len(uk.tensor_power(C, 1)) == 3
     assert len(uk.tensor_power(C, 3)) == 27
     with pytest.raises(ValueError):
         uk.tensor_power(C, 0)
-    # tensor_power builds its names once; they are those of the left fold.
+    # tensor_power builds its names once; they are those of the left fold.  A
+    # power of one generator is written directly, with no tensor product; the
+    # self-loop (an invalid complex) shows that its boundary terms carry over.
     pair = ModelComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, 1)], {"b": [(0, "a")]})
-    for C in (single(), pair, C):
+    loop = ModelComplex([Generator("x", 2, 1, 3)], {"x": [(1, "x")]})
+    products = []
+    original = complexes._tensor
+    monkeypatch.setattr(complexes, "_tensor", lambda *args: products.append(1) or original(*args))
+    for C in (single(), single((1, 3)), loop, pair, C):
         fold = C
         for n in range(2, 6):
             fold = uk.tensor(fold, C)
+            products.clear()
             power = uk.tensor_power(C, n)
+            assert len(products) == (0 if len(C) == 1 else n - 1), (len(C), n)
             assert power.names == fold.names, (len(C), n)
             assert (power.generators, power.boundary) == (fold.generators, fold.boundary)
 

@@ -34,7 +34,7 @@ def test_span_membership_and_rank():
     assert 0b100 not in span
     assert span.rank == 2
     assert not span.add(0b101)  # dependent, span unchanged
-    assert span.add(0b100)
+    assert span.add(0b100) == 0b001  # the new echelon row
     assert span.rank == 3
 
 

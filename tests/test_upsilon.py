@@ -5,7 +5,7 @@ import pytest
 import upsilonkit as uk
 from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Span
-from upsilonkit.upsilon import _gamma, crossings, threshold
+from upsilonkit.upsilon import _gamma, _gamma_search, crossings, phi_key, threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
 
 
@@ -186,3 +186,24 @@ def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
     for s in midpoints_and(crossings(p for _, p in items)):
         level, _ = threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p))
         assert res.gamma2.evaluate(s) == level, (expr, t, s)
+
+
+@pytest.mark.parametrize("expr,t", [("-T(5,7)", F(1, 3)), ("T(3,4) # -T(2,5)", F(1, 3)),
+                                    ("2*hom-K", F(1, 3))])
+def test_threshold_carries_the_target_residue(monkeypatch, expr, t):
+    # threshold reduces the target once and then only steps its residue,
+    # each step lowering the leading bit: at most one step per item, and no
+    # membership test of the target per level.
+    span, cycle, items = _gamma_search(uk.parse_and_build(expr))
+    weight, _ = phi_key(t)
+    calls = []  # reduce arguments; "add" marks the reduce that add itself makes
+    original_reduce, original_add = Gf2Span.reduce, Gf2Span.add
+    monkeypatch.setattr(Gf2Span, "reduce", lambda self, v: calls.append(v) or original_reduce(self, v))
+    monkeypatch.setattr(Gf2Span, "add", lambda self, v: calls.append("add") or original_add(self, v))
+    level, _ = threshold(span, cycle, items, weight)
+    own = [v for prev, v in zip(["start"] + calls, calls) if prev != "add" and v != "add"]
+    assert len({weight(p) for _, p in items if weight(p) < level}) > 1  # several levels searched
+    assert own[0] == cycle
+    lengths = [v.bit_length() for v in own]
+    assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
+    assert len(own) - 1 <= len(items)
