@@ -435,7 +435,7 @@ def _tensor(C1: ModelComplex, C2: ModelComplex, names: tuple[str, ...]) -> Model
 def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    # A power of the empty complex still costs a tensor product per factor.
+    # Each factor costs a tensor product even when C has at most one generator.
     if n > MAX_GENERATORS:
         raise ValueError(f"tensor power {n} is more than the limit of {MAX_GENERATORS}")
     m = len(C)
@@ -449,11 +449,6 @@ def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
     # The names ((x1.x2).x3)... are built once; the fold leaves products before the last unnamed.
     tails = [f".{name})" for name in C._names]
     names = tuple("(" * (n - 1) + "".join(parts) for parts in product(C._names, *[tails] * (n - 1)))
-    if m == 1:
-        # One generator x: x^n has n times its grading and (i, j), and its
-        # boundary terms are those of x (each repeated term counts once).
-        return ModelComplex._from_arrays(names, (n * C._grading[0],), (n * C._i[0],),
-                                         (n * C._j[0],), C._offsets, C._terms)
     out = C
     for k in range(2, n + 1):
         out = _tensor(out, C, names if k == n else ("",) * m ** k)
