@@ -184,8 +184,7 @@ def _dispatch(args) -> int:
 
     if args.command == "validate":
         report = C.validate()
-        checks = [{"name": c.name, "passed": c.passed, "advisory": c.advisory, "detail": c.detail}
-                  for c in report.checks]
+        checks = [c._asdict() for c in report.checks]
         _emit(args, {"ok": report.ok, "checks": checks}, [str(report)])
         return 0 if report.ok else 1
 

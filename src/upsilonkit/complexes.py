@@ -130,6 +130,12 @@ class ModelComplex:
         gens = tuple(generators)
         if len(gens) > MAX_GENERATORS:
             raise _size_error("the complex", str(len(gens)))
+        for g in gens:
+            if not isinstance(g.name, str):
+                raise ValueError(f"generator {g.name!r}: name must be a string")
+            # type, not isinstance: a bool level would be written out as True or False.
+            if type(g.grading) is not int or type(g.i) is not int or type(g.j) is not int:
+                raise ValueError(f"generator {g.name}: grading, i and j must be integers")
         names = tuple(g.name for g in gens)
         ids = {name: x for x, name in enumerate(names)}
         if len(ids) != len(names):
@@ -275,12 +281,9 @@ class ModelComplex:
 
     def is_acyclic(self) -> bool:
         """Graded homology vanishes (slices repeat with period two)."""
-        if not self._structural_ok():
+        if not all(c.passed for c in self._structural_checks()):
             return False
         return self.homology_dimension(0) == 0 and self.homology_dimension(1) == 0
-
-    def _structural_ok(self) -> bool:
-        return all(c.passed for c in self._structural_checks())
 
     def _structural_checks(self):
         names, grading, i, j = self._names, self._grading, self._i, self._j

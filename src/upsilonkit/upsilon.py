@@ -5,10 +5,10 @@ phi_t(i, j) = (t/2) j + (1 - t/2) i.  gamma(t) is the smallest w such
 that some grading-0 cycle carrying the H0 generator is supported on
 points of weight at most w, and Upsilon(t) = -2 gamma(t).
 
-gamma(t) is one call to threshold, the kernel upsilon2 shares: the
-unit vectors of the slice elements join the coset's boundary span in
-phi_t order until it holds the cycle, and the points of the last level
-are those on the support line.  The engine orders points only by the
+gamma(t) is one level search (_level over threshold), which upsilon2
+shares: the unit vectors of the slice elements join the coset's boundary
+span in phi_t order until it holds the cycle, and the points of the last
+level are those on the support line.  The engine orders points only by the
 integer key 2q phi_t for t = p/q (phi_key), with no Fraction arithmetic
 per point; phi is the Fraction reference.  Just left or right of t the
 key is paired with the slope of phi_t (symbolic perturbation), so the
@@ -63,7 +63,7 @@ def threshold(base_span: Gf2Span, target: int, items, weight):
 
     The vectors of the (vector, point) items join a copy of base_span in
     increasing weight(point), one level at a time.  Returns (level,
-    points of that level), or None if target never enters.
+    points of that level); raises ConsistencyError if target never enters.
 
     The target's residue modulo the span is carried along: a new row
     changes it only when it has the residue's leading bit, and then the
@@ -81,7 +81,7 @@ def threshold(base_span: Gf2Span, target: int, items, weight):
                 residue = span.reduce(residue ^ row)
         if not residue:
             return level, {point for _, point in groups[level]}
-    return None
+    raise ConsistencyError("threshold target not in the span of all items")
 
 
 def crossings(points) -> tuple[Fraction, ...]:
@@ -119,17 +119,19 @@ def _gamma_search(C: ModelComplex):
     return C._elimination()[1], coset.cycle, items
 
 
-def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
-    """gamma(t) and the slice points of the level that admits the cycle,
-    in the order of phi_key(t, side); needs a one-dimensional H0 but no
-    other validity."""
+def _level(search, t, side: int = 0) -> tuple[Fraction, set]:
+    """The phi_t value of the level at which the target of search, a
+    (base span, target, items) threshold input, enters in the order of
+    phi_key(t, side), and the points of that level: gamma(t) and gamma2(s)."""
     weight, d = phi_key(t, side)
-    span, cycle, items = _gamma_search(C)
-    found = threshold(span, cycle, items, weight)
-    if found is None:
-        raise ConsistencyError("cycle not in the span of the full slice")
-    level, winners = found
-    return Fraction(level[0] if side else level, d), winners
+    level, points = threshold(*search, weight)
+    return Fraction(level[0] if side else level, d), points
+
+
+def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
+    """gamma(t) and the slice points of the level that admits the cycle;
+    needs a one-dimensional H0 but no other validity."""
+    return _level(_gamma_search(C), t, side)
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
@@ -194,12 +196,10 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:
     """Jump of the derivative of Upsilon at t, cross-checked against pivots."""
-    t = as_rational(t)
-    if not 0 < t < 2:
-        raise DomainError(f"derivative jump needs t in (0, 2), got {t}")
+    pd = pivot_points(C, t)
+    t = pd.t
     ups = upsilon(C)
     jump = ups.one_sided_slope(t, "right") - ups.one_sided_slope(t, "left")
-    pd = pivot_points(C, t)
     from_pivots = Fraction(2) / t * (pd.p_plus[0] - pd.p_minus[0])
     if jump != from_pivots:
         raise ConsistencyError(

@@ -10,8 +10,8 @@ intersect, gamma2 is identically -inf and Upsilon2 identically +inf.
 
 z_sets is the one path to Z- and Z+; it reads the pivots that
 upsilon.pivot_points memoizes on the complex, so upsilon2, which calls
-both, searches once.  gamma2(s) is one call to upsilon.threshold, the kernel
-gamma(t) uses: the (column, point) items of the grading-1 slice outside
+both, searches once.  gamma2(s) is one upsilon._level search, as gamma(t)
+is: the (column, point) items of the grading-1 slice outside
 the t half-plane join the span of the rest in phi_s order until it holds
 z- + z+.  Half-planes compare the integer keys of upsilon.phi_key with
 2q times the level.
@@ -23,11 +23,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
-from .exact import NEG_INF, POS_INF, DomainError, PLFunction, as_rational
+from .exact import NEG_INF, POS_INF, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
 from .upsilon import (
-    ConsistencyError, certified_pl, crossings, delta_upsilon_prime, phi_key, pivot_points,
-    threshold,
+    ConsistencyError, _level, certified_pl, crossings, delta_upsilon_prime, phi_key, pivot_points,
 )
 
 
@@ -126,14 +125,8 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     if target in base:
         return infinite  # already homologous through the t half-plane alone, for every s
 
-    def value_at(s: Fraction) -> Fraction:
-        weight, d = phi_key(s)
-        found = threshold(base, target, items, weight)
-        if found is None:
-            raise ConsistencyError("one-sided cycles not homologous in the full complex")
-        return Fraction(found[0], d)
-
-    g2 = certified_pl(value_at, crossings(p for _, p in items), "gamma2")
+    g2 = certified_pl(lambda s: _level((base, target, items), s)[0],
+                      crossings(p for _, p in items), "gamma2")
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
     # Chain witness per linear piece, from a solve at the piece midpoint that
@@ -165,8 +158,5 @@ def upsilon2_scalar(C: ModelComplex):
 def check_subadditivity(C1: ModelComplex, C2: ModelComplex, t) -> bool:
     """Upsilon2 of a tensor product at s = t dominates the worse factor."""
     t = as_rational(t)
-    if not 0 < t < 2:
-        raise DomainError(f"subadditivity check needs t in (0, 2), got {t}")
-    lhs = upsilon2(tensor(C1, C2), t).upsilon2.evaluate(t)
     rhs = min(upsilon2(C1, t).upsilon2.evaluate(t), upsilon2(C2, t).upsilon2.evaluate(t))
-    return lhs >= rhs
+    return upsilon2(tensor(C1, C2), t).upsilon2.evaluate(t) >= rhs

@@ -34,6 +34,15 @@ def test_construction_errors():
         ModelComplex(
             [Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(2**63, "a")]}
         )
+    # Past the constructor, such input fails late with a bare TypeError (validate,
+    # tensor) or serializes to text that parse_complex refuses.
+    for gen in (Generator("a", 0, 0.0, 0.0), Generator("a", F(0), 0, 0), Generator("a", 0, 0, "0"),
+                Generator("a", True, 0, 0)):
+        with pytest.raises(ValueError, match="^generator a: grading, i and j must be integers$"):
+            ModelComplex([gen], {})
+    for name in (1, None, b"a"):
+        with pytest.raises(ValueError, match=re.escape(f"generator {name!r}: name must be a string")):
+            ModelComplex([Generator(name, 0, 0, 0)], {})
 
 
 def test_accessors():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -85,8 +86,10 @@ def test_pivot_points_at_smooth_point():
     assert uk.delta_upsilon_prime(built("T(3,4)"), 1) == 0
 
 
-def test_pivot_domain():
+def test_pivot_domain(monkeypatch):
     C = built("T(2,3)")
+    # delta_upsilon_prime reads its t check from pivot_points, before any Upsilon.
+    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon"), "upsilon", None)
     for t in (0, 2, F(5, 2)):
         with pytest.raises(DomainError):
             uk.pivot_points(C, t)

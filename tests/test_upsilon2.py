@@ -137,7 +137,6 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions):
     # Outside threshold and z_sets, upsilon2 puts each base column into one
     # solver, whose span seeds threshold and whose copies give the witnesses.
-    module = importlib.import_module("upsilonkit.upsilon2")
     C = uk.parse_and_build(name)
     uk.upsilon2(C, 1)  # the pivots, the coset and validation are memoized now
     added, paused = [], []
@@ -147,7 +146,9 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
                 added.append(v)
             return original(self, v)
         monkeypatch.setattr(cls, method, counting)
-    for attr in ("threshold", "z_sets"):  # z_sets runs _one_sided_set
+    # The level search in upsilon calls threshold; z_sets runs _one_sided_set.
+    for mod_name, attr in (("upsilon", "threshold"), ("upsilon2", "z_sets")):
+        module = importlib.import_module(f"upsilonkit.{mod_name}")
         def pausing(*args, original=getattr(module, attr)):
             paused.append(True)
             try:
@@ -219,7 +220,7 @@ def test_upsilon2_scalar():
     assert uk.upsilon2_scalar(built("T(5,7)")) == -1
 
 
-def test_subadditivity():
+def test_subadditivity(monkeypatch):
     pairs = [
         ("T(2,3)", "T(2,5)"),
         ("hom-C1", "-hom-C2"),
@@ -231,5 +232,8 @@ def test_subadditivity():
     for a, b in pairs:
         for t in (F(2, 3), F(1)):
             assert uk.check_subadditivity(built(a), built(b), t), (a, b, t)
-    with pytest.raises(DomainError):
-        uk.check_subadditivity(built("unknot"), built("unknot"), 0)
+    # t is checked by the factors' pivots, before the tensor product is built.
+    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "tensor", None)
+    for t in (0, 2):
+        with pytest.raises(DomainError):
+            uk.check_subadditivity(built("unknot"), built("unknot"), t)
