@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .bounds import diagonal_width, genus_report
 from .catalog import CATALOG_NAMES
-from .complexes import InvalidComplexError
 from .exact import POS_INF, DomainError, PLFunction, as_rational, format_rational
 from .expr import ExprParseError, parse_and_build
 from .textio import ComplexParseError, serialize_complex
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
     except (ExprParseError, ComplexParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, InvalidComplexError, KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError quotes it; an OSError's args[0] is only the errno.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

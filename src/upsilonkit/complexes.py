@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from array import array
-from itertools import product
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
 from .gf2 import Gf2Solver, Gf2Span
@@ -138,9 +138,6 @@ class ModelComplex:
                 raise ValueError(f"generator {g.name}: grading, i and j must be integers")
         names = tuple(g.name for g in gens)
         ids = {name: x for x, name in enumerate(names)}
-        if len(ids) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate generator names: {dup}")
         term_lists = []
         for name in names:
             terms = {}  # a repeated term counts once
@@ -163,12 +160,18 @@ class ModelComplex:
     @classmethod
     def _from_arrays(cls, names, grading, i, j, offsets, terms) -> "ModelComplex":
         """A complex from storage that a construction derived from existing
-        complexes, so without the checks on outside input."""
+        complexes, so without the checks on outside input; _store still
+        refuses repeated names."""
         C = cls.__new__(cls)
         C._store(names, grading, i, j, offsets, terms)
         return C
 
     def _store(self, names, grading, i, j, offsets, terms) -> None:
+        # One name cannot repeat, and hashing the long one of a power of a
+        # one-generator complex would cost as much as building it.
+        if len(names) > 1 and len(set(names)) != len(names):
+            dup = sorted(n for n, count in Counter(names).items() if count > 1)
+            raise ValueError(f"duplicate generator names: {dup}")
         self._names: tuple[str, ...] = names
         self._grading: tuple[int, ...] = grading
         self._i: tuple[int, ...] = i
@@ -237,7 +240,9 @@ class ModelComplex:
                 for p in range(offsets[x] + 1, offsets[x + 1], 2):
                     r = row[terms[p]]
                     if r < 0:  # a target of the same parity is not in the slice below
-                        raise KeyError(self._names[terms[p]])
+                        raise InvalidComplexError(
+                            f"d({self._names[x]}) term U^{terms[p - 1]}.{self._names[terms[p]]} "
+                            "keeps the grading parity")
                     v ^= 1 << r
                 cols.append(v)
         return tuple(cols)
@@ -403,12 +408,6 @@ def tensor(C1: ModelComplex, C2: ModelComplex) -> ModelComplex:
     if n1 * n2 > MAX_GENERATORS:
         raise _size_error("tensor product", f"{n1} x {n2} = {n1 * n2}")
     _check_name_chars("tensor product", n2 * _name_chars(C1) + n1 * _name_chars(C2) + 3 * n1 * n2)
-    return _tensor(C1, C2, tuple(f"({a}.{b})" for a in C1._names for b in C2._names))
-
-
-def _tensor(C1: ModelComplex, C2: ModelComplex, names: tuple[str, ...]) -> ModelComplex:
-    """tensor(C1, C2) with the given names, without the size checks."""
-    n2 = len(C2)
     left, right = _term_lists(C1), _term_lists(C2)
     offsets, flat = array("q", [0]), array("q")
     append = flat.append
@@ -427,7 +426,7 @@ def _tensor(C1: ModelComplex, C2: ModelComplex, names: tuple[str, ...]) -> Model
                     append(row + yt)
             offsets.append(len(flat))
     return ModelComplex._from_arrays(
-        names,
+        tuple(f"({a}.{b})" for a in C1._names for b in C2._names),
         tuple(a + b for a in C1._grading for b in C2._grading),
         tuple(a + b for a in C1._i for b in C2._i),
         tuple(a + b for a in C1._j for b in C2._j),
@@ -449,12 +448,9 @@ def tensor_power(C: ModelComplex, n: int) -> ModelComplex:
         # more characters; each name of C is in n m^(n - 1) of them.
         chars = n * m ** (n - 1) * _name_chars(C) + 3 * (n - 1) * m ** n
         _check_name_chars(f"tensor power {n}", chars)
-    # The names ((x1.x2).x3)... are built once; the fold leaves products before the last unnamed.
-    tails = [f".{name})" for name in C._names]
-    names = tuple("(" * (n - 1) + "".join(parts) for parts in product(C._names, *[tails] * (n - 1)))
     out = C
-    for k in range(2, n + 1):
-        out = _tensor(out, C, names if k == n else ("",) * m ** k)
+    for _ in range(n - 1):
+        out = tensor(out, C)
     return out
 
 

@@ -5,8 +5,9 @@
     d NAME = [U^K] NAME (+ [U^K] NAME)*
 
 '#' starts a comment; blank lines are ignored.  A generator without a
-d-line has zero boundary.  No generator may be named 0, which would read
-as the zero boundary.
+d-line has zero boundary.  A name is one or more characters other than
+whitespace, '=', '+' and '#', and is not 0, which would read as the zero
+boundary; serialize_complex refuses a complex with any other name.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 
 from .complexes import _MAX_U_POWER, Generator, ModelComplex
 
-_NAME_RE = re.compile(r"[^\s=+#]+$")
+_NAME_RE = re.compile(r"(?!0$)[^\s=+#]+")  # with fullmatch: the whole name rule
 _UPOW_RE = re.compile(r"U\^(\d{1,19})$")  # digits enough for any 64-bit U-power
 
 
@@ -40,7 +41,7 @@ def parse_complex(text: str) -> ModelComplex:
             if len(parts) != 4:
                 raise ComplexParseError(lineno, f"expected 'gen NAME GRADING I J', got {raw.strip()!r}")
             name, *nums = parts
-            if not _NAME_RE.match(name) or name == "0":
+            if not _NAME_RE.fullmatch(name):
                 raise ComplexParseError(lineno, f"bad generator name {name!r}")
             if name in seen:
                 raise ComplexParseError(lineno, f"duplicate gen line for {name!r} (first at line {seen[name]})")
@@ -90,8 +91,9 @@ def parse_complex(text: str) -> ModelComplex:
 def serialize_complex(C: ModelComplex) -> str:
     lines = []
     for g in C.generators:
-        if g.name == "0":
-            raise ValueError("generator name '0' would read back as a zero boundary")
+        if not _NAME_RE.fullmatch(g.name):
+            raise ValueError(f"generator name {g.name!r} cannot be written: a name is one or more "
+                             "characters other than whitespace, '=', '+' and '#', and is not 0")
         lines.append(f"gen {g.name} {g.grading} {g.i} {g.j}")
     boundary = C.boundary
     for g in C.generators:

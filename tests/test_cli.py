@@ -126,6 +126,15 @@ def test_show_round_trips(capsys, tmp_path):
     assert uk.upsilon(reparsed) == uk.upsilon(uk.catalog("hom-K"))
 
 
+def test_show_refuses_a_product_whose_names_repeat(capsys, tmp_path):
+    left, right = tmp_path / "l.txt", tmp_path / "r.txt"
+    left.write_text("gen p 0 0 0\ngen p.q 2 1 1\n")
+    right.write_text("gen r 0 0 0\ngen q.r 2 1 1\n")
+    code, out, err = run(capsys, "show", "--", f"@{left} # @{right}")
+    assert (code, out) == (1, "")
+    assert "duplicate generator names: ['(p.q.r)']" in err
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "unknot" in out and "T(p,q)" in out

@@ -215,6 +215,18 @@ def test_is_acyclic():
     assert uk.acyclic_box((3, -2), 2).is_acyclic()
     assert not built("unknot").is_acyclic()
     assert not built("T(3,4)").is_acyclic()
+    # A structurally invalid complex is not acyclic, whatever its slices say.
+    assert not uk.parse_complex("gen a 0 0 0\ngen b 2 1 1\nd b = a\n").is_acyclic()
+
+
+def test_boundary_term_of_the_same_grading_parity_is_named():
+    # d(b) = a joins two generators of even grading, so no slice column holds
+    # the term; the public calls name it rather than fail on a bare KeyError.
+    C = uk.parse_complex("gen a 0 0 0\ngen b 2 1 1\nd b = a\n")
+    for call in (lambda: C.slice_boundary(0), lambda: C.homology_dimension(0),
+                 C.generator_coset):
+        with pytest.raises(InvalidComplexError, match=re.escape("d(b) term U^0.a")):
+            call()
 
 
 def test_dual():
@@ -252,7 +264,7 @@ def test_tensor_power():
     assert len(uk.tensor_power(C, 3)) == 27
     with pytest.raises(ValueError):
         uk.tensor_power(C, 0)
-    # tensor_power builds its names once; they are those of the left fold.  The
+    # tensor_power is the left fold of tensor, names included.  The
     # self-loop (an invalid complex) shows that boundary terms carry over.
     pair = ModelComplex([Generator("a", 0, 0, 0), Generator("b", 1, 1, 1)], {"b": [(0, "a")]})
     loop = ModelComplex([Generator("x", 2, 1, 3)], {"x": [(1, "x")]})
@@ -263,6 +275,43 @@ def test_tensor_power():
             power = uk.tensor_power(C, n)
             assert power.names == fold.names, (len(C), n)
             assert (power.generators, power.boundary) == (fold.generators, fold.boundary)
+
+
+def test_product_names_that_repeat_are_refused():
+    # (p.q.r) is both (p . q.r) and (p.q . r).
+    left = ModelComplex([Generator("p", 0, 0, 0), Generator("p.q", 2, 1, 1)], {})
+    right = ModelComplex([Generator("r", 0, 0, 0), Generator("q.r", 2, 1, 1)], {})
+    with pytest.raises(ValueError, match=re.escape("duplicate generator names: ['(p.q.r)']")):
+        uk.tensor(left, right)
+
+
+# Names a product, a mirror or a direct sum can run together: '.', brackets
+# and the '~' and '*' suffixes.  (p.q.p) is both (p . q.p) and (p.q . p).
+DOTTED_NAMES = ["p", "p.q", "q.p", "q", "q.q", "(p", "r)", "p~", "q*"]
+
+
+@st.composite
+def dotted_complexes(draw):
+    names = draw(st.lists(st.sampled_from(DOTTED_NAMES), min_size=2, max_size=4, unique=True))
+    levels = st.integers(-1, 2)
+    gens = [Generator(name, draw(levels), draw(levels), draw(levels)) for name in names]
+    term = st.tuples(st.integers(0, 1), st.sampled_from(names))
+    return ModelComplex(gens, {name: draw(st.lists(term, max_size=2)) for name in names})
+
+
+@settings(max_examples=100, deadline=None)
+@given(dotted_complexes(), dotted_complexes())
+def test_constructions_refuse_repeated_names_or_round_trip(A, B):
+    for build in (lambda: uk.tensor(A, B), lambda: uk.tensor_power(A, 2), lambda: uk.dual(A),
+                  lambda: uk.direct_sum(A, B)):
+        try:
+            X = build()
+        except ValueError as exc:
+            assert str(exc).startswith("duplicate generator names: ")
+            continue
+        assert len(set(X.names)) == len(X)
+        Y = uk.parse_complex(uk.serialize_complex(X))
+        assert (Y.names, Y.boundary) == (X.names, X.boundary)
 
 
 def test_direct_sum_renames_collisions():

@@ -154,6 +154,13 @@ def test_add():
     assert (f + f.scale(-1)) == PLFunction.constant(0)
 
 
+def test_repr():
+    assert repr(PLFunction([(0, 0), (1, Fraction(-1, 2)), (2, 0)])) == \
+        "PLFunction([(0/1, 0/1), (1/1, -1/2), (2/1, 0/1)])"
+    assert repr(PLFunction(infinite=POS_INF)) == "PLFunction(constant +inf)"
+    assert repr(PLFunction.constant(NEG_INF)) == "PLFunction(constant -inf)"
+
+
 rationals = st.fractions(
     min_value=Fraction(0), max_value=Fraction(2), max_denominator=12
 )

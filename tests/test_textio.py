@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,32 @@ def test_generator_named_zero_is_rejected_both_ways():
     with pytest.raises(ComplexParseError, match="bad generator name '0'") as err:
         parse_complex("gen x 1 1 1\ngen 0 0 0 0\nd x = 0\n")
     assert err.value.lineno == 2
+
+
+@pytest.mark.parametrize("name", ["a b", "", "x\ny", "a=b", "a+b", "a#b", "0"])
+def test_serialize_refuses_a_name_the_parser_refuses(name):
+    C = uk.ModelComplex([uk.Generator(name, 0, 0, 0)], {})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        serialize_complex(C)
+
+
+@pytest.mark.parametrize("name", ["(p.q)~*", "00", "U^1"])
+def test_odd_names_round_trip(name):
+    C = uk.ModelComplex([uk.Generator(name, 0, 0, 0)], {name: [(1, name)]})
+    D = parse_complex(serialize_complex(C))
+    assert (D.names, D.boundary) == (C.names, C.boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=4))
+def test_serialize_writes_only_what_reads_back(name):
+    C = uk.ModelComplex([uk.Generator(name, 0, 0, 0)], {name: [(1, name)]})
+    try:
+        text = serialize_complex(C)
+    except ValueError:
+        return
+    D = parse_complex(text)
+    assert (D.names, D.boundary) == (C.names, C.boundary)
 
 
 @pytest.mark.parametrize("name", CATALOG_SCAN)

@@ -6,11 +6,13 @@ breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
 v2, the genus report and the diagonal width, and for the inputs in
 ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
-inputs, file errors, --csv of a +inf result, --samples over its limit) and
-prints their exit codes and output, or that one gave no result in
-CLI_TIMEOUT seconds; an argument over 80 characters shows as its head and
-length.  Last it prints what catalog() builds, or raises,
-for each of CATALOG_INPUTS.  The output does not depend on PYTHONHASHSEED.
+inputs, file errors, --csv of a +inf result, --samples over its limit, a
+product of @file atoms whose names would repeat) and prints their exit codes
+and output, or that one gave no result in CLI_TIMEOUT seconds; an argument
+over 80 characters shows as its head and length.  Last it prints what
+catalog() builds, or raises, for each of CATALOG_INPUTS, and what
+serialize_complex does with a name the text format cannot carry.  The output
+does not depend on PYTHONHASHSEED.
 
     python3 tools/fingerprint.py [CHECKOUT]
 
@@ -56,6 +58,11 @@ INVALID_TEXTS = {
     "unknown-target": "gen a 0 0 0\nd a = z\n",
     "bad-grading": "gen a x 0 0\n",
 }
+# Atoms for the CLI only: their product would name two generators (p.q.r).
+DOTTED_TEXTS = {
+    "dots-l": "gen p 0 0 0\ngen p.q 2 1 1\n",
+    "dots-r": "gen r 0 0 0\ngen q.r 2 1 1\n",
+}
 TS = [Fraction(2, 3), Fraction(1)]
 # Seconds a CLI command may take; a checkout without the input limits hangs on
 # some of the hostile commands below.
@@ -81,6 +88,7 @@ CLI_COMMANDS = [
     # before the file is opened (a checkout without the limit fails on the path).
     ["upsilon2", "--t", "1", "--csv", "inf.csv", "--samples", "5", "fig8"],
     ["upsilon", "T(5,7)", "--csv", "no-such-dir/big.csv", "--samples", "1000000000"],
+    ["show", "--", "@dots-l.txt # @dots-r.txt"],
 ]
 # Inputs of catalog(): every name of the scan, spaces between tokens, malformed
 # parameters, and expressions that are not one catalog atom.
@@ -169,7 +177,7 @@ def main():
     for name, text in INVALID_TEXTS.items():
         fingerprint(f"invalid text complex {name}", lambda: uk.parse_complex(text))
     with tempfile.TemporaryDirectory() as workdir:
-        for name, text in INVALID_TEXTS.items():
+        for name, text in {**INVALID_TEXTS, **DOTTED_TEXTS}.items():
             with open(os.path.join(workdir, f"{name}.txt"), "w", encoding="utf-8") as fh:
                 fh.write(text)
         sys.stdout.flush()
@@ -177,6 +185,8 @@ def main():
     print("=== catalog()")
     for name in CATALOG_INPUTS:
         attempt(_shown([name])[0], lambda: uk.serialize_complex(uk.catalog(name)).rstrip("\n"))
+    attempt("=== serialize a generator named 'a b'",
+            lambda: uk.serialize_complex(uk.ModelComplex([uk.Generator("a b", 0, 0, 0)], {})))
 
 
 if __name__ == "__main__":
