@@ -125,9 +125,8 @@ class PLFunction:
             raise DomainError(f"x = {x} outside [0, 2]")
         if self._infinite is not None:
             return self._infinite
-        xs = [p[0] for p in self._points]
-        k = bisect_left(xs, x)
-        if k < len(xs) and xs[k] == x:
+        k = bisect_left(self._points, (x,))
+        if k < len(self._points) and self._points[k][0] == x:
             return self._points[k][1]
         (x0, y0), (x1, y1) = self._points[k - 1], self._points[k]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
@@ -142,9 +141,8 @@ class PLFunction:
             raise DomainError(f"left slope needs 0 < x <= 2, got {x}")
         if side == "right" and not 0 <= x < 2:
             raise DomainError(f"right slope needs 0 <= x < 2, got {x}")
-        xs = [p[0] for p in self._points]
-        k = bisect_left(xs, x)
-        if k < len(xs) and xs[k] == x and side == "right":
+        k = bisect_left(self._points, (x,))
+        if k < len(self._points) and self._points[k][0] == x and side == "right":
             k += 1
         (x0, y0), (x1, y1) = self._points[k - 1], self._points[k]
         return (y1 - y0) / (x1 - x0)

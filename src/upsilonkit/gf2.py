@@ -8,6 +8,7 @@ echelon bases, solutions, and kernel bases deterministic.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -73,10 +74,21 @@ class Gf2Span:
     def basis(self) -> list[int]:
         return [self._rows[p] for p in sorted(self._rows)]
 
-    def copy(self) -> "Gf2Span":
-        other = Gf2Span()
-        other._rows = dict(self._rows)
-        return other
+    def residues(self, vectors: Iterable[int]) -> list[int]:
+        """Canonical residues of the vectors modulo the span: every pivot bit
+        cleared by the rows in reduced echelon form.  Linear, and 0 exactly
+        on the span."""
+        reduced: dict[int, int] = {}  # pivot -> row with no other pivot bit
+        mask, out = 0, []  # mask: the pivots of reduced
+        for v in chain((self._rows[p] for p in sorted(self._rows)), vectors):
+            while hit := v & mask:
+                v ^= reduced[hit.bit_length() - 1]
+            if len(reduced) < len(self._rows):  # a row, reduced by the lower rows
+                reduced[v.bit_length() - 1] = v
+                mask |= 1 << (v.bit_length() - 1)
+            else:
+                out.append(v)
+        return out
 
 
 class Gf2Solver:

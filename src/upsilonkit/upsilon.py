@@ -8,9 +8,12 @@ points of weight at most w, and Upsilon(t) = -2 gamma(t).
 gamma(t) is one level search (_level over threshold), which upsilon2
 shares: the unit vectors of the slice elements join the coset's boundary
 span in phi_t order until it holds the cycle, and the points of the last
-level are those on the support line.  The engine orders points only by the
-integer key 2q phi_t for t = p/q (phi_key), with no Fraction arithmetic
-per point; phi is the Fraction reference.  Just left or right of t the
+level are those on the support line.  prepare_search reduces a search
+modulo its base span once (for gamma, once per complex) to the cycle's
+residue and one basis of item residues per lattice point, so threshold
+weighs each point once and never copies the base.  The engine orders
+points only by the integer key 2q phi_t for t = p/q (phi_key), with no
+Fraction arithmetic per point; phi is the Fraction reference.  Just left or right of t the
 key is paired with the slope of phi_t (symbolic perturbation), so the
 pivots come from the kernel at t.  crossings and certified_pl are shared
 the same way.  Upsilon and the pivots at each t are memoized on the
@@ -58,29 +61,40 @@ def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
     return (lambda point: a * point[0] + p * point[1]), d
 
 
-def threshold(base_span: Gf2Span, target: int, items, weight):
-    """Least weight at which target enters base_span grown by items.
+def prepare_search(base_span: Gf2Span, target: int, items):
+    """A level search reduced modulo base_span once: (residue of target,
+    ((point, echelon basis of its items' residues), ...)) for the distinct
+    points of the (vector, point) items.  A point whose residues are all 0
+    keeps an empty basis: it still belongs to its level."""
+    residue, *rest = base_span.residues([target] + [vector for vector, _ in items])
+    spans: dict = {}
+    for r, (_, point) in zip(rest, items):
+        spans.setdefault(point, Gf2Span()).add(r)
+    return residue, tuple((point, tuple(span.basis())) for point, span in spans.items())
 
-    The vectors of the (vector, point) items join a copy of base_span in
-    increasing weight(point), one level at a time.  Returns (level,
-    points of that level); raises ConsistencyError if target never enters.
 
-    The target's residue modulo the span is carried along: a new row
-    changes it only when it has the residue's leading bit, and then the
-    residue's leading bit falls, so one call takes at most one residue
-    step per item."""
+def threshold(search, weight):
+    """Least weight at which the target of a prepare_search result enters
+    the span of its rows, admitted from empty in increasing weight(point)
+    one level at a time.  Returns (level, points of that level); raises
+    ConsistencyError if the target never enters.
+
+    The target's residue is carried along: a new row changes it only when
+    it has the residue's leading bit, and then the residue's leading bit
+    falls, so one call takes at most one residue step per row."""
+    residue, points = search
     groups: dict = {}
-    for vector, point in items:
-        groups.setdefault(weight(point), []).append((vector, point))
-    span = base_span.copy()
-    residue = span.reduce(target)
+    for point, rows in points:
+        groups.setdefault(weight(point), []).append((point, rows))
+    span = Gf2Span()
     for level in sorted(groups):
-        for vector, _ in groups[level]:
-            row = span.add(vector)
-            if row and row.bit_length() == residue.bit_length():
-                residue = span.reduce(residue ^ row)
+        for _, rows in groups[level]:
+            for vector in rows:
+                row = span.add(vector)
+                if row and row.bit_length() == residue.bit_length():
+                    residue = span.reduce(residue ^ row)
         if not residue:
-            return level, {point for _, point in groups[level]}
+            return level, {point for point, _ in groups[level]}
     raise ConsistencyError("threshold target not in the span of all items")
 
 
@@ -112,19 +126,19 @@ def certified_pl(f: Callable[[Fraction], Fraction], xs, what: str) -> PLFunction
 
 @memoized
 def _gamma_search(C: ModelComplex):
-    """The H0 coset as threshold input: boundary span, cycle, and the
-    grading-0 slice as (unit vector, point) items."""
+    """The H0 coset as a prepared search: the cycle and the grading-0 slice
+    as (unit vector, point) items, modulo the boundary span."""
     coset = C.generator_coset()
-    items = tuple((1 << idx, e.point) for idx, e in enumerate(coset.basis))
-    return C._elimination()[1], coset.cycle, items
+    items = [(1 << idx, e.point) for idx, e in enumerate(coset.basis)]
+    return prepare_search(C._elimination()[1], coset.cycle, items)
 
 
 def _level(search, t, side: int = 0) -> tuple[Fraction, set]:
     """The phi_t value of the level at which the target of search, a
-    (base span, target, items) threshold input, enters in the order of
-    phi_key(t, side), and the points of that level: gamma(t) and gamma2(s)."""
+    prepare_search result, enters in the order of phi_key(t, side), and the
+    points of that level: gamma(t) and gamma2(s)."""
     weight, d = phi_key(t, side)
-    level, points = threshold(*search, weight)
+    level, points = threshold(search, weight)
     return Fraction(level[0] if side else level, d), points
 
 

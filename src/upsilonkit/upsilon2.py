@@ -13,8 +13,9 @@ upsilon.pivot_points memoizes on the complex, so upsilon2, which calls
 both, searches once.  gamma2(s) is one upsilon._level search, as gamma(t)
 is: the (column, point) items of the grading-1 slice outside
 the t half-plane join the span of the rest in phi_s order until it holds
-z- + z+.  Half-planes compare the integer keys of upsilon.phi_key with
-2q times the level.
+z- + z+, prepared once modulo that span: z- + z+ is homologous inside the
+t half-plane iff its residue is 0.  Half-planes compare the integer keys
+of upsilon.phi_key with 2q times the level.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .exact import NEG_INF, POS_INF, PLFunction, as_rational
 from .gf2 import Gf2Solver, Gf2Span, combine
 from .upsilon import (
     ConsistencyError, _level, certified_pl, crossings, delta_upsilon_prime, phi_key, pivot_points,
+    prepare_search,
 )
 
 
@@ -121,12 +123,11 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
 
     base_columns = list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside]
     base_solver = Gf2Solver(base_columns)
-    base = base_solver.span()
-    if target in base:
+    search = prepare_search(base_solver.span(), target, items)
+    if not search[0]:
         return infinite  # already homologous through the t half-plane alone, for every s
 
-    g2 = certified_pl(lambda s: _level((base, target, items), s)[0],
-                      crossings(p for _, p in items), "gamma2")
+    g2 = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
     # Chain witness per linear piece, from a solve at the piece midpoint that

@@ -13,6 +13,12 @@ orders by an exact one-sided key at t; it has no dimension limit.
 The brute-force oracles are memoised by (complex, t, s): the test
 complexes are shared instances (helpers.built), and several suites ask
 for the same grid of values.
+
+reference_threshold is the level search before its reduction modulo the
+base span: it copies the base and grows it by the raw items in weight
+order, testing membership of the target after each level, so it shares no
+code with upsilon.prepare_search and upsilon.threshold.  Run with Fraction
+weights it checks their integer keys past MAX_DIM.
 """
 
 from fractions import Fraction
@@ -32,6 +38,21 @@ def _coset_members(C):
         raise ValueError(f"coset dimension {len(bs)} exceeds oracle limit")
     members = [coset.cycle ^ combine(bs, m) for m in range(1 << len(bs))]
     return coset, members
+
+
+def reference_threshold(base_span, target, items, weight):
+    """(least weight at which target enters base_span grown by the
+    (vector, point) items, points of that level), or None if it never does."""
+    groups = {}
+    for vector, point in items:
+        groups.setdefault(weight(point), []).append((vector, point))
+    span = Gf2Span(base_span.basis())
+    for level in sorted(groups):
+        for vector, _ in groups[level]:
+            span.add(vector)
+        if target in span:
+            return level, {point for _, point in groups[level]}
+    return None
 
 
 def gamma_eligible(C) -> bool:

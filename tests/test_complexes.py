@@ -1,3 +1,4 @@
+import importlib
 import re
 import tracemalloc
 from fractions import Fraction as F
@@ -95,18 +96,28 @@ def test_generator_coset():
 @pytest.mark.parametrize("name", ["T(5,7)", "nK(3)"])
 def test_each_column_set_is_eliminated_once(monkeypatch, name):
     # The ranks, the H0 coset and the gamma search read one elimination of
-    # the grading-0 columns and one of the grading-1 columns.
+    # the grading-0 columns and one of the grading-1 columns.  Preparing the
+    # search adds each item's residue to its point's span at most once.
     C = uk.catalog(name)  # a fresh complex: nothing memoized yet
-    added = []
+    added, prepared, paused = [], [], []
     for cls, method in ((gf2.Gf2Span, "add"), (gf2.Gf2Solver, "add_column")):
         def counting(self, v, original=getattr(cls, method)):
-            added.append(v)
+            (prepared if paused else added).append(v)
             return original(self, v)
         monkeypatch.setattr(cls, method, counting)
+    upsilon = importlib.import_module("upsilonkit.upsilon")  # the package's upsilon is the function
+    def pausing(*args, original=upsilon.prepare_search):
+        paused.append(True)
+        try:
+            return original(*args)
+        finally:
+            paused.pop()
+    monkeypatch.setattr(upsilon, "prepare_search", pausing)
     C.homology_dimension(0)
     C.generator_coset()
     _gamma_search(C)
     assert len(added) == len(C.slice_boundary(0)) + len(C.slice_boundary(1))
+    assert 0 < len(prepared) <= len(C.grading_slice(0))
 
 
 def test_catalog_validates():

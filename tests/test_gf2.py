@@ -44,13 +44,6 @@ def test_span_reduce_residue():
     assert span.reduce(0b111) in (0b001, 0b111 ^ 0b110)
 
 
-def test_span_copy_is_independent():
-    span = Gf2Span([0b1])
-    clone = span.copy()
-    clone.add(0b10)
-    assert span.rank == 1 and clone.rank == 2
-
-
 def test_solver_solution_and_kernel():
     cols = [0b011, 0b110, 0b101]  # third = sum of first two
     solver = Gf2Solver(cols)
@@ -109,3 +102,27 @@ def test_solver_span_is_the_column_span(cols, extra):
     assert span.basis() == Gf2Span(cols).basis()
     span.add(extra)
     assert solver.rank == Gf2Span(cols).rank  # the solver is not touched
+
+
+@given(st.lists(vectors, max_size=8), vectors, vectors)
+def test_residues_are_linear(rows, a, b):
+    ra, rb, rab = Gf2Span(rows).residues([a, b, a ^ b])
+    assert rab == ra ^ rb
+
+
+@given(st.lists(vectors, max_size=8), vectors)
+def test_residue_is_zero_exactly_on_the_span(rows, v):
+    span = Gf2Span(rows)
+    (r,) = span.residues([v])
+    assert (r == 0) == (v in span)
+    assert span.reduce(v ^ r) == 0  # v and its residue differ by a member
+
+
+@given(st.lists(vectors, max_size=8), st.lists(vectors, max_size=8))
+def test_residues_clear_every_pivot_bit(rows, vs):
+    span = Gf2Span(rows)
+    pivots = sum(1 << (row.bit_length() - 1) for row in span.basis())
+    residues = span.residues(vs)
+    assert len(residues) == len(vs)
+    assert all(r & pivots == 0 for r in residues)
+    assert Gf2Span(rows[::-1]).residues(vs) == residues  # canonical: the same for any rows

@@ -8,6 +8,7 @@ from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Span
 from upsilonkit.upsilon import _gamma, _gamma_search, crossings, phi_key, threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
+from oracles import reference_threshold
 
 
 def test_phi():
@@ -157,15 +158,16 @@ def midpoints_and(xs):
 
 @pytest.mark.parametrize("expr", ["T(13,17)", "2*hom-K"])
 def test_integer_keys_match_fraction_weights_for_gamma(expr):
-    # The engine orders slice points by the integer 2q phi_t; the reference
-    # runs the same kernel with the Fraction weight phi_t itself.  Both
-    # complexes are past the brute-force oracle's MAX_DIM.
+    # The engine orders slice points by the integer 2q phi_t and searches
+    # modulo the boundary span; the reference grows a copy of that span with
+    # the Fraction weight phi_t itself.  Both complexes are past the
+    # brute-force oracle's MAX_DIM.
     C = uk.parse_and_build(expr)
     coset = C.generator_coset()
     span = Gf2Span(coset.boundaries)
     items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
     for t in midpoints_and(uk.breakpoint_candidates(C)):
-        reference = threshold(span, coset.cycle, items, lambda p: uk.phi(t, p))
+        reference = reference_threshold(span, coset.cycle, items, lambda p: uk.phi(t, p))
         assert _gamma(C, t) == reference, (expr, t)
 
 
@@ -176,8 +178,8 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     ("2*hom-K # T(3,4)", F(2, 3)), ("nK(3) # T(3,4)", F(2, 3)),
 ])
 def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
-    # The gamma2 sweep's search, rebuilt as upsilon2 sets it up and run with
-    # Fraction weights at every s crossing and midpoint.
+    # The gamma2 sweep's search, rebuilt as upsilon2 sets it up and run by the
+    # reference with Fraction weights at every s crossing and midpoint.
     C = uk.parse_and_build(expr)
     res = uk.upsilon2(C, t)
     zs = res.zsets
@@ -187,26 +189,51 @@ def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
     base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[k] for k in inside])
     items = [(columns[k], e.point) for k, e in enumerate(slice1) if k not in set(inside)]
     for s in midpoints_and(crossings(p for _, p in items)):
-        level, _ = threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p))
+        level, _ = reference_threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p))
         assert res.gamma2.evaluate(s) == level, (expr, t, s)
 
 
 @pytest.mark.parametrize("expr,t", [("-T(5,7)", F(1, 3)), ("T(3,4) # -T(2,5)", F(1, 3)),
                                     ("2*hom-K", F(1, 3))])
 def test_threshold_carries_the_target_residue(monkeypatch, expr, t):
-    # threshold reduces the target once and then only steps its residue,
-    # each step lowering the leading bit: at most one step per item, and no
-    # membership test of the target per level.
-    span, cycle, items = _gamma_search(uk.parse_and_build(expr))
+    # threshold starts from the prepared target's residue and only steps it,
+    # each step lowering the leading bit: at most one step per row, so per
+    # item, and no membership test of the target per level.
+    C = uk.parse_and_build(expr)
+    search = _gamma_search(C)
+    residue, points = search
+    rows = sum(len(basis) for _, basis in points)
     weight, _ = phi_key(t)
     calls = []  # reduce arguments; "add" marks the reduce that add itself makes
     original_reduce, original_add = Gf2Span.reduce, Gf2Span.add
     monkeypatch.setattr(Gf2Span, "reduce", lambda self, v: calls.append(v) or original_reduce(self, v))
     monkeypatch.setattr(Gf2Span, "add", lambda self, v: calls.append("add") or original_add(self, v))
-    level, _ = threshold(span, cycle, items, weight)
+    level, _ = threshold(search, weight)
     own = [v for prev, v in zip(["start"] + calls, calls) if prev != "add" and v != "add"]
-    assert len({weight(p) for _, p in items if weight(p) < level}) > 1  # several levels searched
-    assert own[0] == cycle
-    lengths = [v.bit_length() for v in own]
+    assert len({weight(p) for p, _ in points if weight(p) < level}) > 1  # several levels searched
+    lengths = [v.bit_length() for v in [residue] + own]
     assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
-    assert len(own) - 1 <= len(items)
+    assert len(own) <= rows <= len(C.generator_coset().basis)
+
+
+@pytest.mark.parametrize("expr", ["2*hom-K", "T(3,4) # -T(2,5)"])
+def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
+    # The gamma search is reduced modulo the boundary span once, when it is
+    # prepared: each threshold call grows a span of its own from empty and
+    # never copies the base or reduces a vector against it.
+    C = uk.parse_and_build(expr)
+    search, base = _gamma_search(C), C._elimination()[1]
+    touched = []  # (span, its rank) at each span method call
+    for method in ("add", "reduce", "residues", "basis"):
+        def recording(self, *args, original=getattr(Gf2Span, method)):
+            touched.append((self, self.rank))
+            return original(self, *args)
+        monkeypatch.setattr(Gf2Span, method, recording)
+    for t in (0, F(1, 3), 1, 2):
+        touched.clear()
+        threshold(search, phi_key(t)[0])
+        first = {}
+        for span, rank in touched:
+            assert span is not base, t
+            first.setdefault(id(span), rank)
+        assert list(first.values()) == [0], t

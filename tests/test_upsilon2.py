@@ -6,9 +6,8 @@ import pytest
 import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span
-from upsilonkit.upsilon import threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
-from oracles import margin_one_sided, same_affine
+from oracles import margin_one_sided, reference_threshold, same_affine
 
 
 def names_of(zs, vec):
@@ -73,7 +72,7 @@ def test_one_sided_keys_match_the_margin_method(name):
         # runs the kernel with Fraction weights and scans the slice.
         coset = C.generator_coset()
         items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
-        level, _ = threshold(Gf2Span(coset.boundaries), coset.cycle, items, lambda p: uk.phi(t, p))
+        level, _ = reference_threshold(Gf2Span(coset.boundaries), coset.cycle, items, lambda p: uk.phi(t, p))
         assert pd.gamma_t == level, (name, t)
         assert pd.on_line == {e.point for e in C.grading_slice(0) if uk.phi(t, e.point) == level}
         zs = uk.z_sets(C, t)
@@ -135,29 +134,38 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 
 @pytest.mark.parametrize("name, additions", [("2*hom-K", 244), ("figure6", 3)])
 def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions):
-    # Outside threshold and z_sets, upsilon2 puts each base column into one
-    # solver, whose span seeds threshold and whose copies give the witnesses.
+    # Outside threshold, the search's preparation and z_sets, upsilon2 puts
+    # each base column into one solver, whose span the search is reduced by
+    # and whose copies give the witnesses.  Preparing the search adds each
+    # item's residue to its point's span at most once.
     C = uk.parse_and_build(name)
     uk.upsilon2(C, 1)  # the pivots, the coset and validation are memoized now
-    added, paused = [], []
+    added, prepared, paused = [], [], []
     for cls, method in ((Gf2Span, "add"), (Gf2Solver, "add_column")):
         def counting(self, v, original=getattr(cls, method)):
             if not paused:
                 added.append(v)
+            elif paused[-1] == "prepare_search":
+                prepared.append(v)
             return original(self, v)
         monkeypatch.setattr(cls, method, counting)
-    # The level search in upsilon calls threshold; z_sets runs _one_sided_set.
-    for mod_name, attr in (("upsilon", "threshold"), ("upsilon2", "z_sets")):
+    # The level search in upsilon calls threshold, upsilon2 prepares it, and
+    # z_sets runs _one_sided_set.
+    for mod_name, attr in (("upsilon", "threshold"), ("upsilon2", "prepare_search"),
+                           ("upsilon2", "z_sets")):
         module = importlib.import_module(f"upsilonkit.{mod_name}")
-        def pausing(*args, original=getattr(module, attr)):
-            paused.append(True)
+        def pausing(*args, attr=attr, original=getattr(module, attr)):
+            paused.append(attr)
             try:
                 return original(*args)
             finally:
                 paused.pop()
         monkeypatch.setattr(module, attr, pausing)
-    assert uk.upsilon2(C, 1).upsilon2.is_finite
+    res = uk.upsilon2(C, 1)
+    assert res.upsilon2.is_finite
     assert len(added) == additions
+    items = [e for e in C.grading_slice(1) if uk.phi(1, e.point) > res.gamma_t]
+    assert 0 < len(prepared) <= len(items)
 
 
 def test_disjointness_theorem_scan():
