@@ -137,17 +137,3 @@ class Gf2Solver:
 
     def kernel_basis(self) -> list[int]:
         return list(self._kernel)
-
-    def span(self) -> Gf2Span:
-        """The column space, read off the rows; adding to it leaves the solver as is."""
-        span = Gf2Span()
-        span._rows = {pivot: v for pivot, (v, _) in self._rows.items()}
-        return span
-
-    def copy(self) -> "Gf2Solver":
-        other = Gf2Solver()
-        other._rows = dict(self._rows)
-        other._kernel = list(self._kernel)
-        other._ncols = self._ncols
-        return other
-

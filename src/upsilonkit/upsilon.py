@@ -10,8 +10,10 @@ shares: the unit vectors of the slice elements join the coset's boundary
 span in phi_t order until it holds the cycle, and the points of the last
 level are those on the support line.  prepare_search reduces a search
 modulo its base span once (for gamma, once per complex) to the cycle's
-residue and one basis of item residues per lattice point, so threshold
-weighs each point once and never copies the base.  The engine orders
+residue, one basis of item residues per lattice point and each item's
+residue, so threshold weighs each point once and never copies the base,
+and solve_search finds which admitted items sum to the target over their
+residues alone (upsilon2's Z sets and witnesses).  The engine orders
 points only by the integer key 2q phi_t for t = p/q (phi_key), with no
 Fraction arithmetic per point; phi is the Fraction reference.  Just left or right of t the
 key is paired with the slope of phi_t (symbolic perturbation), so the
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
 from .exact import DomainError, PLFunction, as_rational, shared
-from .gf2 import Gf2Span
+from .gf2 import Gf2Solver, Gf2Span
 
 
 class ConsistencyError(RuntimeError):
@@ -63,14 +65,28 @@ def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
 
 def prepare_search(base_span: Gf2Span, target: int, items):
     """A level search reduced modulo base_span once: (residue of target,
-    ((point, echelon basis of its items' residues), ...)) for the distinct
-    points of the (vector, point) items.  A point whose residues are all 0
-    keeps an empty basis: it still belongs to its level."""
+    ((point, echelon basis of its items' residues), ...), residue of each
+    item) for the distinct points of the (vector, point) items.  A point
+    whose residues are all 0 keeps an empty basis: it still belongs to its
+    level."""
     residue, *rest = base_span.residues([target] + [vector for vector, _ in items])
     spans: dict = {}
     for r, (_, point) in zip(rest, items):
         spans.setdefault(point, Gf2Span()).add(r)
-    return residue, tuple((point, tuple(span.basis())) for point, span in spans.items())
+    return residue, tuple((point, tuple(span.basis())) for point, span in spans.items()), rest
+
+
+def solve_search(search, admitted, what: str) -> tuple[int, list[int]]:
+    """Which of the admitted items (indices into the items of search, a
+    prepare_search result) sum to its target modulo its base span: (x, kernel
+    basis), bitmasks over admitted in its order.  Raises ConsistencyError(what)
+    if none do."""
+    residue, _, rest = search
+    solver = Gf2Solver(rest[idx] for idx in admitted)
+    x = solver.solve(residue)
+    if x is None:
+        raise ConsistencyError(what)
+    return x, solver.kernel_basis()
 
 
 def threshold(search, weight):
@@ -82,7 +98,7 @@ def threshold(search, weight):
     The target's residue is carried along: a new row changes it only when
     it has the residue's leading bit, and then the residue's leading bit
     falls, so one call takes at most one residue step per row."""
-    residue, points = search
+    residue, points, _ = search
     groups: dict = {}
     for point, rows in points:
         groups.setdefault(weight(point), []).append((point, rows))

@@ -10,12 +10,14 @@ intersect, gamma2 is identically -inf and Upsilon2 identically +inf.
 
 z_sets is the one path to Z- and Z+; it reads the pivots that
 upsilon.pivot_points memoizes on the complex, so upsilon2, which calls
-both, searches once.  gamma2(s) is one upsilon._level search, as gamma(t)
-is: the (column, point) items of the grading-1 slice outside
-the t half-plane join the span of the rest in phi_s order until it holds
-z- + z+, prepared once modulo that span: z- + z+ is homologous inside the
-t half-plane iff its residue is 0.  Half-planes compare the integer keys
-of upsilon.phi_key with 2q times the level.
+both, searches once; each side is one upsilon.solve_search over the gamma
+search.  gamma2(s) is one upsilon._level search, as gamma(t) is: the
+(column, point) items of the grading-1 slice outside the t half-plane
+join the base (v-, v+ and the columns inside) in phi_s order until it
+holds z- + z+, prepared once modulo that base, which the witnesses solve
+over too: z- + z+ is homologous inside the t half-plane iff its residue
+is 0.  Half-planes compare the integer keys of upsilon.phi_key with 2q
+times the level.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from typing import NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, PLFunction, as_rational
-from .gf2 import Gf2Solver, Gf2Span, combine
+from .gf2 import Gf2Span, support
 from .upsilon import (
-    ConsistencyError, _level, certified_pl, crossings, delta_upsilon_prime, phi_key, pivot_points,
-    prepare_search,
+    ConsistencyError, _gamma_search, _level, certified_pl, crossings, delta_upsilon_prime, phi_key,
+    pivot_points, prepare_search, solve_search,
 )
 
 
@@ -53,17 +55,16 @@ def _one_sided_set(C: ModelComplex, t: Fraction, side: int, pivot: LatticePoint)
     """Representative and direction basis for the cycles supported on the
     slice points no later than pivot in the phi order just left (side -1)
     or right (+1) of t: the minimal half-plane on that side."""
-    coset = C.generator_coset()
     weight, _ = phi_key(t, side)
     bound = weight(pivot)
-    outside = ~sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) <= bound)
-    solver = Gf2Solver(b & outside for b in coset.boundaries)
-    x = solver.solve(coset.cycle & outside)
-    if x is None:
-        raise ConsistencyError(f"no minimizing cycle on side {side} of t = {t}")
-    rep = coset.cycle ^ combine(coset.boundaries, x)
-    directions = Gf2Span(combine(coset.boundaries, combo) for combo in solver.kernel_basis())
-    return rep, tuple(directions.basis())
+    admitted = [idx for idx, e in enumerate(C.generator_coset().basis) if weight(e.point) <= bound]
+    x, kernel = solve_search(_gamma_search(C), admitted,
+                             f"no minimizing cycle on side {side} of t = {t}")
+
+    def units(combo: int) -> int:
+        return sum(1 << admitted[pos] for pos in support(combo))
+
+    return units(x), tuple(Gf2Span(units(combo) for combo in kernel).basis())
 
 
 def z_sets(C: ModelComplex, t) -> ZSets:
@@ -121,32 +122,25 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     outside = [idx for idx, e in enumerate(slice1) if weight(e.point) > bound]
     items = [(columns[idx], slice1[idx].point) for idx in outside]
 
-    base_columns = list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside]
-    base_solver = Gf2Solver(base_columns)
-    search = prepare_search(base_solver.span(), target, items)
+    base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside])
+    search = prepare_search(base, target, items)
     if not search[0]:
         return infinite  # already homologous through the t half-plane alone, for every s
 
     g2 = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
-    # Chain witness per linear piece, from a solve at the piece midpoint that
-    # extends a copy of the base columns' elimination.
+    # Chain witness per linear piece, from a solve over the residues of the
+    # items admitted at the piece midpoint.
     witnesses = []
     bps = [x for x, _ in g2.breakpoints]
     for s0, s1 in zip(bps, bps[1:]):
         mid = (s0 + s1) / 2
         weight, d = phi_key(mid)
         bound = g2.evaluate(mid) * d
-        admitted = [idx for idx in outside if weight(slice1[idx].point) <= bound]
-        solver = base_solver.copy()
-        for idx in admitted:
-            solver.add_column(columns[idx])
-        x = solver.solve(target)
-        if x is None:
-            raise ConsistencyError("witness solve failed on a certified piece")
-        chain = enumerate(admitted, len(base_columns))
-        witnesses.append((s0, s1, tuple(slice1[idx].name for pos, idx in chain if x >> pos & 1)))
+        admitted = [pos for pos, (_, point) in enumerate(items) if weight(point) <= bound]
+        x, _ = solve_search(search, admitted, "witness solve failed on a certified piece")
+        witnesses.append((s0, s1, tuple(slice1[outside[admitted[k]]].name for k in support(x))))
 
     return Upsilon2Result(t, pd.gamma_t, zs, smooth, g2, u2, tuple(witnesses))
 

@@ -56,13 +56,6 @@ def test_solver_solution_and_kernel():
     assert solver.solve(0b100) is None
 
 
-def test_solver_copy_is_independent():
-    solver = Gf2Solver([0b1])
-    clone = solver.copy()
-    clone.add_column(0b10)
-    assert clone.solve(0b10) is not None and solver.solve(0b10) is None
-
-
 def test_solve_membership_and_rank():
     cols = [0b011, 0b110]
     x = Gf2Solver(cols).solve(0b101)
@@ -93,15 +86,6 @@ def test_span_basis_spans_inputs(vs):
     assert len(basis) == span.rank == Gf2Span(basis).rank
     for v in vs:
         assert v in Gf2Span(basis)
-
-
-@given(st.lists(vectors, max_size=8), vectors)
-def test_solver_span_is_the_column_span(cols, extra):
-    solver = Gf2Solver(cols)
-    span = solver.span()
-    assert span.basis() == Gf2Span(cols).basis()
-    span.add(extra)
-    assert solver.rank == Gf2Span(cols).rank  # the solver is not touched
 
 
 @given(st.lists(vectors, max_size=8), vectors, vectors)

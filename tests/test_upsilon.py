@@ -5,8 +5,8 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit import DomainError, InvalidComplexError
-from upsilonkit.gf2 import Gf2Span
-from upsilonkit.upsilon import _gamma, _gamma_search, crossings, phi_key, threshold
+from upsilonkit.gf2 import Gf2Span, support
+from upsilonkit.upsilon import _gamma, _gamma_search, crossings, phi_key, solve_search, threshold
 from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
 from oracles import reference_threshold
 
@@ -201,7 +201,7 @@ def test_threshold_carries_the_target_residue(monkeypatch, expr, t):
     # item, and no membership test of the target per level.
     C = uk.parse_and_build(expr)
     search = _gamma_search(C)
-    residue, points = search
+    residue, points, _ = search
     rows = sum(len(basis) for _, basis in points)
     weight, _ = phi_key(t)
     calls = []  # reduce arguments; "add" marks the reduce that add itself makes
@@ -237,3 +237,20 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
             assert span is not base, t
             first.setdefault(id(span), rank)
         assert list(first.values()) == [0], t
+
+
+def test_solve_search_over_the_gamma_search():
+    # solve_search picks admitted items whose sum is the target modulo the
+    # base span; its kernel combos sum into the base span.  Checked against
+    # a fresh span of the boundaries, not the prepared residues.
+    C = built("T(3,4)")
+    search, coset = _gamma_search(C), C.generator_coset()
+    with pytest.raises(uk.ConsistencyError, match="^nothing admitted$"):
+        solve_search(search, [], "nothing admitted")
+    admitted = list(range(len(coset.basis)))
+    x, kernel = solve_search(search, admitted, "the cycle is not in the coset")
+    boundaries = Gf2Span(coset.boundaries)
+    assert sum(1 << admitted[k] for k in support(x)) ^ coset.cycle in boundaries
+    assert kernel
+    for combo in kernel:
+        assert sum(1 << admitted[k] for k in support(combo)) in boundaries

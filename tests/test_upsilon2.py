@@ -135,9 +135,9 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 @pytest.mark.parametrize("name, additions", [("2*hom-K", 244), ("figure6", 3)])
 def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions):
     # Outside threshold, the search's preparation and z_sets, upsilon2 puts
-    # each base column into one solver, whose span the search is reduced by
-    # and whose copies give the witnesses.  Preparing the search adds each
-    # item's residue to its point's span at most once.
+    # each base column into one Gf2Span, which the search is reduced by, and
+    # each witness solves over the residues of its admitted items.  Preparing
+    # the search adds each item's residue to its point's span at most once.
     C = uk.parse_and_build(name)
     uk.upsilon2(C, 1)  # the pivots, the coset and validation are memoized now
     added, prepared, paused = [], [], []
@@ -166,6 +166,47 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
     assert len(added) == additions
     items = [e for e in C.grading_slice(1) if uk.phi(1, e.point) > res.gamma_t]
     assert 0 < len(prepared) <= len(items)
+
+
+@pytest.mark.parametrize("name", ["2*hom-K", "T(3,4) # -T(2,5)"])
+def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
+    # Z+- and the witnesses solve over their prepared search's residues: no
+    # vector put into a Gf2Solver has a bit at a leading bit of its base
+    # span's echelon rows.  The base of Z+- is the boundary span; that of the
+    # witnesses is v+- and the grading-1 columns inside the t half-plane.
+    C = uk.parse_and_build(name)
+    C.validate()  # the grading-0 elimination, which solves over raw columns, is memoized now
+    phase, fed = ["witnesses"], {"zsets": [], "witnesses": []}
+    original = Gf2Solver.add_column
+    monkeypatch.setattr(Gf2Solver, "add_column",
+                        lambda self, v: fed[phase[-1]].append(v) or original(self, v))
+    module = importlib.import_module("upsilonkit.upsilon2")
+
+    def in_zsets_phase(*args, original=module.z_sets):
+        phase.append("zsets")
+        try:
+            return original(*args)
+        finally:
+            phase.pop()
+    monkeypatch.setattr(module, "z_sets", in_zsets_phase)
+
+    def leading_bits(span):
+        return sum(1 << (row.bit_length() - 1) for row in span.basis())
+
+    boundary_pivots = leading_bits(C._elimination()[1])
+    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
+    witnesses = 0
+    for t in sorted(set(interior_breakpoints(C)) | {F(1)}):
+        fed["zsets"].clear()
+        fed["witnesses"].clear()
+        res = uk.upsilon2(C, t)
+        zs = res.zsets
+        assert fed["zsets"] and not any(v & boundary_pivots for v in fed["zsets"]), t
+        inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
+        base_pivots = leading_bits(Gf2Span(list(zs.v_minus + zs.v_plus) + inside))
+        assert not any(v & base_pivots for v in fed["witnesses"]), t
+        witnesses += len(res.witnesses)
+    assert witnesses  # some witness solve was checked
 
 
 def test_disjointness_theorem_scan():

@@ -4,7 +4,8 @@ For each input it prints the show text and the validation report, Upsilon
 and its candidate count, the pivots and the slope jump at each interior
 breakpoint, Upsilon2 at t = 2/3 and 1 (with gamma2, witnesses and Z sets),
 v2, the genus report and the diagonal width, and for the inputs in
-ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Then it
+ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Z sets
+print as sets, not as the member and basis the engine chose.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
 inputs, file errors, --csv of a +inf result, --samples over its limit, a
 product of @file atoms whose names would repeat) and prints their exit codes
@@ -38,6 +39,7 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 import upsilonkit as uk  # noqa: E402
+from upsilonkit.gf2 import Gf2Span  # noqa: E402
 
 CATALOG_SCAN = ["unknot", "fig8", "figure6", "hom-C1", "hom-C2", "hom-K",
                 "T(2,3)", "T(3,4)", "T(2,5)", "box(1)", "box(2)", "nK(1)", "nK(2)"]
@@ -135,14 +137,25 @@ def _pivots(pd):
     return f"gamma {pd.gamma_t}, on line {sorted(pd.on_line)}, p- {pd.p_minus}, p+ {pd.p_plus}, delta {pd.delta}"
 
 
+def _affine_set(z, directions):
+    """z + span(directions) as a set: z reduced modulo the span, and the
+    span's reduced echelon rows, neither depending on the member or the
+    basis an engine picked."""
+    span = Gf2Span(directions)
+    pivots = [1 << (row.bit_length() - 1) for row in span.basis()]
+    # A pivot bit's residue is its reduced row with the pivot bit cleared.
+    rows = tuple(p ^ r for p, r in zip(pivots, span.residues(pivots)))
+    return span.residues([z])[0], rows
+
+
 def _zsets(zs):
-    return (f"t {zs.t}, disjoint {zs.disjoint}, z- {zs.z_minus}, z+ {zs.z_plus}, "
-            f"v- {zs.v_minus}, v+ {zs.v_plus}")
+    (zm, vm), (zp, vp) = _affine_set(zs.z_minus, zs.v_minus), _affine_set(zs.z_plus, zs.v_plus)
+    return f"t {zs.t}, delta {zs.delta}, disjoint {zs.disjoint}, z- {zm}, z+ {zp}, v- {vm}, v+ {vp}"
 
 
 def _upsilon2(res):
     return (f"gamma {res.gamma_t}, smooth {res.smooth_point}\n  upsilon2 {res.upsilon2}\n"
-            f"  gamma2 {res.gamma2}\n  witnesses {res.witnesses}\n  zsets {res.zsets}")
+            f"  gamma2 {res.gamma2}\n  witnesses {res.witnesses}\n  zsets {_zsets(res.zsets)}")
 
 
 def _shown(argv):
