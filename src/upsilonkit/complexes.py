@@ -106,13 +106,12 @@ class ValidationReport(NamedTuple):
 class CycleCoset(NamedTuple):
     """Affine set of grading-0 cycles representing the generator of H0.
 
-    The coset is cycle + span(boundaries), as bit vectors over basis
-    (the grading-0 slice in declaration order).
+    The coset is cycle + the span of the grading-1 boundary columns, as
+    bit vectors over basis (the grading-0 slice in declaration order).
     """
 
     basis: tuple[SliceElement, ...]
     cycle: int
-    boundaries: tuple[int, ...]
 
 
 class ModelComplex:
@@ -268,8 +267,7 @@ class ModelComplex:
         h0 = self.homology_dimension(0)
         if h0 != 1:
             raise InvalidComplexError(f"H0 has dimension {h0}, expected 1")
-        _, boundaries, z0 = self._elimination()
-        return CycleCoset(self.grading_slice(0), z0, tuple(boundaries.basis()))
+        return CycleCoset(self.grading_slice(0), self._elimination()[2])
 
     # -- validation ----------------------------------------------------------
 

@@ -9,7 +9,7 @@ echelon bases, solutions, and kernel bases deterministic.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 def support(v: int) -> tuple[int, ...]:
@@ -22,18 +22,6 @@ def support(v: int) -> tuple[int, ...]:
         v >>= 1
         idx += 1
     return tuple(out)
-
-
-def combine(vectors: Sequence[int], combo: int) -> int:
-    """XOR of the vectors selected by the bits of combo."""
-    acc = 0
-    idx = 0
-    while combo:
-        if combo & 1:
-            acc ^= vectors[idx]
-        combo >>= 1
-        idx += 1
-    return acc
 
 
 class Gf2Span:

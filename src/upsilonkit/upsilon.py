@@ -15,18 +15,24 @@ residue, so threshold weighs each point once and never copies the base,
 and solve_search finds which admitted items sum to the target over their
 residues alone (upsilon2's Z sets and witnesses).  The engine orders
 points only by the integer key 2q phi_t for t = p/q (phi_key), with no
-Fraction arithmetic per point; phi is the Fraction reference.  Just left or right of t the
-key is paired with the slope of phi_t (symbolic perturbation), so the
-pivots come from the kernel at t.  crossings and certified_pl are shared
-the same way.  Upsilon and the pivots at each t are memoized on the
-complex, so upsilon2, z_sets, delta_upsilon_prime and the CLI share one
-search.
+Fraction arithmetic per point; phi is the Fraction reference.  Just
+left or right of t the key is paired with the slope of phi_t (symbolic
+perturbation), so the pivots come from the kernel at t.
+
+gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
+gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
+meets the phi of another point with rows, where it searches again, so its
+searches grow with the pieces, not with the pairs of points.  The pivots
+report delta from neighbours in the two one-sided orders at t; only the
+public breakpoint_candidates lists all pairs.  Upsilon and the pivots at
+each t are memoized on the complex, so upsilon2, z_sets,
+delta_upsilon_prime and the CLI share one search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
@@ -114,32 +120,6 @@ def threshold(search, weight):
     raise ConsistencyError("threshold target not in the span of all items")
 
 
-def crossings(points) -> tuple[Fraction, ...]:
-    """0, 2 and every t in (0, 2) where phi_t of two of the points agree;
-    between consecutive crossings their phi_t order is constant."""
-    points = sorted(set(points))
-    cands = {Fraction(0), Fraction(2)}
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            di = points[a][0] - points[b][0]
-            dj = points[a][1] - points[b][1]
-            if di != dj:
-                t = Fraction(2 * di, di - dj)
-                if 0 < t < 2:
-                    cands.add(t)
-    return tuple(sorted(cands))
-
-
-def certified_pl(f: Callable[[Fraction], Fraction], xs, what: str) -> PLFunction:
-    """The PL function through (x, f(x)) for x in xs, certified linear
-    between neighbours by one extra evaluation at each midpoint."""
-    ys = [f(x) for x in xs]
-    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
-        if f((x0 + x1) / 2) != (y0 + y1) / 2:
-            raise ConsistencyError(f"{what} not linear on ({x0}, {x1})")
-    return PLFunction(list(zip(xs, ys)))
-
-
 @memoized
 def _gamma_search(C: ModelComplex):
     """The H0 coset as a prepared search: the cycle and the grading-0 slice
@@ -152,10 +132,61 @@ def _gamma_search(C: ModelComplex):
 def _level(search, t, side: int = 0) -> tuple[Fraction, set]:
     """The phi_t value of the level at which the target of search, a
     prepare_search result, enters in the order of phi_key(t, side), and the
-    points of that level: gamma(t) and gamma2(s)."""
+    points of that level: gamma(t) and gamma2(s).  A one-sided level has
+    one point, as the one-sided keys never tie two points."""
     weight, d = phi_key(t, side)
     level, points = threshold(search, weight)
+    if side and len(points) != 1:
+        raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
     return Fraction(level[0] if side else level, d), points
+
+
+def _next_crossing(p: LatticePoint, t: Fraction, points) -> Fraction:
+    """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the points
+    q, or 2.  phi_x(q) - phi_x(p) = q_i - p_i + x ds / 2 with ds the
+    difference of the slopes (j - i), so q meets p after t iff it lies below
+    p at t and rises faster, or above and rises slower.  The crossings are
+    compared as integer fractions, cross-multiplied."""
+    weight, _ = phi_key(t)
+    wp, sp = weight(p), p[1] - p[0]
+    num, den = 2, 1
+    for q in points:
+        ds = q[1] - q[0] - sp
+        if ds * (weight(q) - wp) < 0:
+            n = 2 * (p[0] - q[0])
+            if ds < 0:
+                n, ds = -n, -ds
+            if n * den < num * ds:
+                num, den = n, ds
+    return Fraction(num, den)
+
+
+def level_pl(search, what: str) -> PLFunction:
+    """The level of search, a prepare_search result, as an exact PL function
+    of t on [0, 2], by a kinetic sweep (Basch, Guibas & Hershberger, SODA
+    1997).  Just right of t the level is phi(p) for its one point p, and it
+    stays phi(p) until phi(p) meets the phi of a point with rows: only then
+    can the rows admitted up to p change.  A point whose residues are all 0
+    adds no row and is skipped.  Each piece is checked at its midpoint, and
+    the level found at its end must continue it; raises ConsistencyError
+    naming what otherwise."""
+    movers = [point for point, rows in search[1] if rows]
+    t = Fraction(0)
+    value, (p,) = _level(search, t, 1)
+    breakpoints = [(t, value)]
+    while t < 2:
+        end = _next_crossing(p, t, movers)
+        slope = Fraction(p[1] - p[0], 2)
+        mid = (t + end) / 2
+        if _level(search, mid)[0] != value + (mid - t) * slope:
+            raise ConsistencyError(f"{what} not linear on ({t}, {end})")
+        t, value = end, value + (end - t) * slope
+        breakpoints.append((t, value))
+        if t < 2:
+            level, (p,) = _level(search, t, 1)
+            if level != value:
+                raise ConsistencyError(f"{what} not continuous at {t}")
+    return PLFunction(breakpoints)
 
 
 def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
@@ -175,16 +206,25 @@ def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
     """All t in [0, 2] where two grading-0 weights can cross, plus endpoints.
 
     Between consecutive candidates the weight order of the slice points
-    is constant, so gamma is linear there.
+    is constant, so gamma is linear there.  The engine does not read them:
+    they are all pairs of slice points, and the kinetic sweep of gamma_pl
+    visits only the crossings of the winner.
     """
-    return crossings(e.point for e in C.grading_slice(0))
+    cands = {Fraction(0), Fraction(2)}
+    for (ai, aj), (bi, bj) in combinations({e.point for e in C.grading_slice(0)}, 2):
+        di, dj = ai - bi, aj - bj
+        if di != dj:
+            t = Fraction(2 * di, di - dj)
+            if 0 < t < 2:
+                cands.add(t)
+    return tuple(sorted(cands))
 
 
 @memoized
 def gamma_pl(C: ModelComplex) -> PLFunction:
     """gamma as an exact PL function of t on [0, 2]."""
     C.require_valid()
-    return certified_pl(lambda t: gamma_at(C, t), breakpoint_candidates(C), "gamma")
+    return level_pl(_gamma_search(C), "gamma")
 
 
 @memoized
@@ -209,19 +249,28 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
     t = as_rational(t)
     if not 0 < t < 2:
         raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
-    cands = breakpoint_candidates(C)  # sorted, from 0 to 2
-    below, above = cands[bisect_left(cands, t) - 1], cands[bisect_right(cands, t)]
-    delta = min(t - below, above - t) / 2
     gamma_t, on_line = _gamma(C, t)
-    pivots = []
-    for side in (-1, 1):
-        winners = _gamma(C, t, side)[1]
-        if len(winners) != 1:
-            raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
-        pivots.extend(winners)
+    pivots = [p for side in (-1, 1) for p in _gamma(C, t, side)[1]]
     if not on_line.issuperset(pivots):
         raise ConsistencyError("pivot point not on the support line")
-    return PivotData(t, gamma_t, frozenset(on_line), *pivots, delta)
+    return PivotData(t, gamma_t, frozenset(on_line), *pivots, _half_gap(C, t))
+
+
+def _half_gap(C: ModelComplex, t: Fraction) -> Fraction:
+    """Half the distance from t to the nearest other crossing of two
+    grading-0 weights, or to 0 or 2.  In the phi order just right of t the
+    first crossing after t is between neighbours (the kinetic-sorting
+    lemma), and just left of t the last one before it likewise, so one sort
+    per side finds them."""
+    points = {e.point for e in C.grading_slice(0)}
+    gaps = [t, 2 - t]
+    for side in (-1, 1):
+        order = sorted(points, key=phi_key(t, side)[0])
+        for (ai, aj), (bi, bj) in zip(order, order[1:]):
+            ds = aj - ai - (bj - bi)
+            if side * ds > 0:  # a, below b on this side of t, meets it on this side
+                gaps.append(side * (Fraction(2 * (bi - ai), ds) - t))
+    return min(gaps) / 2
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:

@@ -16,7 +16,8 @@ search.  gamma2(s) is one upsilon._level search, as gamma(t) is: the
 join the base (v-, v+ and the columns inside) in phi_s order until it
 holds z- + z+, prepared once modulo that base, which the witnesses solve
 over too: z- + z+ is homologous inside the t half-plane iff its residue
-is 0.  Half-planes compare the integer keys of upsilon.phi_key with 2q
+is 0.  upsilon.level_pl sweeps that search over s, as it sweeps gamma's
+over t.  Half-planes compare the integer keys of upsilon.phi_key with 2q
 times the level.
 """
 
@@ -29,8 +30,8 @@ from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, PLFunction, as_rational
 from .gf2 import Gf2Span, support
 from .upsilon import (
-    ConsistencyError, _gamma_search, _level, certified_pl, crossings, delta_upsilon_prime, phi_key,
-    pivot_points, prepare_search, solve_search,
+    ConsistencyError, _gamma_search, delta_upsilon_prime, level_pl, phi_key, pivot_points,
+    prepare_search, solve_search,
 )
 
 
@@ -127,7 +128,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     if not search[0]:
         return infinite  # already homologous through the t half-plane alone, for every s
 
-    g2 = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
+    g2 = level_pl(search, "gamma2")
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
     # Chain witness per linear piece, from a solve over the residues of the

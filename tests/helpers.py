@@ -5,9 +5,12 @@ tests share instances through an lru_cache keyed by catalog name; a
 leading '-' means the dual.
 """
 
+import importlib
 from functools import lru_cache
 
 import upsilonkit as uk
+
+UPSILON = importlib.import_module("upsilonkit.upsilon")  # uk.upsilon is the function
 
 # Every named/parameterized family member exercised by the suites.
 CATALOG_SCAN = [
@@ -43,3 +46,29 @@ def interior_breakpoints(C):
 
 def pl(points) -> uk.PLFunction:
     return uk.PLFunction(points)
+
+
+def combine(vectors, combo: int) -> int:
+    """XOR of the vectors selected by the bits of combo."""
+    acc = 0
+    idx = 0
+    while combo:
+        if combo & 1:
+            acc ^= vectors[idx]
+        combo >>= 1
+        idx += 1
+    return acc
+
+
+def count_thresholds(monkeypatch) -> list:
+    """Patch upsilon.threshold to record one entry per call; returns the record."""
+    calls = []
+    original = UPSILON.threshold
+    monkeypatch.setattr(UPSILON, "threshold", lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def boundaries(C) -> tuple[int, ...]:
+    """Echelon basis of the grading-1 boundary span of C: the directions of
+    its H0 coset."""
+    return tuple(C._elimination()[1].basis())

@@ -19,21 +19,27 @@ base span: it copies the base and grows it by the raw items in weight
 order, testing membership of the target after each level, so it shares no
 code with upsilon.prepare_search and upsilon.threshold.  Run with Fraction
 weights it checks their integer keys past MAX_DIM.
+
+certified_pl is the PL assembly before the kinetic sweep: it evaluates a
+level at every crossing of two points (crossings, all pairs) and checks
+linearity at each midpoint, so it visits every candidate where the sweep
+visits only the winner's crossings.
 """
 
 from fractions import Fraction
 from functools import cache
 
 import upsilonkit as uk
-from upsilonkit.gf2 import Gf2Solver, Gf2Span, combine, support
+from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.upsilon import _gamma
+from helpers import boundaries, combine
 
 MAX_DIM = 16
 
 
 def _coset_members(C):
     coset = C.generator_coset()
-    bs = list(coset.boundaries)
+    bs = list(boundaries(C))
     if len(bs) > MAX_DIM:
         raise ValueError(f"coset dimension {len(bs)} exceeds oracle limit")
     members = [coset.cycle ^ combine(bs, m) for m in range(1 << len(bs))]
@@ -56,7 +62,7 @@ def reference_threshold(base_span, target, items, weight):
 
 
 def gamma_eligible(C) -> bool:
-    return len(C.generator_coset().boundaries) <= MAX_DIM
+    return len(boundaries(C)) <= MAX_DIM
 
 
 def gamma2_eligible(C) -> bool:
@@ -74,7 +80,9 @@ def brute_gamma(C, t) -> Fraction:
     return min(max(uk.phi(t, pts[i]) for i in support(z)) for z in members)
 
 
-def _crossing_candidates(points):
+def crossings(points):
+    """0, 2 and every t in (0, 2) where phi_t of two of the points agree,
+    sorted; between consecutive crossings their phi_t order is constant."""
     points = sorted(set(points))
     cands = {Fraction(0), Fraction(2)}
     for a in range(len(points)):
@@ -86,6 +94,16 @@ def _crossing_candidates(points):
                 if 0 < t < 2:
                     cands.add(t)
     return sorted(cands)
+
+
+def certified_pl(f, xs, what: str) -> uk.PLFunction:
+    """The PL function through (x, f(x)) for x in xs, certified linear
+    between neighbours by one extra evaluation at each midpoint."""
+    ys = [f(x) for x in xs]
+    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+        if f((x0 + x1) / 2) != (y0 + y1) / 2:
+            raise uk.ConsistencyError(f"{what} not linear on ({x0}, {x1})")
+    return uk.PLFunction(list(zip(xs, ys)))
 
 
 @cache
@@ -100,7 +118,7 @@ def brute_gamma2(C, t, s):
     s = Fraction(s)
     coset, members = _coset_members(C)
     pts = [e.point for e in coset.basis]
-    cands = _crossing_candidates(pts)
+    cands = crossings(pts)
     delta = min(abs(c - t) for c in cands if c != t) / 2
 
     def minimizers(tp):
@@ -156,12 +174,12 @@ def _margin_set(C, t_side):
     coset = C.generator_coset()
     level = uk.gamma_at(C, t_side)
     outside = ~sum(1 << k for k, e in enumerate(coset.basis) if uk.phi(t_side, e.point) <= level)
-    solver = Gf2Solver([b & outside for b in coset.boundaries])
+    solver = Gf2Solver([b & outside for b in boundaries(C)])
     x = solver.solve(coset.cycle & outside)
     assert x is not None, f"no minimizing cycle at t = {t_side}"
-    boundaries = list(coset.boundaries)
-    directions = Gf2Span(combine(boundaries, combo) for combo in solver.kernel_basis())
-    return coset.cycle ^ combine(boundaries, x), tuple(directions.basis())
+    bs = list(boundaries(C))
+    directions = Gf2Span(combine(bs, combo) for combo in solver.kernel_basis())
+    return coset.cycle ^ combine(bs, x), tuple(directions.basis())
 
 
 def _margin_pivot(C, t_side):
@@ -176,7 +194,7 @@ def margin_one_sided(C, t):
     weights; Z-+ are (representative, directions).  The same computation at
     delta / 2 must give the same pivots and cycle sets."""
     t = Fraction(t)
-    cands = _crossing_candidates(e.point for e in C.grading_slice(0))
+    cands = crossings(e.point for e in C.grading_slice(0))
     delta = min(abs(c - t) for c in cands if c != t) / 2
 
     def at(d):

@@ -13,7 +13,7 @@ from upsilonkit import complexes, gf2
 from upsilonkit.complexes import MAX_GENERATORS, CheckResult
 from upsilonkit.gf2 import support
 from upsilonkit.upsilon import _gamma_search
-from helpers import CATALOG_SCAN, built
+from helpers import CATALOG_SCAN, boundaries, built
 
 
 def single(point=(0, 0)):
@@ -87,10 +87,10 @@ def test_generator_coset():
     coset = built("T(3,4)").generator_coset()
     assert len(coset.basis) == 3
     assert coset.cycle != 0
-    assert len(coset.boundaries) == 2
+    assert len(boundaries(built("T(3,4)"))) == 2
     # Unknot: the single generator is the whole story.
     coset_u = built("unknot").generator_coset()
-    assert coset_u.cycle == 1 and coset_u.boundaries == ()
+    assert coset_u.cycle == 1 and boundaries(built("unknot")) == ()
 
 
 @pytest.mark.parametrize("name", ["T(5,7)", "nK(3)"])

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 from upsilonkit.gf2 import (
     Gf2Solver,
     Gf2Span,
-    combine,
     support,
 )
+from helpers import combine
 
 vectors = st.integers(min_value=0, max_value=(1 << 12) - 1)
 

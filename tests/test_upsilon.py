@@ -1,4 +1,3 @@
-import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -6,9 +5,11 @@ import pytest
 import upsilonkit as uk
 from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Span, support
-from upsilonkit.upsilon import _gamma, _gamma_search, crossings, phi_key, solve_search, threshold
-from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
-from oracles import reference_threshold
+from upsilonkit.upsilon import (
+    _gamma, _gamma_search, _level, phi_key, prepare_search, solve_search, threshold,
+)
+from helpers import CATALOG_SCAN, UPSILON, boundaries, built, count_thresholds, interior_breakpoints, pl
+from oracles import certified_pl, crossings, reference_threshold
 
 
 def test_phi():
@@ -90,7 +91,7 @@ def test_pivot_points_at_smooth_point():
 def test_pivot_domain(monkeypatch):
     C = built("T(2,3)")
     # delta_upsilon_prime reads its t check from pivot_points, before any Upsilon.
-    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon"), "upsilon", None)
+    monkeypatch.setattr(UPSILON, "upsilon", None)
     for t in (0, 2, F(5, 2)):
         with pytest.raises(DomainError):
             uk.pivot_points(C, t)
@@ -164,11 +165,22 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     # brute-force oracle's MAX_DIM.
     C = uk.parse_and_build(expr)
     coset = C.generator_coset()
-    span = Gf2Span(coset.boundaries)
+    span = Gf2Span(boundaries(C))
     items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
     for t in midpoints_and(uk.breakpoint_candidates(C)):
         reference = reference_threshold(span, coset.cycle, items, lambda p: uk.phi(t, p))
         assert _gamma(C, t) == reference, (expr, t)
+
+
+def gamma2_search(C, res):
+    """(base span, target, items) of the gamma2 search of res = upsilon2(C, t),
+    rebuilt as upsilon2 sets it up but split at gamma(t) by the Fraction phi."""
+    zs, t = res.zsets, res.t
+    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
+    inside = [k for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
+    base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[k] for k in inside])
+    items = [(columns[k], e.point) for k, e in enumerate(slice1) if k not in set(inside)]
+    return base, zs.z_minus ^ zs.z_plus, items
 
 
 @pytest.mark.parametrize("expr,t", [
@@ -176,21 +188,68 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     # At t = 2/3 the Z sets of 2*hom-K and nK(3) meet, so there is no sweep;
     # a sum with T(3,4) has one.
     ("2*hom-K # T(3,4)", F(2, 3)), ("nK(3) # T(3,4)", F(2, 3)),
+    # A mixed-sign sum, where a sweep that misses points crossing the winner
+    # from below errs, and sums with more pieces and larger slices.
+    ("T(3,4) # -T(2,5)", F(2, 3)), ("nK(3) # T(5,7)", F(2, 5)), ("box(1) # box(2) # box(3)", F(1)),
 ])
 def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
     # The gamma2 sweep's search, rebuilt as upsilon2 sets it up and run by the
     # reference with Fraction weights at every s crossing and midpoint.
     C = uk.parse_and_build(expr)
     res = uk.upsilon2(C, t)
-    zs = res.zsets
-    assert zs.disjoint
-    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    inside = [k for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
-    base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[k] for k in inside])
-    items = [(columns[k], e.point) for k, e in enumerate(slice1) if k not in set(inside)]
+    assert res.zsets.disjoint
+    base, target, items = gamma2_search(C, res)
     for s in midpoints_and(crossings(p for _, p in items)):
-        level, _ = reference_threshold(base, zs.z_minus ^ zs.z_plus, items, lambda p: uk.phi(s, p))
+        level, _ = reference_threshold(base, target, items, lambda p: uk.phi(s, p))
         assert res.gamma2.evaluate(s) == level, (expr, t, s)
+
+
+@pytest.mark.parametrize("expr", ["T(13,17)", "-T(13,17)", "2*hom-K", "nK(3) # T(5,7)",
+                                  "T(3,4) # -T(2,5)", "2*hom-K # T(3,4)"])
+def test_kinetic_sweep_matches_every_crossing(expr):
+    # gamma_pl and gamma2 follow only the winner's crossings; the reference
+    # evaluates the same level search at every crossing of two slice points
+    # and at each midpoint.
+    C = uk.parse_and_build(expr)
+    assert uk.gamma_pl(C) == certified_pl(lambda t: _gamma(C, t)[0], crossings(
+        e.point for e in C.grading_slice(0)), "gamma")
+    finite = 0
+    for t in sorted({F(2, 3), F(1)} | set(interior_breakpoints(C))):
+        res = uk.upsilon2(C, t)
+        if not res.gamma2.is_finite:
+            continue
+        base, target, items = gamma2_search(C, res)
+        search = prepare_search(base, target, items)
+        reference = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
+        assert res.gamma2 == reference, (expr, t)
+        finite += 1
+    assert finite or expr == "-T(13,17)"  # mirrors of L-space knots have Z sets that meet
+
+
+def test_upsilon_work_grows_with_the_breakpoints(monkeypatch):
+    # T(23,29): 33 breakpoints among 3043 crossing candidates.  The sweep
+    # makes two level searches per piece, where one per candidate and
+    # midpoint made 6085.
+    C = uk.torus_knot_complex(23, 29)
+    C.validate()
+    calls = count_thresholds(monkeypatch)
+    assert len(uk.upsilon(C).breakpoints) == 33
+    assert len(calls) <= 70
+
+
+def test_pivots_read_no_crossing_candidates(monkeypatch):
+    # delta comes from neighbours in the two one-sided orders at t; it must
+    # equal half the gap to the nearest crossing among all pairs.
+    reference = crossings(e.point for e in built("T(5,7)").grading_slice(0))
+
+    def refuse(C):
+        raise AssertionError("breakpoint_candidates called")
+
+    monkeypatch.setattr(UPSILON, "breakpoint_candidates", refuse)
+    C = uk.torus_knot_complex(5, 7)
+    for t in sorted(set(interior_breakpoints(C)) | {F(1, 7), F(1, 2), F(1), F(7, 5)}):
+        below, above = max(x for x in reference if x < t), min(x for x in reference if x > t)
+        assert uk.pivot_points(C, t).delta == min(t - below, above - t) / 2, t
 
 
 @pytest.mark.parametrize("expr,t", [("-T(5,7)", F(1, 3)), ("T(3,4) # -T(2,5)", F(1, 3)),
@@ -249,8 +308,8 @@ def test_solve_search_over_the_gamma_search():
         solve_search(search, [], "nothing admitted")
     admitted = list(range(len(coset.basis)))
     x, kernel = solve_search(search, admitted, "the cycle is not in the coset")
-    boundaries = Gf2Span(coset.boundaries)
-    assert sum(1 << admitted[k] for k in support(x)) ^ coset.cycle in boundaries
+    span = Gf2Span(boundaries(C))
+    assert sum(1 << admitted[k] for k in support(x)) ^ coset.cycle in span
     assert kernel
     for combo in kernel:
-        assert sum(1 << admitted[k] for k in support(combo)) in boundaries
+        assert sum(1 << admitted[k] for k in support(combo)) in span

@@ -6,7 +6,7 @@ import pytest
 import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span
-from helpers import CATALOG_SCAN, built, interior_breakpoints, pl
+from helpers import CATALOG_SCAN, boundaries, built, count_thresholds, interior_breakpoints, pl
 from oracles import margin_one_sided, reference_threshold, same_affine
 
 
@@ -29,7 +29,7 @@ def test_z_sets_members_are_minimizing_cycles():
     t = F(4, 5)
     zs = uk.z_sets(C, t)
     coset = C.generator_coset()
-    boundary_span = Gf2Span(coset.boundaries)
+    boundary_span = Gf2Span(boundaries(C))
     level = uk.gamma_at(C, t)
     for rep in (zs.z_minus, zs.z_plus):
         # Reps lie in the coset: they differ from the canonical
@@ -72,7 +72,7 @@ def test_one_sided_keys_match_the_margin_method(name):
         # runs the kernel with Fraction weights and scans the slice.
         coset = C.generator_coset()
         items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
-        level, _ = reference_threshold(Gf2Span(coset.boundaries), coset.cycle, items, lambda p: uk.phi(t, p))
+        level, _ = reference_threshold(Gf2Span(boundaries(C)), coset.cycle, items, lambda p: uk.phi(t, p))
         assert pd.gamma_t == level, (name, t)
         assert pd.on_line == {e.point for e in C.grading_slice(0) if uk.phi(t, e.point) == level}
         zs = uk.z_sets(C, t)
@@ -130,6 +130,18 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
     assert sorted(sides) == [-1, 0, 1]
     assert len(zsets_calls) == 1
     assert uk.pivot_points(C, F(2, 3)) is uk.pivot_points(C, F(2, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_upsilon2_work_grows_with_the_pieces(monkeypatch, n):
+    # gamma2 of nK(n) at t = 1 has two pieces.  With the pivots memoized, the
+    # sweep makes two level searches per piece, where one per crossing
+    # candidate and midpoint made 29, 45 and 61.
+    C = uk.nk_complex(n)
+    uk.pivot_points(C, 1)
+    calls = count_thresholds(monkeypatch)
+    assert len(uk.upsilon2(C, 1).gamma2.breakpoints) == 3
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("name, additions", [("2*hom-K", 244), ("figure6", 3)])
