@@ -21,16 +21,18 @@ perturbation), so the pivots come from the kernel at t.
 
 gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
 gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
-meets the phi of another point with rows, where it searches again, so its
-searches grow with the pieces, not with the pairs of points.  The pivots
-report delta from neighbours in the two one-sided orders at t; only the
-public breakpoint_candidates lists all pairs.  Upsilon and the pivots at
-each t are memoized on the complex, so upsilon2, z_sets,
-delta_upsilon_prime and the CLI share one search.
+meets the phi of another point with rows (a kinetic event), where it
+searches again, so its searches grow with the winner's crossings with
+points that have rows, not with the pairs of points; an event costs two
+searches even where the level does not bend.  The pivots report delta
+from the memoized breakpoint_candidates, the one list of all pairs.
+Upsilon and the pivots at each t are memoized on the complex, so
+upsilon2, z_sets, delta_upsilon_prime and the CLI share one search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -206,9 +208,9 @@ def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
     """All t in [0, 2] where two grading-0 weights can cross, plus endpoints.
 
     Between consecutive candidates the weight order of the slice points
-    is constant, so gamma is linear there.  The engine does not read them:
-    they are all pairs of slice points, and the kinetic sweep of gamma_pl
-    visits only the crossings of the winner.
+    is constant, so gamma is linear there.  Only pivot_points reads them,
+    for delta: the kinetic sweep of gamma_pl visits only the crossings of
+    the winner.
     """
     cands = {Fraction(0), Fraction(2)}
     for (ai, aj), (bi, bj) in combinations({e.point for e in C.grading_slice(0)}, 2):
@@ -249,28 +251,14 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
     t = as_rational(t)
     if not 0 < t < 2:
         raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
+    cands = breakpoint_candidates(C)  # sorted, from 0 to 2
+    below, above = cands[bisect_left(cands, t) - 1], cands[bisect_right(cands, t)]
+    delta = min(t - below, above - t) / 2
     gamma_t, on_line = _gamma(C, t)
     pivots = [p for side in (-1, 1) for p in _gamma(C, t, side)[1]]
     if not on_line.issuperset(pivots):
         raise ConsistencyError("pivot point not on the support line")
-    return PivotData(t, gamma_t, frozenset(on_line), *pivots, _half_gap(C, t))
-
-
-def _half_gap(C: ModelComplex, t: Fraction) -> Fraction:
-    """Half the distance from t to the nearest other crossing of two
-    grading-0 weights, or to 0 or 2.  In the phi order just right of t the
-    first crossing after t is between neighbours (the kinetic-sorting
-    lemma), and just left of t the last one before it likewise, so one sort
-    per side finds them."""
-    points = {e.point for e in C.grading_slice(0)}
-    gaps = [t, 2 - t]
-    for side in (-1, 1):
-        order = sorted(points, key=phi_key(t, side)[0])
-        for (ai, aj), (bi, bj) in zip(order, order[1:]):
-            ds = aj - ai - (bj - bi)
-            if side * ds > 0:  # a, below b on this side of t, meets it on this side
-                gaps.append(side * (Fraction(2 * (bi - ai), ds) - t))
-    return min(gaps) / 2
+    return PivotData(t, gamma_t, frozenset(on_line), *pivots, delta)
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:

@@ -226,30 +226,16 @@ def test_kinetic_sweep_matches_every_crossing(expr):
     assert finite or expr == "-T(13,17)"  # mirrors of L-space knots have Z sets that meet
 
 
-def test_upsilon_work_grows_with_the_breakpoints(monkeypatch):
+def test_upsilon_work_grows_with_the_kinetic_events(monkeypatch):
     # T(23,29): 33 breakpoints among 3043 crossing candidates.  The sweep
-    # makes two level searches per piece, where one per candidate and
-    # midpoint made 6085.
+    # makes two level searches per kinetic piece, which ends where the
+    # winner meets a point that has rows (here each such meeting is a
+    # breakpoint), where one per candidate and midpoint made 6085.
     C = uk.torus_knot_complex(23, 29)
     C.validate()
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon(C).breakpoints) == 33
     assert len(calls) <= 70
-
-
-def test_pivots_read_no_crossing_candidates(monkeypatch):
-    # delta comes from neighbours in the two one-sided orders at t; it must
-    # equal half the gap to the nearest crossing among all pairs.
-    reference = crossings(e.point for e in built("T(5,7)").grading_slice(0))
-
-    def refuse(C):
-        raise AssertionError("breakpoint_candidates called")
-
-    monkeypatch.setattr(UPSILON, "breakpoint_candidates", refuse)
-    C = uk.torus_knot_complex(5, 7)
-    for t in sorted(set(interior_breakpoints(C)) | {F(1, 7), F(1, 2), F(1), F(7, 5)}):
-        below, above = max(x for x in reference if x < t), min(x for x in reference if x > t)
-        assert uk.pivot_points(C, t).delta == min(t - below, above - t) / 2, t
 
 
 @pytest.mark.parametrize("expr,t", [("-T(5,7)", F(1, 3)), ("T(3,4) # -T(2,5)", F(1, 3)),

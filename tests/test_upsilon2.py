@@ -133,10 +133,11 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_upsilon2_work_grows_with_the_pieces(monkeypatch, n):
-    # gamma2 of nK(n) at t = 1 has two pieces.  With the pivots memoized, the
-    # sweep makes two level searches per piece, where one per crossing
-    # candidate and midpoint made 29, 45 and 61.
+def test_upsilon2_work_grows_with_the_kinetic_events(monkeypatch, n):
+    # gamma2 of nK(n) at t = 1 has two pieces, and its winner meets one
+    # point with rows.  With the pivots memoized, the sweep makes two level
+    # searches per kinetic piece, where one per crossing candidate and
+    # midpoint made 29, 45 and 61.
     C = uk.nk_complex(n)
     uk.pivot_points(C, 1)
     calls = count_thresholds(monkeypatch)
