@@ -25,16 +25,16 @@ meets the phi of another point with rows (a kinetic event), where it
 searches again, so its searches grow with the winner's crossings with
 points that have rows, not with the pairs of points; an event costs two
 searches even where the level does not bend.  The pivots report delta
-from the memoized breakpoint_candidates, the one list of all pairs.
+from the first crossings of neighbours in the phi order on each side of
+t, with no list of all pairs.
 Upsilon and the pivots at each t are memoized on the complex, so
 upsilon2, z_sets, delta_upsilon_prime and the CLI share one search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
@@ -143,24 +143,34 @@ def _level(search, t, side: int = 0) -> tuple[Fraction, set]:
     return Fraction(level[0] if side else level, d), points
 
 
-def _next_crossing(p: LatticePoint, t: Fraction, points) -> Fraction:
-    """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the points
-    q, or 2.  phi_x(q) - phi_x(p) = q_i - p_i + x ds / 2 with ds the
-    difference of the slopes (j - i), so q meets p after t iff it lies below
-    p at t and rises faster, or above and rises slower.  The crossings are
-    compared as integer fractions, cross-multiplied."""
-    weight, _ = phi_key(t)
-    wp, sp = weight(p), p[1] - p[0]
+def _next_crossing(pairs, t: Fraction) -> Fraction:
+    """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the pairs
+    (p, q) of points, or 2.  phi_x(q) - phi_x(p) = q_i - p_i + x ds / 2 with
+    ds the difference of the slopes (j - i), so q meets p after t iff it lies
+    below p at t and rises faster, or above and rises slower.  The crossings
+    are compared as integer fractions, cross-multiplied."""
+    b = t.numerator
+    a = 2 * t.denominator - b  # a i + b j = 2q phi_t(i, j), as in phi_key
     num, den = 2, 1
-    for q in points:
-        ds = q[1] - q[0] - sp
-        if ds * (weight(q) - wp) < 0:
-            n = 2 * (p[0] - q[0])
+    for (pi, pj), (qi, qj) in pairs:
+        di, dj = qi - pi, qj - pj
+        ds = dj - di
+        if ds * (a * di + b * dj) < 0:
+            n = -2 * di
             if ds < 0:
                 n, ds = -n, -ds
             if n * den < num * ds:
                 num, den = n, ds
     return Fraction(num, den)
+
+
+def _first_crossing(points, t: Fraction) -> Fraction:
+    """The least x in (t, 2) where the phi_x of two of the points agree, or
+    2.  Until then their phi order is the one just right of t, and two that
+    meet first are neighbours in it (the kinetic-sorting lemma), so the
+    neighbours are the only pairs scanned."""
+    order = sorted(points, key=phi_key(t, 1)[0])
+    return _next_crossing(zip(order, order[1:]), t)
 
 
 def level_pl(search, what: str) -> PLFunction:
@@ -177,7 +187,7 @@ def level_pl(search, what: str) -> PLFunction:
     value, (p,) = _level(search, t, 1)
     breakpoints = [(t, value)]
     while t < 2:
-        end = _next_crossing(p, t, movers)
+        end = _next_crossing(zip(repeat(p), movers), t)
         slope = Fraction(p[1] - p[0], 2)
         mid = (t + end) / 2
         if _level(search, mid)[0] != value + (mid - t) * slope:
@@ -203,14 +213,14 @@ def gamma_at(C: ModelComplex, t) -> Fraction:
     return _gamma(C, t)[0]
 
 
-@memoized
 def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
     """All t in [0, 2] where two grading-0 weights can cross, plus endpoints.
 
     Between consecutive candidates the weight order of the slice points
-    is constant, so gamma is linear there.  Only pivot_points reads them,
-    for delta: the kinetic sweep of gamma_pl visits only the crossings of
-    the winner.
+    is constant, so gamma is linear there.  The engine does not read them:
+    they are all pairs of slice points, where the kinetic sweep of gamma_pl
+    visits only the crossings of the winner and pivot_points only those of
+    neighbours.
     """
     cands = {Fraction(0), Fraction(2)}
     for (ai, aj), (bi, bj) in combinations({e.point for e in C.grading_slice(0)}, 2):
@@ -251,8 +261,9 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
     t = as_rational(t)
     if not 0 < t < 2:
         raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
-    cands = breakpoint_candidates(C)  # sorted, from 0 to 2
-    below, above = cands[bisect_left(cands, t) - 1], cands[bisect_right(cands, t)]
+    points = {e.point for e in C.grading_slice(0)}
+    above = _first_crossing(points, t)
+    below = 2 - _first_crossing({(j, i) for i, j in points}, 2 - t)  # phi_x(j, i) = phi_{2-x}(i, j)
     delta = min(t - below, above - t) / 2
     gamma_t, on_line = _gamma(C, t)
     pivots = [p for side in (-1, 1) for p in _gamma(C, t, side)[1]]

@@ -18,7 +18,8 @@ reference_threshold is the level search before its reduction modulo the
 base span: it copies the base and grows it by the raw items in weight
 order, testing membership of the target after each level, so it shares no
 code with upsilon.prepare_search and upsilon.threshold.  Run with Fraction
-weights it checks their integer keys past MAX_DIM.
+weights, one per distinct point and call, it checks their integer keys
+past MAX_DIM.
 
 certified_pl is the PL assembly before the kinetic sweep: it evaluates a
 level at every crossing of two points (crossings, all pairs) and checks
@@ -26,6 +27,7 @@ linearity at each midpoint, so it visits every candidate where the sweep
 visits only the winner's crossings.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 
@@ -49,9 +51,10 @@ def _coset_members(C):
 def reference_threshold(base_span, target, items, weight):
     """(least weight at which target enters base_span grown by the
     (vector, point) items, points of that level), or None if it never does."""
+    weights = {point: weight(point) for point in {point for _, point in items}}
     groups = {}
     for vector, point in items:
-        groups.setdefault(weight(point), []).append((vector, point))
+        groups.setdefault(weights[point], []).append((vector, point))
     span = Gf2Span(base_span.basis())
     for level in sorted(groups):
         for vector, _ in groups[level]:
@@ -96,6 +99,14 @@ def crossings(points):
     return sorted(cands)
 
 
+def half_gap(cands, t) -> Fraction:
+    """Half the distance from t in (0, 2) to the nearest other of cands, a
+    sorted crossings list."""
+    k = bisect_left(cands, t)
+    above = cands[k + 1] if cands[k] == t else cands[k]
+    return min(t - cands[k - 1], above - t) / 2
+
+
 def certified_pl(f, xs, what: str) -> uk.PLFunction:
     """The PL function through (x, f(x)) for x in xs, certified linear
     between neighbours by one extra evaluation at each midpoint."""
@@ -119,7 +130,7 @@ def brute_gamma2(C, t, s):
     coset, members = _coset_members(C)
     pts = [e.point for e in coset.basis]
     cands = crossings(pts)
-    delta = min(abs(c - t) for c in cands if c != t) / 2
+    delta = half_gap(cands, t)
 
     def minimizers(tp):
         level = brute_gamma(C, tp)
@@ -195,7 +206,7 @@ def margin_one_sided(C, t):
     delta / 2 must give the same pivots and cycle sets."""
     t = Fraction(t)
     cands = crossings(e.point for e in C.grading_slice(0))
-    delta = min(abs(c - t) for c in cands if c != t) / 2
+    delta = half_gap(cands, t)
 
     def at(d):
         pivots = _margin_pivot(C, t - d), _margin_pivot(C, t + d)

@@ -1,15 +1,20 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import upsilonkit as uk
 from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Span, support
+from upsilonkit.cli import main
 from upsilonkit.upsilon import (
-    _gamma, _gamma_search, _level, phi_key, prepare_search, solve_search, threshold,
+    _first_crossing, _gamma, _gamma_search, _level, _next_crossing, phi_key, prepare_search,
+    solve_search, threshold,
 )
 from helpers import CATALOG_SCAN, UPSILON, boundaries, built, count_thresholds, interior_breakpoints, pl
-from oracles import certified_pl, crossings, reference_threshold
+from oracles import certified_pl, crossings, half_gap, reference_threshold
 
 
 def test_phi():
@@ -236,6 +241,54 @@ def test_upsilon_work_grows_with_the_kinetic_events(monkeypatch):
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon(C).breakpoints) == 33
     assert len(calls) <= 70
+
+
+def test_no_engine_path_builds_the_crossing_candidates(monkeypatch, capsys):
+    # delta comes from neighbours in the two one-sided orders at t; with the
+    # list of all crossing candidates refused, it must still be half the gap
+    # to the nearest crossing among all pairs, and what reads the pivots runs.
+    reference = crossings(e.point for e in built("T(5,7)").grading_slice(0))
+
+    def refuse(C):
+        raise AssertionError("breakpoint_candidates called")
+
+    monkeypatch.setattr(UPSILON, "breakpoint_candidates", refuse)
+    monkeypatch.setattr(uk, "breakpoint_candidates", refuse)
+    C = uk.torus_knot_complex(5, 7)
+    ts = sorted(set(interior_breakpoints(C)) | {F(1, 2)})
+    for t in ts:
+        assert uk.pivot_points(C, t).delta == half_gap(reference, t), t
+    assert uk.upsilon2(C, F(2, 3)).smooth_point  # 2/3 is no breakpoint of T(5,7)
+    assert uk.genus_report(C, ts).combined == 12  # the genus of T(5,7)
+    assert main(["pivots", "T(5,7)", "--t", "1/2", "--json"]) == 0
+    assert F(json.loads(capsys.readouterr().out)["delta"]) == half_gap(reference, F(1, 2))
+
+
+SCAN_POINTS = st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=7)
+
+
+@given(points=SCAN_POINTS, data=st.data())
+@example(points={(0, 0), (1, 1), (2, 2), (0, 3)}, data=None)  # three parallel: equal j - i
+@example(points={(0, 2), (1, 1), (2, 0), (3, 3)}, data=None)  # three lines meet at t = 1
+def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
+    # The first crossing after t is between neighbours just right of t, and
+    # the last one before t is 2 minus the first after 2 - t of the points
+    # with i and j swapped: both against every pair, also with t exactly at
+    # a crossing, and the sweep's (p, q) for q in points form against p's pairs.
+    cands = crossings(points)
+    interior = cands[1:-1]
+    if data is None:
+        ts = interior + [F(1, 2), F(3, 2)]
+    else:
+        fraction = st.fractions(F(1, 1000), F(1999, 1000), max_denominator=1000)
+        ts = [data.draw(st.sampled_from(interior) if interior and data.draw(st.booleans()) else fraction)]
+    swapped = {(j, i) for i, j in points}
+    p = min(points)
+    own = {c for q in points for c in crossings({p, q})}
+    for t in ts:
+        assert _first_crossing(points, t) == min(c for c in cands if c > t), (points, t)
+        assert 2 - _first_crossing(swapped, 2 - t) == max(c for c in cands if c < t), (points, t)
+        assert _next_crossing(((p, q) for q in points), t) == min(c for c in own if c > t), (p, t)
 
 
 @pytest.mark.parametrize("expr,t", [("-T(5,7)", F(1, 3)), ("T(3,4) # -T(2,5)", F(1, 3)),

@@ -7,7 +7,7 @@ import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span
 from helpers import CATALOG_SCAN, boundaries, built, count_thresholds, interior_breakpoints, pl
-from oracles import margin_one_sided, reference_threshold, same_affine
+from oracles import crossings, half_gap, margin_one_sided, reference_threshold, same_affine
 
 
 def names_of(zs, vec):
@@ -78,6 +78,19 @@ def test_one_sided_keys_match_the_margin_method(name):
         zs = uk.z_sets(C, t)
         assert same_affine(zs.z_minus, zs.v_minus, zm, vm), (name, t)
         assert same_affine(zs.z_plus, zs.v_plus, zp, vp), (name, t)
+
+
+@pytest.mark.parametrize("name", [*MARGIN_INPUTS, "-T(13,17)"])
+def test_delta_is_half_the_gap_to_the_nearest_crossing(name):
+    # Off the breakpoints too: at every crossing of two grading-0 points,
+    # every midpoint between neighbouring crossings and near either end.
+    C = MARGIN_INPUTS[name]() if name in MARGIN_INPUTS else uk.parse_and_build(name)
+    cands = crossings(e.point for e in C.grading_slice(0))
+    ts = cands[1:-1] + [(a + b) / 2 for a, b in zip(cands, cands[1:])] + [F(1, 1000), F(1999, 1000)]
+    for t in ts:
+        pd = uk.pivot_points(C, t)
+        assert pd.delta == half_gap(cands, t), (name, t)
+        assert uk.z_sets(C, t).delta == pd.delta, (name, t)
 
 
 @pytest.mark.parametrize("expr,t", [
