@@ -17,9 +17,10 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import Counter
+from operator import xor
 from typing import Iterable, Mapping, NamedTuple
 
-from .gf2 import Gf2Solver, Gf2Span
+from .gf2 import Gf2Solver, Gf2Span, support
 
 LatticePoint = tuple[int, int]
 
@@ -121,6 +122,8 @@ class ModelComplex:
     gradings and filtration levels are parallel tuples indexed by id, and
     the boundary is one flat array of (U-power, target id) pairs: the
     terms of generator x fill positions offsets[x] to offsets[x + 1].
+    The ids of one grading parity (_ids) index the GF(2) slice columns
+    (_columns), which the d^2 = 0 check, the homology ranks and H0 read.
     Names appear only at the edges: generators, names, boundary and the
     grading slices are the views by name, built on demand.
     """
@@ -206,17 +209,18 @@ class ModelComplex:
 
     @memoized
     def grading_slice(self, g: int) -> tuple[SliceElement, ...]:
-        """Basis of the degree-g part of the full complex.
-
-        Each generator with matching grading parity contributes exactly
-        one U-translate; order follows generator declaration.
-        """
+        """Basis of the degree-g part of the full complex: one U-translate
+        of each generator of the grading parity of g, in declaration order."""
         out = []
-        for name, grading, i, j in zip(self._names, self._grading, self._i, self._j):
-            if (grading - g) % 2 == 0:
-                k = (grading - g) // 2
-                out.append(SliceElement(name, k, (i - k, j - k)))
+        for x in self._ids(g % 2):
+            k = (self._grading[x] - g) // 2
+            out.append(SliceElement(self._names[x], k, (self._i[x] - k, self._j[x] - k)))
         return tuple(out)
+
+    @memoized
+    def _ids(self, parity: int) -> tuple[int, ...]:
+        """Ids of the generators of grading parity 0 or 1, in declaration order."""
+        return tuple(x for x, gr in enumerate(self._grading) if (gr - parity) % 2 == 0)
 
     def slice_boundary(self, g: int) -> tuple[int, ...]:
         """Columns of the boundary matrix from slice g to slice g-1.
@@ -227,23 +231,21 @@ class ModelComplex:
 
     @memoized
     def _columns(self, parity: int) -> tuple[int, ...]:
-        grading, offsets, terms = self._grading, self._offsets, self._terms
-        row = [-1] * len(grading)  # position in the slice below, for the other parity
-        below = [x for x, gr in enumerate(grading) if (gr - parity) % 2]
-        for r, x in enumerate(below):
+        offsets, terms = self._offsets, self._terms
+        row = [-1] * len(self._grading)  # position in the slice below, for the other parity
+        for r, x in enumerate(self._ids(1 - parity)):
             row[x] = r
         cols = []
-        for x, gr in enumerate(grading):
-            if (gr - parity) % 2 == 0:
-                v = 0
-                for p in range(offsets[x] + 1, offsets[x + 1], 2):
-                    r = row[terms[p]]
-                    if r < 0:  # a target of the same parity is not in the slice below
-                        raise InvalidComplexError(
-                            f"d({self._names[x]}) term U^{terms[p - 1]}.{self._names[terms[p]]} "
-                            "keeps the grading parity")
-                    v ^= 1 << r
-                cols.append(v)
+        for x in self._ids(parity):
+            v = 0
+            for p in range(offsets[x] + 1, offsets[x + 1], 2):
+                r = row[terms[p]]
+                if r < 0:  # a target of the same parity is not in the slice below
+                    raise InvalidComplexError(
+                        f"d({self._names[x]}) term U^{terms[p - 1]}.{self._names[terms[p]]} "
+                        "keeps the grading parity")
+                v ^= 1 << r
+            cols.append(v)
         return tuple(cols)
 
     @memoized
@@ -257,9 +259,8 @@ class ModelComplex:
         return cycles.rank, boundaries, z0
 
     def homology_dimension(self, g: int) -> int:
-        dim = sum(1 for grading in self._grading if (grading - g) % 2 == 0)
         rank0, boundaries, _ = self._elimination()
-        return dim - rank0 - boundaries.rank
+        return len(self._ids(g % 2)) - rank0 - boundaries.rank
 
     @memoized
     def generator_coset(self) -> CycleCoset:
@@ -303,18 +304,18 @@ class ModelComplex:
         yield CheckResult("grading-drop", not drop_bad, detail="; ".join(drop_bad[:3]))
         yield CheckResult("filtration-monotone", not mono_bad, detail="; ".join(mono_bad[:3]))
 
+        if drop_bad:  # the slice columns describe d only once every term drops one grading
+            yield CheckResult("d-squared", False, detail="skipped: grading-drop failed")
+            return
+        # d(d(x)): row r of x's column is generator r of the other parity, column r of below.
         square_bad = []
-        for x in range(len(names)):
-            counts: dict[tuple[int, int], int] = {}
-            for p in range(offsets[x], offsets[x + 1], 2):
-                k1, mid = terms[p], terms[p + 1]
-                for q in range(offsets[mid], offsets[mid + 1], 2):
-                    key = (k1 + terms[q], terms[q + 1])
-                    counts[key] = counts.get(key, 0) ^ 1
-            if any(counts.values()):
-                square_bad.append(names[x])
-        yield CheckResult("d-squared", not square_bad,
-                          detail=f"d(d(x)) != 0 for x in {square_bad[:3]}")
+        for parity in (0, 1):
+            below = self.slice_boundary(parity - 1)
+            for x, column in zip(self._ids(parity), self.slice_boundary(parity)):
+                if functools.reduce(xor, (below[r] for r in support(column)), 0):
+                    square_bad.append(x)
+        square_bad = [names[x] for x in sorted(square_bad)[:3]]
+        yield CheckResult("d-squared", not square_bad, detail=f"d(d(x)) != 0 for x in {square_bad}")
 
     def _checks(self):
         structural = list(self._structural_checks())

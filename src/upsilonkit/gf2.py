@@ -15,12 +15,10 @@ from typing import Iterable, Optional
 def support(v: int) -> tuple[int, ...]:
     """Indices of the set bits of v, ascending."""
     out = []
-    idx = 0
     while v:
-        if v & 1:
-            out.append(idx)
-        v >>= 1
-        idx += 1
+        low = v & -v  # one step per set bit, lowest first
+        out.append(low.bit_length() - 1)
+        v ^= low
     return tuple(out)
 
 

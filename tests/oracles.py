@@ -21,6 +21,10 @@ code with upsilon.prepare_search and upsilon.threshold.  Run with Fraction
 weights, one per distinct point and call, it checks their integer keys
 past MAX_DIM.
 
+reference_d_squared is the d^2 = 0 check of validate before it read the
+slice columns: it walks every pair of (U-power, target) terms by name and
+counts each U^k z of d(d(x)) mod 2, so it needs no grading-drop.
+
 certified_pl is the PL assembly before the kinetic sweep: it evaluates a
 level at every crossing of two points (crossings, all pairs) and checks
 linearity at each midpoint, so it visits every candidate where the sweep
@@ -62,6 +66,21 @@ def reference_threshold(base_span, target, items, weight):
         if target in span:
             return level, {point for _, point in groups[level]}
     return None
+
+
+def reference_d_squared(C) -> list[str]:
+    """Names of the generators x with d(d(x)) != 0, in declaration order."""
+    boundary = C.boundary
+    bad = []
+    for name in C.names:
+        counts = {}
+        for k1, mid in boundary[name]:
+            for k2, target in boundary[mid]:
+                key = (k1 + k2, target)
+                counts[key] = counts.get(key, 0) ^ 1
+        if any(counts.values()):
+            bad.append(name)
+    return bad
 
 
 def gamma_eligible(C) -> bool:

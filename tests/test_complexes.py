@@ -14,6 +14,7 @@ from upsilonkit.complexes import MAX_GENERATORS, CheckResult
 from upsilonkit.gf2 import support
 from upsilonkit.upsilon import _gamma_search
 from helpers import CATALOG_SCAN, boundaries, built
+from oracles import reference_d_squared
 
 
 def single(point=(0, 0)):
@@ -188,6 +189,58 @@ def test_d_squared_failure():
     report = C.validate()
     assert not check_named(report, "d-squared").passed
     assert "skipped" in check_named(report, "homology").detail
+    # Five failures of both parities: the detail names the first three by id.
+    text = "".join(f"gen {n} {gr} 0 0\n" for n, gr in
+                   [("c1", 2), ("b1", 1), ("a", 0), ("c2", 2), ("b2", 1), ("x", -1), ("w", -2)])
+    C = uk.parse_complex(text + "d c1 = b1\nd b1 = a\nd c2 = b2\nd b2 = a\nd a = x\nd x = w\n")
+    assert reference_d_squared(C) == ["c1", "b1", "a", "c2", "b2"]
+    assert str(check_named(C.validate(), "d-squared")) == (
+        "d-squared: FAIL (d(d(x)) != 0 for x in ['c1', 'b1', 'a'])")
+
+
+def test_d_squared_is_skipped_when_grading_drop_fails():
+    # d(b) = a joins two even gradings; d(a) = a keeps the grading.  Neither
+    # term is in a slice column, so d^2 is not read off the columns.
+    for text in ("gen a 0 0 0\ngen b 2 1 1\nd b = a\n", "gen a 0 0 0\nd a = a\n"):
+        C = uk.parse_complex(text)
+        report = C.validate()
+        assert str(check_named(report, "d-squared")) == "d-squared: FAIL (skipped: grading-drop failed)"
+        assert not report.ok
+        assert not C.is_acyclic()
+
+
+@st.composite
+def graded_complexes(draw):
+    """At most 12 generators whose boundary terms U^k t all drop the grading
+    by one, for U-powers k of 0 to 2; d^2 need not vanish."""
+    gradings = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=12))
+    levels = st.integers(-2, 2)
+    gens = [Generator(f"g{x}", gr, draw(levels), draw(levels)) for x, gr in enumerate(gradings)]
+    boundary = {}
+    for x, gr in enumerate(gradings):
+        terms = [(k, f"g{t}") for k in range(3) for t, gt in enumerate(gradings)
+                 if gt - 2 * k == gr - 1]
+        if terms:
+            boundary[f"g{x}"] = draw(st.lists(st.sampled_from(terms), unique=True))
+    return ModelComplex(gens, boundary)
+
+
+def reference_d_squared_check(C):
+    bad = reference_d_squared(C)
+    return CheckResult("d-squared", not bad, detail=f"d(d(x)) != 0 for x in {bad[:3]}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_complexes())
+def test_d_squared_matches_reference_walk(C):
+    assert check_named(C.validate(), "grading-drop").passed
+    assert check_named(C.validate(), "d-squared") == reference_d_squared_check(C)
+
+
+@pytest.mark.parametrize("expr", CATALOG_SCAN + [f"-{name}" for name in CATALOG_SCAN] + ["2*hom-K"])
+def test_d_squared_of_catalog_matches_reference_walk(expr):
+    C = uk.parse_and_build(expr)
+    assert check_named(C.validate(), "d-squared") == reference_d_squared_check(C)
 
 
 def test_homology_failure():

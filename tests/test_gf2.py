@@ -14,6 +14,7 @@ vectors = st.integers(min_value=0, max_value=(1 << 12) - 1)
 def test_support_round_trip():
     assert support(0) == ()
     assert support(0b1011) == (0, 1, 3)
+    assert support((1 << 100_000) | 1) == (0, 100_000)
 
 
 @given(vectors)

@@ -59,6 +59,9 @@ INVALID_TEXTS = {
     "filtration-increasing": "gen a 0 0 0\ngen b 1 0 0\ngen c 0 1 1\nd b = a + c\n",
     "unknown-target": "gen a 0 0 0\nd a = z\n",
     "bad-grading": "gen a x 0 0\n",
+    # Terms that keep the grading parity: d-squared is skipped, not read off the columns.
+    "even-to-even": "gen a 0 0 0\ngen b 2 1 1\nd b = a\n",
+    "self-term": "gen a 0 0 0\nd a = a\n",
 }
 # Atoms for the CLI only: their product would name two generators (p.q.r).
 DOTTED_TEXTS = {
