@@ -195,9 +195,9 @@ def catalog(name: str) -> ModelComplex:
     fixed name, T(p,q) (coprime p, q >= 2), box(n) or nK(n) (n >= 1).  A
     malformed parameter raises ExprParseError; any other expression (a sum,
     a dual, stair[...], @file) and an unknown name raise KeyError."""
-    from .expr import Atom, build, parse_expression  # deferred: expr builds on this module
+    from .expr import build, parse_expression  # deferred: expr builds on this module
 
     node = parse_expression(name)
-    if isinstance(node, Atom) and node.kind in ("catalog", "torus", "box", "nk"):
+    if node[0] in ("catalog", "torus", "box", "nk"):
         return build(node)
     return fixed_complex(name)  # raises: each fixed name is one atom

@@ -8,13 +8,16 @@
     sum    := tensor ('+' tensor)*        (direct sum)
 
 Precedence: '-' over '*' over '#' over '+'.
+
+A parsed tree is a tuple led by its kind, so equal trees have equal kinds:
+an atom is (kind, payload), kind one of "catalog", "torus", "stair", "box",
+"nk" and "file"; operators are ("-", x), ("*", n, x), ("#", l, r), ("+", l, r).
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import NamedTuple, Union
 
 from .catalog import box_complex, fixed_complex, nk_complex, stairway, torus_knot_complex
 from .complexes import ModelComplex, direct_sum, dual, tensor, tensor_power
@@ -30,47 +33,6 @@ class ExprParseError(ValueError):
         self.offset = offset
         self.expected = tuple(sorted(expected))
 
-
-def _node_eq(a, b) -> bool:
-    """A NamedTuple equals any tuple of the same values, so Tensor(a, b)
-    would equal Sum(a, b); expression nodes compare their type as well."""
-    return type(a) is type(b) and tuple.__eq__(a, b)
-
-
-def _node_ne(a, b) -> bool:
-    return not _node_eq(a, b)
-
-
-class Atom(NamedTuple):
-    kind: str  # "catalog" | "torus" | "stair" | "box" | "nk" | "file"
-    payload: object
-    __eq__, __ne__ = _node_eq, _node_ne
-
-
-class Dual(NamedTuple):
-    operand: "Node"
-    __eq__, __ne__ = _node_eq, _node_ne
-
-
-class Power(NamedTuple):
-    n: int
-    operand: "Node"
-    __eq__, __ne__ = _node_eq, _node_ne
-
-
-class Tensor(NamedTuple):
-    left: "Node"
-    right: "Node"
-    __eq__, __ne__ = _node_eq, _node_ne
-
-
-class Sum(NamedTuple):
-    left: "Node"
-    right: "Node"
-    __eq__, __ne__ = _node_eq, _node_ne
-
-
-Node = Union[Atom, Dual, Power, Tensor, Sum]
 
 # build() recurses once per tree level, so no tree may be taller than this and
 # no more brackets may be open at once: well under the interpreter's default
@@ -123,7 +85,7 @@ class _Parser:
             raise ExprParseError(f"unexpected token {val or 'end of input'!r}", off, {repr(value)})
         return self.next()
 
-    def parse(self) -> Node:
+    def parse(self) -> tuple:
         """Operator-precedence parse over explicit stacks, so nesting costs
         no interpreter frames.  operands holds (node, tree height) pairs,
         operators pending (symbol, power, offset); '(' marks a bracket."""
@@ -166,19 +128,19 @@ class _Parser:
                 _reduce(operands, operators, 0)
                 return operands[0][0]
 
-    def atom(self, kind: str, val: str, off: int) -> Atom:
+    def atom(self, kind: str, val: str, off: int) -> tuple:
         if kind == "file":
-            return Atom("file", val[1:])
+            return ("file", val[1:])
         if kind == "name":
             if val == "T":
-                return Atom("torus", tuple(self.int_args(2)))
+                return ("torus", tuple(self.int_args(2)))
             if val == "stair":
-                return Atom("stair", tuple(self.int_list()))
+                return ("stair", tuple(self.int_list()))
             if val == "box":
-                return Atom("box", self.int_args(1)[0])
+                return ("box", self.int_args(1)[0])
             if val == "nK":
-                return Atom("nk", self.int_args(1)[0])
-            return Atom("catalog", val)
+                return ("nk", self.int_args(1)[0])
+            return ("catalog", val)
         raise ExprParseError(
             f"unexpected token {val or 'end of input'!r}", off,
             {"a name", "'('", "'-'", "'@file'", "an integer"},
@@ -220,43 +182,42 @@ def _reduce(operands: list, operators: list, binding: int) -> None:
         right, height = operands.pop()
         if symbol in ("#", "+"):
             left, left_height = operands.pop()
-            node, height = (Tensor if symbol == "#" else Sum)(left, right), max(height, left_height)
+            node, height = (symbol, left, right), max(height, left_height)
         else:
-            node = Dual(right) if symbol == "-" else Power(n, right)
+            node = (symbol, right) if symbol == "-" else (symbol, n, right)
         if height == MAX_DEPTH:
             raise ExprParseError(_TOO_DEEP, off)
         operands.append((node, height + 1))
 
 
-def parse_expression(text: str) -> Node:
+def parse_expression(text: str) -> tuple:
     return _Parser(text).parse()
 
 
-def build(node: Node, base_dir: str = ".") -> ModelComplex:
+def build(node: tuple, base_dir: str = ".") -> ModelComplex:
     """Evaluate a parsed expression to a model complex."""
-    if isinstance(node, Atom):
-        if node.kind == "catalog":
-            return fixed_complex(node.payload)
-        if node.kind == "torus":
-            return torus_knot_complex(*node.payload)
-        if node.kind == "stair":
-            return stairway(list(node.payload))
-        if node.kind == "box":
-            return box_complex(node.payload)
-        if node.kind == "nk":
-            return nk_complex(node.payload)
-        if node.kind == "file":
-            path = os.path.join(base_dir, node.payload)
-            with open(path, encoding="utf-8") as fh:
-                return parse_complex(fh.read())
-    if isinstance(node, Dual):
-        return dual(build(node.operand, base_dir))
-    if isinstance(node, Power):
-        return tensor_power(build(node.operand, base_dir), node.n)
-    if isinstance(node, Tensor):
-        return tensor(build(node.left, base_dir), build(node.right, base_dir))
-    if isinstance(node, Sum):
-        return direct_sum(build(node.left, base_dir), build(node.right, base_dir))
+    kind = node[0] if isinstance(node, tuple) and node else None
+    if kind == "catalog":
+        return fixed_complex(node[1])
+    if kind == "torus":
+        return torus_knot_complex(*node[1])
+    if kind == "stair":
+        return stairway(list(node[1]))
+    if kind == "box":
+        return box_complex(node[1])
+    if kind == "nk":
+        return nk_complex(node[1])
+    if kind == "file":
+        with open(os.path.join(base_dir, node[1]), encoding="utf-8") as fh:
+            return parse_complex(fh.read())
+    if kind == "-":
+        return dual(build(node[1], base_dir))
+    if kind == "*":
+        return tensor_power(build(node[2], base_dir), node[1])
+    if kind == "#":
+        return tensor(build(node[1], base_dir), build(node[2], base_dir))
+    if kind == "+":
+        return direct_sum(build(node[1], base_dir), build(node[2], base_dir))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -7,6 +7,10 @@ level r at which some member of Z- becomes homologous to some member
 of Z+ inside the union of the t half-plane at gamma(t) and the s
 half-plane at r; Upsilon2(s) = -2 (gamma2(s) - gamma(t)).  When they
 intersect, gamma2 is identically -inf and Upsilon2 identically +inf.
+Lemma (checked): if Z- and Z+ are disjoint, z- + z+ is no boundary inside
+the t half-plane.  A chain's boundary lies at or below it in both
+filtrations; off the line strictly between the pivots it lies in V- or V+,
+and the middle chains' part bounds below the line, in V-, so Z+- would meet.
 
 z_sets is the one path to Z- and Z+; it reads the pivots that
 upsilon.pivot_points memoizes on the complex, so upsilon2, which calls
@@ -126,7 +130,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside])
     search = prepare_search(base, target, items)
     if not search[0]:
-        return infinite  # already homologous through the t half-plane alone, for every s
+        raise ConsistencyError(f"disjoint Z sets meet inside the t half-plane at t = {t}")
 
     g2 = level_pl(search, "gamma2")
     u2 = g2.scale(-2, 2 * pd.gamma_t)

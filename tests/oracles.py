@@ -12,7 +12,8 @@ orders by an exact one-sided key at t; it has no dimension limit.
 
 The brute-force oracles are memoised by (complex, t, s): the test
 complexes are shared instances (helpers.built), and several suites ask
-for the same grid of values.
+for the same grid of values.  Within a call each point's phi weight is
+taken once, before the loops over coset members and chains.
 
 reference_threshold is the level search before its reduction modulo the
 base span: it copies the base and grows it by the raw items in weight
@@ -98,8 +99,8 @@ def gamma2_eligible(C) -> bool:
 def brute_gamma(C, t) -> Fraction:
     """min over representing cycles of max weight over their support."""
     coset, members = _coset_members(C)
-    pts = [e.point for e in coset.basis]
-    return min(max(uk.phi(t, pts[i]) for i in support(z)) for z in members)
+    weights = [uk.phi(t, e.point) for e in coset.basis]
+    return min(max(weights[i] for i in support(z)) for z in members)
 
 
 def crossings(points):
@@ -153,10 +154,8 @@ def brute_gamma2(C, t, s):
 
     def minimizers(tp):
         level = brute_gamma(C, tp)
-        return [
-            z for z in members
-            if max(uk.phi(tp, pts[i]) for i in support(z)) == level
-        ]
+        weights = [uk.phi(tp, point) for point in pts]
+        return [z for z in members if max(weights[i] for i in support(z)) == level]
 
     z_minus = minimizers(t - delta)
     z_plus = minimizers(t + delta)
@@ -165,6 +164,8 @@ def brute_gamma2(C, t, s):
 
     gamma_t = brute_gamma(C, t)
     slice1 = C.grading_slice(1)
+    t_weights = [uk.phi(t, e.point) for e in slice1]
+    s_weights = [uk.phi(s, e.point) for e in slice1]
     solver = Gf2Solver(C.slice_boundary(1))
     kernel = solver.kernel_basis()
     if len(kernel) > MAX_DIM:
@@ -177,13 +178,10 @@ def brute_gamma2(C, t, s):
             assert x0 is not None, "minimizers not homologous in the full complex"
             for m in range(1 << len(kernel)):
                 chain = x0 ^ combine(kernel, m)
-                outside = [
-                    i for i in support(chain)
-                    if uk.phi(t, slice1[i].point) > gamma_t
-                ]
+                outside = [i for i in support(chain) if t_weights[i] > gamma_t]
                 if not outside:
                     return None  # homologous inside the t half-plane alone
-                level = max(uk.phi(s, slice1[i].point) for i in outside)
+                level = max(s_weights[i] for i in outside)
                 if best is None or level < best:
                     best = level
     return best

@@ -138,19 +138,12 @@ def test_records_are_immutable_tuples():
     records = [C.generators[0], C.validate().checks[0], C.validate(), C.generator_coset(),
                uk.pivot_points(C, F(2, 3)), uk.z_sets(C, F(2, 3)), uk.upsilon2(C, F(2, 3)),
                report.reports[0], report]
-    # Sum(Tensor(Dual(Power(2, Atom)), Atom), Atom): one node of each kind.
-    node = uk.parse_expression("-(2*unknot) # fig8 + unknot")
-    nodes = [node, node.left, node.left.left, node.left.left.operand, node.right]
-    assert len({type(r) for r in records + nodes}) == 14
-    for record in records + nodes:
+    assert len({type(r) for r in records}) == 9
+    for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    # A result record equals the plain tuple of its values; an expression node
-    # compares its type too, so a connected sum is not a direct sum.
+    # A result record equals the plain tuple of its values.
     assert all(record == tuple(record) for record in records)
-    assert all(n != tuple(n) for n in nodes)
-    assert uk.parse_expression("unknot # fig8") != uk.parse_expression("unknot + fig8")
-    assert uk.parse_expression("unknot # fig8") == uk.parse_expression("(unknot) # fig8")
     assert C.generators[0].point == (C.generators[0].i, C.generators[0].j)
 
     check = CheckResult("homology", False)

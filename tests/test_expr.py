@@ -5,47 +5,48 @@ from hypothesis import strategies as st
 import upsilonkit as uk
 from upsilonkit.expr import (
     MAX_DEPTH,
-    Atom,
-    Dual,
     ExprParseError,
-    Power,
-    Sum,
-    Tensor,
     build,
     parse_and_build,
     parse_expression,
 )
 from upsilonkit.textio import ComplexParseError
 
+UNKNOT = ("catalog", "unknot")
+
 
 def test_atoms():
-    assert parse_expression("T(3,4)") == Atom("torus", (3, 4))
-    assert parse_expression("stair[2,2]") == Atom("stair", (2, 2))
-    assert parse_expression("box(2)") == Atom("box", 2)
-    assert parse_expression("nK(3)") == Atom("nk", 3)
-    assert parse_expression("hom-K") == Atom("catalog", "hom-K")
-    assert parse_expression("@my complex.txt".split()[0]) == Atom("file", "my")
-    assert parse_expression("@dir/k.txt") == Atom("file", "dir/k.txt")
+    assert parse_expression("T(3,4)") == ("torus", (3, 4))
+    assert parse_expression("stair[2,2]") == ("stair", (2, 2))
+    assert parse_expression("box(2)") == ("box", 2)
+    assert parse_expression("nK(3)") == ("nk", 3)
+    assert parse_expression("hom-K") == ("catalog", "hom-K")
+    assert parse_expression("@my complex.txt".split()[0]) == ("file", "my")
+    assert parse_expression("@dir/k.txt") == ("file", "dir/k.txt")
 
 
 def test_precedence():
     node = parse_expression("-T(2,3) # 2 * box(1) + unknot")
     # '+' binds loosest, then '#', then '*', then '-'.
-    assert isinstance(node, Sum)
-    assert node.right == Atom("catalog", "unknot")
-    left = node.left
-    assert isinstance(left, Tensor)
-    assert left.left == Dual(Atom("torus", (2, 3)))
-    assert left.right == Power(2, Atom("box", 1))
+    assert node == ("+", ("#", ("-", ("torus", (2, 3))), ("*", 2, ("box", 1))), UNKNOT)
 
 
 def test_associativity_and_parens():
-    node = parse_expression("unknot # fig8 # figure6")
-    assert isinstance(node, Tensor) and isinstance(node.left, Tensor)
-    node = parse_expression("unknot # (fig8 # figure6)")
-    assert isinstance(node, Tensor) and isinstance(node.right, Tensor)
-    assert parse_expression("--unknot") == Dual(Dual(Atom("catalog", "unknot")))
-    assert parse_expression("2 * 3 * unknot") == Power(2, Power(3, Atom("catalog", "unknot")))
+    fig8, figure6 = ("catalog", "fig8"), ("catalog", "figure6")
+    assert parse_expression("unknot # fig8 # figure6") == ("#", ("#", UNKNOT, fig8), figure6)
+    assert parse_expression("unknot # (fig8 # figure6)") == ("#", UNKNOT, ("#", fig8, figure6))
+    assert parse_expression("--unknot") == ("-", ("-", UNKNOT))
+    assert parse_expression("2 * 3 * unknot") == ("*", 2, ("*", 3, UNKNOT))
+
+
+def test_trees_are_immutable_tuples_led_by_their_kind():
+    # The kind leads the tuple, so a connected sum is not a direct sum.
+    node = parse_expression("unknot # fig8")
+    assert node != parse_expression("unknot + fig8")
+    assert node == parse_expression("(unknot) # fig8")
+    assert type(node) is tuple
+    with pytest.raises(TypeError):
+        node[0] = "+"
 
 
 def test_parse_errors():
@@ -108,8 +109,9 @@ def test_build_file_atom(tmp_path):
 
 
 def test_build_rejects_unknown_node():
-    with pytest.raises(TypeError):
-        build(object())
+    for node in (object(), (), ("?", UNKNOT)):
+        with pytest.raises(TypeError):
+            build(node)
 
 
 # The expression grammar's alphabet: keywords, catalog names and one unknown

@@ -242,6 +242,20 @@ def test_disjointness_theorem_scan():
             assert uk.check_disjointness_theorem(C, t), (name, t)
 
 
+# Mixed-sign sums of atoms.
+SIGNED_SUMS = ["T(3,4) # -T(2,5)", "T(2,3) # -fig8", "hom-K # -T(2,3)", "stair[2,2] # -stair[1,1,1,1]"]
+
+
+@pytest.mark.parametrize("name", [*CATALOG_SCAN, *(f"-{name}" for name in CATALOG_SCAN), *SIGNED_SUMS])
+def test_gamma2_is_finite_exactly_when_the_z_sets_are_disjoint(name):
+    # Disjoint Z sets never meet inside the t half-plane alone (the lemma
+    # upsilon2 checks), so they are the only source of an infinite gamma2.
+    C = uk.parse_and_build(name) if "#" in name else built(name)
+    for t in {F(2, 3), F(1), *interior_breakpoints(C)}:
+        res = uk.upsilon2(C, t)
+        assert res.gamma2.is_finite == res.zsets.disjoint, (name, t)
+
+
 def test_upsilon2_torus34():
     res = uk.upsilon2(built("T(3,4)"), F(2, 3))
     assert res.gamma_t == 1

@@ -8,7 +8,9 @@ ZSETS_AT_BREAKS the Z sets at each interior breakpoint of Upsilon.  Z sets
 print as sets, not as the member and basis the engine chose.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
 inputs, file errors, --csv of a +inf result, --samples over its limit, a
-product of @file atoms whose names would repeat) and prints their exit codes
+product of @file atoms whose names would repeat, trees of every operator
+whose generator names spell out their shape, and nesting at and one past the
+depth limit by duals, brackets and a '+' chain) and prints their exit codes
 and output, or that one gave no result in CLI_TIMEOUT seconds; an argument
 over 80 characters shows as its head and length.  Last it prints what
 catalog() builds, or raises, for each of CATALOG_INPUTS, and what
@@ -94,11 +96,17 @@ CLI_COMMANDS = [
     ["upsilon2", "--t", "1", "--csv", "inf.csv", "--samples", "5", "fig8"],
     ["upsilon", "T(5,7)", "--csv", "no-such-dir/big.csv", "--samples", "1000000000"],
     ["show", "--", "@dots-l.txt # @dots-r.txt"],
+    # Generator names spell out the tree, e.g. (a1*.(A.A)).
+    ["show", "--", "-T(2,3) # 2*box(1) + unknot"], ["show", "--", "unknot # (fig8 # figure6)"],
+    # Nesting at the depth limit builds; one level past it is refused.
+    ["show", "--", "-" * 400 + "unknot"], ["show", "--", "-" * 401 + "unknot"],
+    ["show", "--", "(" * 401 + "unknot" + ")" * 401], ["show", "--", " + ".join(["unknot"] * 402)],
 ]
-# Inputs of catalog(): every name of the scan, spaces between tokens, malformed
-# parameters, and expressions that are not one catalog atom.
-CATALOG_INPUTS = CATALOG_SCAN + [" T(3, 4) ", "box(" + "1" * 5000 + ")", "T(3,", "T(3,4) # T(2,3)",
-                                 "-T(3,4)", "stair[2,2]", "@x.txt"]
+# Inputs of catalog(): every name of the scan, spaces between tokens, a bracketed
+# atom, malformed parameters, and expressions that are not one catalog atom.
+CATALOG_INPUTS = CATALOG_SCAN + [" T(3, 4) ", "(T(3,4))", "box(" + "1" * 5000 + ")", "T(3,",
+                                 "T(3,4) # T(2,3)", "-T(3,4)", "--T(3,4)", "2*T(3,4)", "stair[2,2]",
+                                 "@x.txt"]
 
 
 def attempt(label, fn):
