@@ -22,6 +22,18 @@ def support(v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def functional(rows: Iterable[int], v: int) -> int:
+    """A functional f, read as w -> parity of f & w, that is 0 on the rows
+    and 1 on v, for rows and v with distinct leading bits: one pass in
+    ascending leading bit, each vector setting f at its own leading bit,
+    which no earlier vector has."""
+    f = 0
+    for w in sorted([*rows, v]):  # distinct leading bits: ascending as ints
+        if (f & w).bit_count() & 1 != (w == v):
+            f ^= 1 << (w.bit_length() - 1)
+    return f
+
+
 class Gf2Span:
     """Growable span of bit vectors kept in row-echelon form."""
 

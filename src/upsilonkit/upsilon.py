@@ -21,12 +21,12 @@ perturbation), so the pivots come from the kernel at t.
 
 gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
 gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
-meets the phi of another point with rows (a kinetic event), where it
-searches again, so its searches grow with the winner's crossings with
-points that have rows, not with the pairs of points; an event costs two
-searches even where the level does not bend.  The pivots report delta
-from the first crossings of neighbours in the phi order on each side of
-t, with no list of all pairs.
+meets the phi of another point with rows (a kinetic event).  threshold
+certifies each winner, and an event that the certificate survives needs
+no search, so the searches grow with the winner changes and the events
+the certificate cannot decide, not with the pairs of points or with every
+event.  The pivots report delta from the first crossings of neighbours in
+the phi order on each side of t, with no list of all pairs.
 Upsilon and the pivots at each t are memoized on the complex, so
 upsilon2, z_sets, delta_upsilon_prime and the CLI share one search.
 """
@@ -34,12 +34,12 @@ upsilon2, z_sets, delta_upsilon_prime and the CLI share one search.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
 from .exact import DomainError, PLFunction, as_rational, shared
-from .gf2 import Gf2Solver, Gf2Span
+from .gf2 import Gf2Solver, Gf2Span, functional
 
 
 class ConsistencyError(RuntimeError):
@@ -97,28 +97,87 @@ def solve_search(search, admitted, what: str) -> tuple[int, list[int]]:
     return x, solver.kernel_basis()
 
 
+class Certificate:
+    """Why the target of a search enters at a level, in its residue space.
+    x, a bitmask over the points of the search by position, covers points
+    of the level and below whose rows span the target; f, read as w ->
+    parity of f & w, is 1 on the target and 0 on every row of the points
+    below the level, so they do not span it (built on first use)."""
+
+    __slots__ = ("x", "_rows", "_below", "_before", "_f")
+
+    def __init__(self, x: int, rows: dict, below: int, before: int):
+        self.x, self._rows, self._below, self._before, self._f = x, rows, below, before, None
+
+    @property
+    def f(self) -> int:
+        if self._f is None:  # from the echelon rows below the level, a prefix of rows
+            self._f = functional(islice(self._rows.values(), self._below), self._before)
+        return self._f
+
+    def survives(self, p: LatticePoint, met, movers) -> bool:
+        """Whether p, the one point of a one-sided level, still wins, with
+        this certificate, after the event where the (p, q) pairs of met
+        meet: each q joins the points below p if its slope j - i is below
+        p's and leaves them otherwise; no joiner may have a row f is 1 on,
+        and no leaver may be in x."""
+        for _, q in met:
+            bit, rows = movers[q]
+            if q[1] - q[0] < p[1] - p[0]:
+                if any((self.f & row).bit_count() & 1 for row in rows):
+                    return False
+            elif self.x & bit:
+                return False
+        return True
+
+
 def threshold(search, weight):
     """Least weight at which the target of a prepare_search result enters
     the span of its rows, admitted from empty in increasing weight(point)
-    one level at a time.  Returns (level, points of that level); raises
-    ConsistencyError if the target never enters.
+    one level at a time.  Returns (level, points of that level, its
+    Certificate); raises ConsistencyError if the target never enters.
 
     The target's residue is carried along: a new row changes it only when
     it has the residue's leading bit, and then the residue's leading bit
-    falls, so one call takes at most one residue step per row."""
+    falls, so one call takes at most one residue step per row.  Each row,
+    and the residue, carries the OR of the bits of the points that went
+    into it, a superset of its support: the residue's is the certificate's
+    x.  The elimination is written out, with no call per row: it is the
+    engine's innermost loop."""
     residue, points, _ = search
     groups: dict = {}
-    for point, rows in points:
-        groups.setdefault(weight(point), []).append((point, rows))
-    span = Gf2Span()
+    for k, (point, _) in enumerate(points):
+        groups.setdefault(weight(point), []).append(k)
+    rows: dict = {}  # leading bit -> echelon row, in insertion order
+    tags: dict = {}  # leading bit -> OR of the bits of the points in its row
+    tag = 0  # the residue's
     for level in sorted(groups):
-        for _, rows in groups[level]:
-            for vector in rows:
-                row = span.add(vector)
-                if row and row.bit_length() == residue.bit_length():
-                    residue = span.reduce(residue ^ row)
+        below, before = len(rows), residue
+        for k in groups[level]:
+            bit = 1 << k
+            for v in points[k][1]:
+                v_tag = bit
+                while v:
+                    lead = v.bit_length() - 1
+                    row = rows.get(lead)
+                    if row is None:
+                        break
+                    v ^= row
+                    v_tag |= tags[lead]
+                if not v:
+                    continue
+                rows[lead], tags[lead] = v, v_tag
+                if lead == residue.bit_length() - 1:
+                    residue, tag = residue ^ v, tag | v_tag
+                    while residue:
+                        lead = residue.bit_length() - 1
+                        row = rows.get(lead)
+                        if row is None:
+                            break
+                        residue ^= row
+                        tag |= tags[lead]
         if not residue:
-            return level, {point for point, _ in groups[level]}
+            return level, {points[k][0] for k in groups[level]}, Certificate(tag, rows, below, before)
     raise ConsistencyError("threshold target not in the span of all items")
 
 
@@ -131,37 +190,43 @@ def _gamma_search(C: ModelComplex):
     return prepare_search(C._elimination()[1], coset.cycle, items)
 
 
-def _level(search, t, side: int = 0) -> tuple[Fraction, set]:
+def _level(search, t, side: int = 0) -> tuple[Fraction, set, Certificate]:
     """The phi_t value of the level at which the target of search, a
-    prepare_search result, enters in the order of phi_key(t, side), and the
-    points of that level: gamma(t) and gamma2(s).  A one-sided level has
-    one point, as the one-sided keys never tie two points."""
+    prepare_search result, enters in the order of phi_key(t, side), the
+    points of that level and threshold's certificate of it: gamma(t) and
+    gamma2(s).  A one-sided level has one point, as the one-sided keys never
+    tie two points."""
     weight, d = phi_key(t, side)
-    level, points = threshold(search, weight)
+    level, points, certificate = threshold(search, weight)
     if side and len(points) != 1:
         raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
-    return Fraction(level[0] if side else level, d), points
+    return Fraction(level[0] if side else level, d), points, certificate
 
 
-def _next_crossing(pairs, t: Fraction) -> Fraction:
+def _next_crossing(pairs, t: Fraction) -> tuple[Fraction, list]:
     """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the pairs
-    (p, q) of points, or 2.  phi_x(q) - phi_x(p) = q_i - p_i + x ds / 2 with
-    ds the difference of the slopes (j - i), so q meets p after t iff it lies
-    below p at t and rises faster, or above and rises slower.  The crossings
-    are compared as integer fractions, cross-multiplied."""
+    (p, q) of points, or 2, and the pairs that meet at x.  phi_x(q) - phi_x(p)
+    = q_i - p_i + x ds / 2 with ds the difference of the slopes (j - i), so q
+    meets p after t iff it lies below p at t and rises faster, or above and
+    rises slower.  The crossings are compared as integer fractions,
+    cross-multiplied."""
     b = t.numerator
     a = 2 * t.denominator - b  # a i + b j = 2q phi_t(i, j), as in phi_key
-    num, den = 2, 1
-    for (pi, pj), (qi, qj) in pairs:
+    num, den, met = 2, 1, []
+    for pair in pairs:
+        (pi, pj), (qi, qj) = pair
         di, dj = qi - pi, qj - pj
         ds = dj - di
         if ds * (a * di + b * dj) < 0:
             n = -2 * di
             if ds < 0:
                 n, ds = -n, -ds
-            if n * den < num * ds:
-                num, den = n, ds
-    return Fraction(num, den)
+            order = n * den - num * ds
+            if order < 0:
+                num, den, met = n, ds, [pair]
+            elif not order:
+                met.append(pair)
+    return Fraction(num, den), met
 
 
 def _first_crossing(points, t: Fraction) -> Fraction:
@@ -170,41 +235,48 @@ def _first_crossing(points, t: Fraction) -> Fraction:
     meet first are neighbours in it (the kinetic-sorting lemma), so the
     neighbours are the only pairs scanned."""
     order = sorted(points, key=phi_key(t, 1)[0])
-    return _next_crossing(zip(order, order[1:]), t)
+    return _next_crossing(zip(order, order[1:]), t)[0]
 
 
 def level_pl(search, what: str) -> PLFunction:
     """The level of search, a prepare_search result, as an exact PL function
     of t on [0, 2], by a kinetic sweep (Basch, Guibas & Hershberger, SODA
-    1997).  Just right of t the level is phi(p) for its one point p, and it
-    stays phi(p) until phi(p) meets the phi of a point with rows: only then
-    can the rows admitted up to p change.  A point whose residues are all 0
-    adds no row and is skipped.  Each piece is checked at its midpoint, and
-    the level found at its end must continue it; raises ConsistencyError
-    naming what otherwise."""
-    movers = [point for point, rows in search[1] if rows]
+    1997).  Just right of t the level is phi(p) for its one point p, and the
+    points with rows below p change only where phi(p) meets phi(q) for such
+    a q (an event); a point whose residues are all 0 adds no row.  p's
+    certificate decides most events with no search (McConnell, Mehlhorn,
+    Naeher & Schweitzer, Certifying algorithms, 2011); elsewhere the level
+    found just right of the event must continue the piece.  Each piece,
+    ending where the winner changes, is checked at its midpoint; raises
+    ConsistencyError naming what otherwise."""
+    movers = {point: (1 << k, rows) for k, (point, rows) in enumerate(search[1]) if rows}
     t = Fraction(0)
-    value, (p,) = _level(search, t, 1)
+    value, (p,), certificate = _level(search, t, 1)
     breakpoints = [(t, value)]
     while t < 2:
-        end = _next_crossing(zip(repeat(p), movers), t)
-        slope = Fraction(p[1] - p[0], 2)
-        mid = (t + end) / 2
-        if _level(search, mid)[0] != value + (mid - t) * slope:
-            raise ConsistencyError(f"{what} not linear on ({t}, {end})")
-        t, value = end, value + (end - t) * slope
-        breakpoints.append((t, value))
+        t, met = _next_crossing(zip(repeat(p), movers), t)
+        if t < 2 and certificate.survives(p, met, movers):
+            continue
+        (t0, v0), slope = breakpoints[-1], Fraction(p[1] - p[0], 2)
+        value, winner = v0 + (t - t0) * slope, p
         if t < 2:
-            level, (p,) = _level(search, t, 1)
+            level, (winner,), certificate = _level(search, t, 1)
             if level != value:
                 raise ConsistencyError(f"{what} not continuous at {t}")
+            if winner == p:
+                continue
+        mid = (t0 + t) / 2
+        if _level(search, mid)[0] != (v0 + value) / 2:
+            raise ConsistencyError(f"{what} not linear on ({t0}, {t})")
+        breakpoints.append((t, value))
+        p = winner
     return PLFunction(breakpoints)
 
 
 def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
     """gamma(t) and the slice points of the level that admits the cycle;
     needs a one-dimensional H0 but no other validity."""
-    return _level(_gamma_search(C), t, side)
+    return _level(_gamma_search(C), t, side)[:2]
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:

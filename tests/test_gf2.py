@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from upsilonkit.gf2 import (
     Gf2Solver,
     Gf2Span,
+    functional,
     support,
 )
 from helpers import combine
@@ -111,3 +112,19 @@ def test_residues_clear_every_pivot_bit(rows, vs):
     assert len(residues) == len(vs)
     assert all(r & pivots == 0 for r in residues)
     assert Gf2Span(rows[::-1]).residues(vs) == residues  # canonical: the same for any rows
+
+
+def parity(f: int, v: int) -> int:
+    return (f & v).bit_count() & 1
+
+
+@given(st.lists(vectors, max_size=8), vectors)
+def test_functional_separates_a_vector_from_a_span(vs, v):
+    # Over the echelon rows of vs and the residue of v, whose leading bits
+    # differ: 0 on every input and 1 on the residue, so on v.
+    span = Gf2Span(vs)
+    residue = span.reduce(v)
+    if residue:
+        f = functional(span.basis()[::-1], residue)
+        assert parity(f, residue) == parity(f, v) == 1
+        assert not any(parity(f, w) for w in vs)

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import upsilonkit as uk
@@ -209,13 +209,11 @@ def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
         assert res.gamma2.evaluate(s) == level, (expr, t, s)
 
 
-@pytest.mark.parametrize("expr", ["T(13,17)", "-T(13,17)", "2*hom-K", "nK(3) # T(5,7)",
-                                  "T(3,4) # -T(2,5)", "2*hom-K # T(3,4)"])
-def test_kinetic_sweep_matches_every_crossing(expr):
-    # gamma_pl and gamma2 follow only the winner's crossings; the reference
-    # evaluates the same level search at every crossing of two slice points
-    # and at each midpoint.
-    C = uk.parse_and_build(expr)
+def sweeps_match_every_crossing(C) -> int:
+    """Check gamma_pl and every finite gamma2 at 2/3, 1 and each interior
+    breakpoint against the reference, which evaluates the same level search
+    at every crossing of two of its points and at each midpoint; returns the
+    number of finite gamma2 checked."""
     assert uk.gamma_pl(C) == certified_pl(lambda t: _gamma(C, t)[0], crossings(
         e.point for e in C.grading_slice(0)), "gamma")
     finite = 0
@@ -226,20 +224,95 @@ def test_kinetic_sweep_matches_every_crossing(expr):
         base, target, items = gamma2_search(C, res)
         search = prepare_search(base, target, items)
         reference = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
-        assert res.gamma2 == reference, (expr, t)
+        assert res.gamma2 == reference, t
         finite += 1
+    return finite
+
+
+@pytest.mark.parametrize("expr", ["T(13,17)", "-T(13,17)", "2*hom-K", "nK(3) # T(5,7)",
+                                  "T(3,4) # -T(2,5)", "2*hom-K # T(3,4)"])
+def test_kinetic_sweep_matches_every_crossing(expr):
+    # gamma_pl and gamma2 follow only the winner's crossings, and search at
+    # a crossing only where the winner's certificate fails.
+    finite = sweeps_match_every_crossing(uk.parse_and_build(expr))
     assert finite or expr == "-T(13,17)"  # mirrors of L-space knots have Z sets that meet
 
 
-def test_upsilon_work_grows_with_the_kinetic_events(monkeypatch):
+SYMMETRIC_STAIRS = st.builds(lambda sign, a, b: f"{sign}stair[{a},{b},{b},{a}]",
+                             st.sampled_from(["", "-"]), st.integers(1, 3), st.integers(1, 3))
+SWEEP_SUMS = st.builds(lambda stairs, extra: " # ".join(stairs + extra),
+                       st.lists(SYMMETRIC_STAIRS, min_size=1, max_size=3),
+                       st.lists(st.sampled_from(["hom-K", "box(1)", "T(3,4)", "-T(2,5)", "figure6"]),
+                                max_size=1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(SWEEP_SUMS)
+def test_certified_sweep_matches_every_crossing_on_random_sums(expr):
+    # Signed sums of symmetric staircases, some with an atom that is no
+    # staircase: their winners meet many points with rows from both sides,
+    # where the event test must tell joiners from leavers.
+    sweeps_match_every_crossing(uk.parse_and_build(expr))
+
+
+def certificate_holds(search, t):
+    """Check the certificate of the one-sided search of search at t against
+    its definition, with a fresh span; returns the number of points below
+    the winner."""
+    residue, points, _ = search
+    _, (p,), certificate = _level(search, t, 1)
+    f, x = certificate.f, certificate.x
+    weight, _ = phi_key(t, 1)
+    below = [rows for q, rows in points if weight(q) < weight(p)]
+    chosen = [(q, rows) for k, (q, rows) in enumerate(points) if x >> k & 1]
+    assert (f & residue).bit_count() % 2 == 1, t
+    assert not any((f & row).bit_count() % 2 for rows in below for row in rows), t
+    assert p in {q for q, _ in chosen}, t
+    assert all(weight(q) <= weight(p) for q, _ in chosen), t
+    assert residue in Gf2Span(row for _, rows in chosen for row in rows), t
+    return len(below)
+
+
+@pytest.mark.parametrize("expr", ["T(3,4) # -T(2,5)", "2*hom-K", "nK(3) # T(5,7)"])
+def test_one_sided_search_certificate(expr):
+    # The dual f is 1 on the target and 0 on every row of the points before
+    # the winner just right of t; the primal x holds the winner and points
+    # before it whose rows span the target.
+    C = uk.parse_and_build(expr)
+    ts = sorted({F(0), F(1, 3), F(2, 3), F(1), F(3, 2)} | set(interior_breakpoints(C)))
+    below = [certificate_holds(_gamma_search(C), t) for t in ts]
+    assert max(below) > 1, below
+
+
+def test_gamma2_search_certificate():
+    C = uk.parse_and_build("nK(3) # T(5,7)")
+    res = uk.upsilon2(C, F(2, 5))
+    search = prepare_search(*gamma2_search(C, res))
+    bps = [s for s, _ in res.gamma2.breakpoints]
+    below = [certificate_holds(search, s) for s in sorted(set(bps[:-1]) | {F(1, 3), F(1), F(3, 2)})]
+    assert max(below) > 1, below
+
+
+def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
     # T(23,29): 33 breakpoints among 3043 crossing candidates.  The sweep
-    # makes two level searches per kinetic piece, which ends where the
-    # winner meets a point that has rows (here each such meeting is a
-    # breakpoint), where one per candidate and midpoint made 6085.
+    # searches at the start, at each event where the winner's certificate
+    # fails and at the midpoint of each piece (here each event changes the
+    # winner), where one search per candidate and midpoint made 6085.
     C = uk.torus_knot_complex(23, 29)
     C.validate()
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon(C).breakpoints) == 33
+    assert len(calls) <= 70
+
+
+def test_upsilon_searches_only_where_the_certificate_fails(monkeypatch):
+    # -T(13,17) # T(5,7): 21 breakpoints, but its winner meets points with
+    # rows at 293 events; a search at each event and at each piece's
+    # midpoint made 588.
+    C = uk.parse_and_build("-T(13,17) # T(5,7)")
+    C.validate()
+    calls = count_thresholds(monkeypatch)
+    assert len(uk.upsilon(C).breakpoints) == 21
     assert len(calls) <= 70
 
 
@@ -274,7 +347,8 @@ def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
     # The first crossing after t is between neighbours just right of t, and
     # the last one before t is 2 minus the first after 2 - t of the points
     # with i and j swapped: both against every pair, also with t exactly at
-    # a crossing, and the sweep's (p, q) for q in points form against p's pairs.
+    # a crossing, and the sweep's (p, q) for q in points form against p's
+    # pairs, with the points that meet p there.
     cands = crossings(points)
     interior = cands[1:-1]
     if data is None:
@@ -288,53 +362,82 @@ def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
     for t in ts:
         assert _first_crossing(points, t) == min(c for c in cands if c > t), (points, t)
         assert 2 - _first_crossing(swapped, 2 - t) == max(c for c in cands if c < t), (points, t)
-        assert _next_crossing(((p, q) for q in points), t) == min(c for c in own if c > t), (p, t)
+        x, met = _next_crossing(((p, q) for q in points), t)
+        assert x == min(c for c in own if c > t), (p, t)
+        if x < 2:
+            meeting = [q for q in points if q != p and uk.phi(x, q) == uk.phi(x, p)]
+            assert sorted(q for _, q in met) == sorted(meeting), (p, t)
+
+
+def traced(search):
+    """A copy of search whose vectors are Traced ints, and the log of the
+    XORs made with them: (copy, log, Traced).  An XOR with a Traced operand
+    gives a Traced int and logs (left, right, result), so a test can follow
+    vectors through threshold's elimination, which makes no call per row."""
+    log = []
+
+    class Traced(int):
+        def __xor__(self, other):
+            out = Traced(int(self) ^ int(other))
+            log.append((self, other, out))
+            return out
+
+        def __rxor__(self, other):
+            out = Traced(int(other) ^ int(self))
+            log.append((other, self, out))
+            return out
+
+    residue, points, rest = search
+    copy = (Traced(residue), tuple((point, tuple(map(Traced, rows))) for point, rows in points), rest)
+    return copy, log, Traced
 
 
 @pytest.mark.parametrize("expr,t", [("-T(5,7)", F(1, 3)), ("T(3,4) # -T(2,5)", F(1, 3)),
                                     ("2*hom-K", F(1, 3))])
-def test_threshold_carries_the_target_residue(monkeypatch, expr, t):
+def test_threshold_carries_the_target_residue(expr, t):
     # threshold starts from the prepared target's residue and only steps it,
     # each step lowering the leading bit: at most one step per row, so per
-    # item, and no membership test of the target per level.
+    # item, and no membership test of the target per level.  The residue is
+    # followed by identity from the target through the XORs made with it.
     C = uk.parse_and_build(expr)
     search = _gamma_search(C)
     residue, points, _ = search
     rows = sum(len(basis) for _, basis in points)
     weight, _ = phi_key(t)
-    calls = []  # reduce arguments; "add" marks the reduce that add itself makes
-    original_reduce, original_add = Gf2Span.reduce, Gf2Span.add
-    monkeypatch.setattr(Gf2Span, "reduce", lambda self, v: calls.append(v) or original_reduce(self, v))
-    monkeypatch.setattr(Gf2Span, "add", lambda self, v: calls.append("add") or original_add(self, v))
-    level, _ = threshold(search, weight)
-    own = [v for prev, v in zip(["start"] + calls, calls) if prev != "add" and v != "add"]
+    copy, log, _ = traced(search)
+    level, _, _ = threshold(copy, weight)
+    own = []  # the residue's values after the target
+    for left, _, out in log:
+        if left is (own[-1] if own else copy[0]):
+            own.append(out)
+    assert own[-1] == 0
     assert len({weight(p) for p, _ in points if weight(p) < level}) > 1  # several levels searched
     lengths = [v.bit_length() for v in [residue] + own]
     assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
     assert len(own) <= rows <= len(C.generator_coset().basis)
+    values = {id(v) for v in [copy[0]] + own}
+    assert sum(id(left) in values for left, _, _ in log) == len(own)  # each value stepped once
 
 
 @pytest.mark.parametrize("expr", ["2*hom-K", "T(3,4) # -T(2,5)"])
 def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
     # The gamma search is reduced modulo the boundary span once, when it is
-    # prepared: each threshold call grows a span of its own from empty and
-    # never copies the base or reduces a vector against it.
+    # prepared: each threshold call grows its echelon rows from empty out of
+    # the search's own vectors, and never copies the base or reduces a
+    # vector against it.
     C = uk.parse_and_build(expr)
-    search, base = _gamma_search(C), C._elimination()[1]
-    touched = []  # (span, its rank) at each span method call
-    for method in ("add", "reduce", "residues", "basis"):
+    search = _gamma_search(C)
+    touched = []  # each span method call
+    for method in ("__init__", "add", "reduce", "residues", "basis", "__contains__"):
         def recording(self, *args, original=getattr(Gf2Span, method)):
-            touched.append((self, self.rank))
+            touched.append(self)
             return original(self, *args)
         monkeypatch.setattr(Gf2Span, method, recording)
     for t in (0, F(1, 3), 1, 2):
-        touched.clear()
-        threshold(search, phi_key(t)[0])
-        first = {}
-        for span, rank in touched:
-            assert span is not base, t
-            first.setdefault(id(span), rank)
-        assert list(first.values()) == [0], t
+        copy, log, Traced = traced(search)
+        threshold(copy, phi_key(t)[0])
+        assert not touched, t  # no span: neither the base nor a copy of it
+        assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
 
 
 def test_solve_search_over_the_gamma_search():

@@ -148,10 +148,23 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_upsilon2_work_grows_with_the_kinetic_events(monkeypatch, n):
     # gamma2 of nK(n) at t = 1 has two pieces, and its winner meets one
-    # point with rows.  With the pivots memoized, the sweep makes two level
-    # searches per kinetic piece, where one per crossing candidate and
-    # midpoint made 29, 45 and 61.
+    # point with rows.  With the pivots memoized, the sweep searches at the
+    # start, at that event and at each piece's midpoint, where one search
+    # per crossing candidate and midpoint made 29, 45 and 61.
     C = uk.nk_complex(n)
+    uk.pivot_points(C, 1)
+    calls = count_thresholds(monkeypatch)
+    assert len(uk.upsilon2(C, 1).gamma2.breakpoints) == 3
+    assert len(calls) == 4
+
+
+def test_upsilon2_searches_only_where_the_winner_changes(monkeypatch):
+    # gamma2 of 3*hom-K at t = 1 has two pieces, but its winners meet points
+    # with rows at 25 events.  The certificates decide all but the one where
+    # the winner changes, so with the pivots memoized the sweep searches
+    # there, at the start and at each piece's midpoint; a search at every
+    # event and midpoint made 52.
+    C = uk.parse_and_build("3*hom-K")
     uk.pivot_points(C, 1)
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon2(C, 1).gamma2.breakpoints) == 3
