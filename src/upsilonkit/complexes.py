@@ -336,8 +336,7 @@ class ModelComplex:
         if hom_ok:
             from .upsilon import _gamma  # deferred: upsilon builds on this module
 
-            g0, _ = _gamma(self, 0)
-            g2, _ = _gamma(self, 2)
+            g0, g2 = _gamma(self, 0)[0], _gamma(self, 2)[0]
             yield CheckResult("normalization", g0 == 0 and g2 == 0,
                               detail=f"gamma(0) = {g0}, gamma(2) = {g2}")
         else:

@@ -9,15 +9,15 @@ gamma(t) is one level search (_level over threshold), which upsilon2
 shares: the unit vectors of the slice elements join the coset's boundary
 span in phi_t order until it holds the cycle, and the points of the last
 level are those on the support line.  prepare_search reduces a search
-modulo its base span once (for gamma, once per complex) to the cycle's
-residue, one basis of item residues per lattice point and each item's
-residue, so threshold weighs each point once and never copies the base,
-and solve_search finds which admitted items sum to the target over their
-residues alone (upsilon2's Z sets and witnesses).  The engine orders
-points only by the integer key 2q phi_t for t = p/q (phi_key), with no
-Fraction arithmetic per point; phi is the Fraction reference.  Just
-left or right of t the key is paired with the slope of phi_t (symbolic
-perturbation), so the pivots come from the kernel at t.
+modulo its base span once (for gamma, once per complex), so threshold
+weighs each point once and never copies the base; its certificate names
+admitted items that sum to the target, exactly, and the kernel among
+them, which upsilon2 reads as Z+- and witnesses with no elimination of
+its own.  The engine orders points only by the integer key 2q phi_t for
+t = p/q (phi_key), with no Fraction arithmetic per point; phi is the
+Fraction reference.  Just left or right of t the key is paired with the
+slope of phi_t (symbolic perturbation), so the pivots come from the
+kernel at t.
 
 gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
 gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
@@ -73,41 +73,33 @@ def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
 
 def prepare_search(base_span: Gf2Span, target: int, items):
     """A level search reduced modulo base_span once: (residue of target,
-    ((point, echelon basis of its items' residues), ...), residue of each
-    item) for the distinct points of the (vector, point) items.  A point
-    whose residues are all 0 keeps an empty basis: it still belongs to its
-    level."""
+    ((point, rows, dependents, mask), ...)) for the distinct points of the
+    (vector, point) items, with items as bits by their index.  rows is an
+    echelon basis of the point's items' residues as (row, items that sum to
+    it), dependents the combinations of its items whose residues sum to 0,
+    mask its items.  A point with no rows still belongs to its level."""
     residue, *rest = base_span.residues([target] + [vector for vector, _ in items])
-    spans: dict = {}
-    for r, (_, point) in zip(rest, items):
-        spans.setdefault(point, Gf2Span()).add(r)
-    return residue, tuple((point, tuple(span.basis())) for point, span in spans.items()), rest
-
-
-def solve_search(search, admitted, what: str) -> tuple[int, list[int]]:
-    """Which of the admitted items (indices into the items of search, a
-    prepare_search result) sum to its target modulo its base span: (x, kernel
-    basis), bitmasks over admitted in its order.  Raises ConsistencyError(what)
-    if none do."""
-    residue, _, rest = search
-    solver = Gf2Solver(rest[idx] for idx in admitted)
-    x = solver.solve(residue)
-    if x is None:
-        raise ConsistencyError(what)
-    return x, solver.kernel_basis()
+    solvers: dict = {}  # point -> Gf2Solver of its items' residues, each tagged by its item's bit
+    masks: dict = {}
+    for k, (r, (_, point)) in enumerate(zip(rest, items)):
+        solvers.setdefault(point, Gf2Solver()).add_column(r, 1 << k)
+        masks[point] = masks.get(point, 0) | 1 << k
+    return residue, tuple((point, tuple(solver.basis()), tuple(solver.kernel_basis()), masks[point])
+                          for point, solver in solvers.items())
 
 
 class Certificate:
     """Why the target of a search enters at a level, in its residue space.
-    x, a bitmask over the points of the search by position, covers points
-    of the level and below whose rows span the target; f, read as w ->
-    parity of f & w, is 1 on the target and 0 on every row of the points
-    below the level, so they do not span it (built on first use)."""
+    x names items of the level and below whose residues sum to the target's;
+    kernel, the items of each admitted row that reduced to 0.  f, read as
+    w -> parity of f & w, is 1 on the target and 0 on every row of the
+    points below the level, so they do not span it (built on first use)."""
 
-    __slots__ = ("x", "_rows", "_below", "_before", "_f")
+    __slots__ = ("x", "kernel", "_rows", "_below", "_before", "_f")
 
-    def __init__(self, x: int, rows: dict, below: int, before: int):
-        self.x, self._rows, self._below, self._before, self._f = x, rows, below, before, None
+    def __init__(self, x: int, kernel: tuple, rows: dict, below: int, before: int):
+        self.x, self.kernel, self._rows, self._below, self._before = x, kernel, rows, below, before
+        self._f = None
 
     @property
     def f(self) -> int:
@@ -120,13 +112,13 @@ class Certificate:
         this certificate, after the event where the (p, q) pairs of met
         meet: each q joins the points below p if its slope j - i is below
         p's and leaves them otherwise; no joiner may have a row f is 1 on,
-        and no leaver may be in x."""
+        and no leaver may have an item in x."""
         for _, q in met:
-            bit, rows = movers[q]
+            mask, rows = movers[q]
             if q[1] - q[0] < p[1] - p[0]:
-                if any((self.f & row).bit_count() & 1 for row in rows):
+                if any((self.f & row).bit_count() & 1 for row, _ in rows):
                     return False
-            elif self.x & bit:
+            elif self.x & mask:
                 return False
         return True
 
@@ -139,52 +131,54 @@ def threshold(search, weight):
 
     The target's residue is carried along: a new row changes it only when
     it has the residue's leading bit, and then the residue's leading bit
-    falls, so one call takes at most one residue step per row.  Each row,
-    and the residue, carries the OR of the bits of the points that went
-    into it, a superset of its support: the residue's is the certificate's
-    x.  The elimination is written out, with no call per row: it is the
-    engine's innermost loop."""
-    residue, points, _ = search
+    falls, so one call takes at most one residue step per row.  Each row
+    carries the XOR of the items that sum to it, and the residue that of
+    the items it has taken off the target (the R = DV bookkeeping of
+    Cohen-Steiner, Edelsbrunner & Morozov, Vines and vineyards, SoCG 2006):
+    the residue's ends as the certificate's x, and a row that reduces to 0
+    leaves its items in the kernel.  The elimination is written out, with
+    no call per row: it is the engine's innermost loop."""
+    residue, points = search
     groups: dict = {}
-    for k, (point, _) in enumerate(points):
+    for k, (point, _, _, _) in enumerate(points):
         groups.setdefault(weight(point), []).append(k)
     rows: dict = {}  # leading bit -> echelon row, in insertion order
-    tags: dict = {}  # leading bit -> OR of the bits of the points in its row
-    tag = 0  # the residue's
+    combos: dict = {}  # leading bit -> the items that sum to its row
+    x, kernel = 0, []
     for level in sorted(groups):
         below, before = len(rows), residue
         for k in groups[level]:
-            bit = 1 << k
-            for v in points[k][1]:
-                v_tag = bit
+            for v, v_combo in points[k][1]:
                 while v:
                     lead = v.bit_length() - 1
                     row = rows.get(lead)
                     if row is None:
                         break
                     v ^= row
-                    v_tag |= tags[lead]
+                    v_combo ^= combos[lead]
                 if not v:
+                    kernel.append(v_combo)
                     continue
-                rows[lead], tags[lead] = v, v_tag
+                rows[lead], combos[lead] = v, v_combo
                 if lead == residue.bit_length() - 1:
-                    residue, tag = residue ^ v, tag | v_tag
+                    residue, x = residue ^ v, x ^ v_combo
                     while residue:
                         lead = residue.bit_length() - 1
                         row = rows.get(lead)
                         if row is None:
                             break
                         residue ^= row
-                        tag |= tags[lead]
+                        x ^= combos[lead]
         if not residue:
-            return level, {points[k][0] for k in groups[level]}, Certificate(tag, rows, below, before)
+            certificate = Certificate(x, tuple(kernel), rows, below, before)
+            return level, {points[k][0] for k in groups[level]}, certificate
     raise ConsistencyError("threshold target not in the span of all items")
 
 
 @memoized
 def _gamma_search(C: ModelComplex):
     """The H0 coset as a prepared search: the cycle and the grading-0 slice
-    as (unit vector, point) items, modulo the boundary span."""
+    as (unit vector, point) items modulo the boundary span; item sets are chains."""
     coset = C.generator_coset()
     items = [(1 << idx, e.point) for idx, e in enumerate(coset.basis)]
     return prepare_search(C._elimination()[1], coset.cycle, items)
@@ -238,21 +232,22 @@ def _first_crossing(points, t: Fraction) -> Fraction:
     return _next_crossing(zip(order, order[1:]), t)[0]
 
 
-def level_pl(search, what: str) -> PLFunction:
+def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
     """The level of search, a prepare_search result, as an exact PL function
-    of t on [0, 2], by a kinetic sweep (Basch, Guibas & Hershberger, SODA
-    1997).  Just right of t the level is phi(p) for its one point p, and the
-    points with rows below p change only where phi(p) meets phi(q) for such
-    a q (an event); a point whose residues are all 0 adds no row.  p's
-    certificate decides most events with no search (McConnell, Mehlhorn,
-    Naeher & Schweitzer, Certifying algorithms, 2011); elsewhere the level
-    found just right of the event must continue the piece.  Each piece,
-    ending where the winner changes, is checked at its midpoint; raises
-    ConsistencyError naming what otherwise."""
-    movers = {point: (1 << k, rows) for k, (point, rows) in enumerate(search[1]) if rows}
+    of t on [0, 2], and per piece its midpoint certificate's x, by a kinetic
+    sweep (Basch, Guibas & Hershberger, SODA 1997).  Just right of t the
+    level is phi(p) for its one point p, and the points with rows below p
+    change only where phi(p) meets phi(q) for such a q (an event); a point
+    whose residues are all 0 adds no row.  p's certificate decides most
+    events with no search (McConnell, Mehlhorn, Naeher & Schweitzer,
+    Certifying algorithms, 2011); elsewhere the level found just right of
+    the event must continue the piece.  Each piece, ending where the winner
+    changes, is checked at its midpoint; raises ConsistencyError naming
+    what otherwise."""
+    movers = {point: (mask, rows) for point, rows, _, mask in search[1] if rows}
     t = Fraction(0)
     value, (p,), certificate = _level(search, t, 1)
-    breakpoints = [(t, value)]
+    breakpoints, xs = [(t, value)], []
     while t < 2:
         t, met = _next_crossing(zip(repeat(p), movers), t)
         if t < 2 and certificate.survives(p, met, movers):
@@ -266,17 +261,31 @@ def level_pl(search, what: str) -> PLFunction:
             if winner == p:
                 continue
         mid = (t0 + t) / 2
-        if _level(search, mid)[0] != (v0 + value) / 2:
+        level, _, at_mid = _level(search, mid)
+        if level != (v0 + value) / 2:
             raise ConsistencyError(f"{what} not linear on ({t0}, {t})")
         breakpoints.append((t, value))
+        xs.append(at_mid.x)
         p = winner
-    return PLFunction(breakpoints)
+    return PLFunction(breakpoints), tuple(xs)
 
 
-def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set]:
-    """gamma(t) and the slice points of the level that admits the cycle;
-    needs a one-dimensional H0 but no other validity."""
-    return _level(_gamma_search(C), t, side)[:2]
+def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set, Certificate]:
+    """gamma(t), the slice points of the level that admits the cycle and
+    its certificate; needs a one-dimensional H0 but no other validity."""
+    return _level(_gamma_search(C), t, side)
+
+
+@memoized
+def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple:
+    """The gamma search just left (-1) or right (+1) of t with no echelon rows:
+    gamma(t), its winner p, its certificate's x and the kernel of the items
+    up to p, the certificate's with those points' dependents (z_sets)."""
+    value, (p,), certificate = _gamma(C, t, side)
+    weight, _ = phi_key(t, side)
+    dependents = [c for q, _, own, _ in _gamma_search(C)[1]
+                  if own and weight(q) <= weight(p) for c in own]
+    return value, p, certificate.x, (*certificate.kernel, *dependents)
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
@@ -308,7 +317,7 @@ def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
 def gamma_pl(C: ModelComplex) -> PLFunction:
     """gamma as an exact PL function of t on [0, 2]."""
     C.require_valid()
-    return level_pl(_gamma_search(C), "gamma")
+    return level_pl(_gamma_search(C), "gamma")[0]
 
 
 @memoized
@@ -337,8 +346,8 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
     above = _first_crossing(points, t)
     below = 2 - _first_crossing({(j, i) for i, j in points}, 2 - t)  # phi_x(j, i) = phi_{2-x}(i, j)
     delta = min(t - below, above - t) / 2
-    gamma_t, on_line = _gamma(C, t)
-    pivots = [p for side in (-1, 1) for p in _gamma(C, t, side)[1]]
+    gamma_t, on_line, _ = _gamma(C, t)
+    pivots = [_one_sided(C, t, side)[1] for side in (-1, 1)]
     if not on_line.issuperset(pivots):
         raise ConsistencyError("pivot point not on the support line")
     return PivotData(t, gamma_t, frozenset(on_line), *pivots, delta)

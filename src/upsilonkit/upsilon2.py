@@ -12,17 +12,17 @@ the t half-plane.  A chain's boundary lies at or below it in both
 filtrations; off the line strictly between the pivots it lies in V- or V+,
 and the middle chains' part bounds below the line, in V-, so Z+- would meet.
 
-z_sets is the one path to Z- and Z+; it reads the pivots that
-upsilon.pivot_points memoizes on the complex, so upsilon2, which calls
-both, searches once; each side is one upsilon.solve_search over the gamma
-search.  gamma2(s) is one upsilon._level search, as gamma(t) is: the
-(column, point) items of the grading-1 slice outside the t half-plane
-join the base (v-, v+ and the columns inside) in phi_s order until it
-holds z- + z+, prepared once modulo that base, which the witnesses solve
-over too: z- + z+ is homologous inside the t half-plane iff its residue
-is 0.  upsilon.level_pl sweeps that search over s, as it sweeps gamma's
-over t.  Half-planes compare the integer keys of upsilon.phi_key with 2q
-times the level.
+z_sets is the one path to Z- and Z+; it reads them, with no elimination,
+off the one-sided gamma searches that upsilon.pivot_points memoizes on
+the complex, so upsilon2, which calls both, searches once.  gamma2(s) is
+one upsilon._level search, as gamma(t) is: the (column, point) items of
+the grading-1 slice outside the t half-plane join the base (v-, v+ and
+the columns inside) in phi_s order until it holds z- + z+, prepared once
+modulo that base: z- + z+ is homologous inside the t half-plane iff its
+residue is 0.  upsilon.level_pl sweeps that search over s, as it sweeps
+gamma's over t; each piece's witness is the x of its midpoint search.
+Half-planes compare the integer keys of upsilon.phi_key with 2q times
+the level.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import LatticePoint, ModelComplex, SliceElement, tensor
+from .complexes import ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, PLFunction, as_rational
 from .gf2 import Gf2Span, support
 from .upsilon import (
-    ConsistencyError, _gamma_search, delta_upsilon_prime, level_pl, phi_key, pivot_points,
-    prepare_search, solve_search,
+    ConsistencyError, _one_sided, delta_upsilon_prime, level_pl, phi_key, pivot_points,
+    prepare_search,
 )
 
 
@@ -56,29 +56,19 @@ class ZSets(NamedTuple):
     disjoint: bool
 
 
-def _one_sided_set(C: ModelComplex, t: Fraction, side: int, pivot: LatticePoint):
-    """Representative and direction basis for the cycles supported on the
-    slice points no later than pivot in the phi order just left (side -1)
-    or right (+1) of t: the minimal half-plane on that side."""
-    weight, _ = phi_key(t, side)
-    bound = weight(pivot)
-    admitted = [idx for idx, e in enumerate(C.generator_coset().basis) if weight(e.point) <= bound]
-    x, kernel = solve_search(_gamma_search(C), admitted,
-                             f"no minimizing cycle on side {side} of t = {t}")
-
-    def units(combo: int) -> int:
-        return sum(1 << admitted[pos] for pos in support(combo))
-
-    return units(x), tuple(Gf2Span(units(combo) for combo in kernel).basis())
-
-
 def z_sets(C: ModelComplex, t) -> ZSets:
-    """Z- and Z+ at t, from the pivots just left and right of t."""
+    """Z- and Z+ at t: a representative and a direction basis for the cycles
+    supported on the slice points no later than the pivot in the phi order
+    just left (right) of t, the minimal half-plane on that side.  They are
+    the x and the kernel of the one-sided gamma search, whose items are the
+    slice's unit vectors."""
     pd = pivot_points(C, t)
     t = pd.t
     coset = C.generator_coset()
-    zm, vm = _one_sided_set(C, t, -1, pd.p_minus)
-    zp, vp = _one_sided_set(C, t, 1, pd.p_plus)
+    (_, pm, zm, km), (_, pp, zp, kp) = (_one_sided(C, t, side) for side in (-1, 1))
+    if (pm, pp) != (pd.p_minus, pd.p_plus):
+        raise ConsistencyError(f"one-sided winners {pm}, {pp} are not the pivots at t = {t}")
+    vm, vp = (tuple(Gf2Span(kernel).basis()) for kernel in (km, kp))
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
     weight, _ = phi_key(t)
@@ -132,22 +122,13 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     if not search[0]:
         raise ConsistencyError(f"disjoint Z sets meet inside the t half-plane at t = {t}")
 
-    g2 = level_pl(search, "gamma2")
+    g2, xs = level_pl(search, "gamma2")
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
-    # Chain witness per linear piece, from a solve over the residues of the
-    # items admitted at the piece midpoint.
-    witnesses = []
-    bps = [x for x, _ in g2.breakpoints]
-    for s0, s1 in zip(bps, bps[1:]):
-        mid = (s0 + s1) / 2
-        weight, d = phi_key(mid)
-        bound = g2.evaluate(mid) * d
-        admitted = [pos for pos, (_, point) in enumerate(items) if weight(point) <= bound]
-        x, _ = solve_search(search, admitted, "witness solve failed on a certified piece")
-        witnesses.append((s0, s1, tuple(slice1[outside[admitted[k]]].name for k in support(x))))
-
-    return Upsilon2Result(t, pd.gamma_t, zs, smooth, g2, u2, tuple(witnesses))
+    bps = [s for s, _ in g2.breakpoints]
+    witnesses = tuple((s0, s1, tuple(slice1[outside[k]].name for k in support(x)))
+                      for s0, s1, x in zip(bps[:-1], bps[1:], xs, strict=True))
+    return Upsilon2Result(t, pd.gamma_t, zs, smooth, g2, u2, witnesses)
 
 
 def upsilon2_scalar(C: ModelComplex):

@@ -211,7 +211,7 @@ def _margin_set(C, t_side):
 
 
 def _margin_pivot(C, t_side):
-    _, points = _gamma(C, t_side)
+    _, points, _ = _gamma(C, t_side)
     assert len(points) == 1, f"weight tie off the crossing arrangement at t = {t_side}"
     return next(iter(points))
 

@@ -98,13 +98,13 @@ def test_generator_coset():
 def test_each_column_set_is_eliminated_once(monkeypatch, name):
     # The ranks, the H0 coset and the gamma search read one elimination of
     # the grading-0 columns and one of the grading-1 columns.  Preparing the
-    # search adds each item's residue to its point's span at most once.
+    # search adds each item's residue to its point's solver at most once.
     C = uk.catalog(name)  # a fresh complex: nothing memoized yet
     added, prepared, paused = [], [], []
     for cls, method in ((gf2.Gf2Span, "add"), (gf2.Gf2Solver, "add_column")):
-        def counting(self, v, original=getattr(cls, method)):
+        def counting(self, v, *tag, original=getattr(cls, method)):
             (prepared if paused else added).append(v)
-            return original(self, v)
+            return original(self, v, *tag)
         monkeypatch.setattr(cls, method, counting)
     upsilon = importlib.import_module("upsilonkit.upsilon")  # the package's upsilon is the function
     def pausing(*args, original=upsilon.prepare_search):

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 import upsilonkit as uk
 from upsilonkit import DomainError, InvalidComplexError
-from upsilonkit.gf2 import Gf2Span, support
+from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.cli import main
 from upsilonkit.upsilon import (
-    _first_crossing, _gamma, _gamma_search, _level, _next_crossing, phi_key, prepare_search,
-    solve_search, threshold,
+    _first_crossing, _gamma, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
+    prepare_search, threshold,
 )
-from helpers import CATALOG_SCAN, UPSILON, boundaries, built, count_thresholds, interior_breakpoints, pl
+from helpers import (
+    CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built, combine,
+    count_thresholds, interior_breakpoints, pl,
+)
 from oracles import certified_pl, crossings, half_gap, reference_threshold
 
 
@@ -169,12 +172,18 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     # the Fraction weight phi_t itself.  Both complexes are past the
     # brute-force oracle's MAX_DIM.
     C = uk.parse_and_build(expr)
-    coset = C.generator_coset()
-    span = Gf2Span(boundaries(C))
-    items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
+    span, cycle, items = gamma_raw(C)
     for t in midpoints_and(uk.breakpoint_candidates(C)):
-        reference = reference_threshold(span, coset.cycle, items, lambda p: uk.phi(t, p))
-        assert _gamma(C, t) == reference, (expr, t)
+        reference = reference_threshold(span, cycle, items, lambda p: uk.phi(t, p))
+        assert _gamma(C, t)[:2] == reference, (expr, t)
+
+
+def gamma_raw(C):
+    """(base span, target, items) of the gamma search, with a fresh span of
+    the boundaries: the cycle and the grading-0 slice's unit vectors."""
+    coset = C.generator_coset()
+    items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
+    return Gf2Span(boundaries(C)), coset.cycle, items
 
 
 def gamma2_search(C, res):
@@ -212,8 +221,9 @@ def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
 def sweeps_match_every_crossing(C) -> int:
     """Check gamma_pl and every finite gamma2 at 2/3, 1 and each interior
     breakpoint against the reference, which evaluates the same level search
-    at every crossing of two of its points and at each midpoint; returns the
-    number of finite gamma2 checked."""
+    at every crossing of two of its points and at each midpoint, and check
+    each finite gamma2's witnesses; returns the number of finite gamma2
+    checked."""
     assert uk.gamma_pl(C) == certified_pl(lambda t: _gamma(C, t)[0], crossings(
         e.point for e in C.grading_slice(0)), "gamma")
     finite = 0
@@ -225,6 +235,7 @@ def sweeps_match_every_crossing(C) -> int:
         search = prepare_search(base, target, items)
         reference = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
         assert res.gamma2 == reference, t
+        assert_witnesses_connect(C, res)
         finite += 1
     return finite
 
@@ -255,42 +266,57 @@ def test_certified_sweep_matches_every_crossing_on_random_sums(expr):
     sweeps_match_every_crossing(uk.parse_and_build(expr))
 
 
-def certificate_holds(search, t):
-    """Check the certificate of the one-sided search of search at t against
-    its definition, with a fresh span; returns the number of points below
-    the winner."""
-    residue, points, _ = search
+def certificate_holds(raw, t):
+    """Check the certificate of the one-sided search of raw = (base span,
+    target, (vector, point) items) at t against its definition, with fresh
+    spans and solvers; returns (the number of points below the winner, the
+    rank of the admitted items' kernel)."""
+    base, target, items = raw
+    search = prepare_search(base, target, items)
+    residue, points = search
     _, (p,), certificate = _level(search, t, 1)
     f, x = certificate.f, certificate.x
     weight, _ = phi_key(t, 1)
-    below = [rows for q, rows in points if weight(q) < weight(p)]
-    chosen = [(q, rows) for k, (q, rows) in enumerate(points) if x >> k & 1]
+    below = [rows for q, rows, _, _ in points if weight(q) < weight(p)]
     assert (f & residue).bit_count() % 2 == 1, t
-    assert not any((f & row).bit_count() % 2 for rows in below for row in rows), t
-    assert p in {q for q, _ in chosen}, t
-    assert all(weight(q) <= weight(p) for q, _ in chosen), t
-    assert residue in Gf2Span(row for _, rows in chosen for row in rows), t
-    return len(below)
+    assert not any((f & row).bit_count() % 2 for rows in below for row, _ in rows), t
+    # x is exact: items of the winner and the points before it whose
+    # residues sum to the target's, so their vectors sum to it modulo the base.
+    vectors = [v for v, _ in items]
+    admitted = {k for k, (_, q) in enumerate(items) if weight(q) <= weight(p)}
+    target_residue, *residues = base.residues([target] + vectors)
+    assert set(support(x)) <= admitted, t
+    assert p in {items[k][1] for k in support(x)}, t
+    assert combine(residues, x) == target_residue, t
+    assert combine(vectors, x) ^ target in base, t
+    # The kernel and the admitted points' dependents reduce to 0 and span
+    # the kernel of the admitted vectors modulo the base.
+    combos = [*certificate.kernel, *(c for q, _, own, _ in points if weight(q) <= weight(p) for c in own)]
+    assert all(set(support(c)) <= admitted and not combine(residues, c) for c in combos), t
+    rank = Gf2Span(combos).rank
+    assert rank == len(Gf2Solver([*base.basis(), *(vectors[k] for k in sorted(admitted))]).kernel_basis()), t
+    return len(below), rank
 
 
 @pytest.mark.parametrize("expr", ["T(3,4) # -T(2,5)", "2*hom-K", "nK(3) # T(5,7)"])
 def test_one_sided_search_certificate(expr):
     # The dual f is 1 on the target and 0 on every row of the points before
-    # the winner just right of t; the primal x holds the winner and points
-    # before it whose rows span the target.
+    # the winner just right of t; the primal x is an exact set of items of
+    # the winner and points before it whose residues sum to the target's,
+    # and the kernel, with the dependents of those points, spans the rest.
     C = uk.parse_and_build(expr)
     ts = sorted({F(0), F(1, 3), F(2, 3), F(1), F(3, 2)} | set(interior_breakpoints(C)))
-    below = [certificate_holds(_gamma_search(C), t) for t in ts]
-    assert max(below) > 1, below
+    below, ranks = zip(*(certificate_holds(gamma_raw(C), t) for t in ts))
+    assert max(below) > 1 and max(ranks) > 0, (below, ranks)
 
 
 def test_gamma2_search_certificate():
     C = uk.parse_and_build("nK(3) # T(5,7)")
     res = uk.upsilon2(C, F(2, 5))
-    search = prepare_search(*gamma2_search(C, res))
+    raw = gamma2_search(C, res)
     bps = [s for s, _ in res.gamma2.breakpoints]
-    below = [certificate_holds(search, s) for s in sorted(set(bps[:-1]) | {F(1, 3), F(1), F(3, 2)})]
-    assert max(below) > 1, below
+    below, ranks = zip(*(certificate_holds(raw, s) for s in sorted(set(bps[:-1]) | {F(1, 3), F(1), F(3, 2)})))
+    assert max(below) > 1 and max(ranks) > 0, (below, ranks)
 
 
 def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
@@ -308,12 +334,14 @@ def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
 def test_upsilon_searches_only_where_the_certificate_fails(monkeypatch):
     # -T(13,17) # T(5,7): 21 breakpoints, but its winner meets points with
     # rows at 293 events; a search at each event and at each piece's
-    # midpoint made 588.
+    # midpoint made 588.  The certificate's x is exact, so a leaver none of
+    # whose items x names lets the winner stand: 41 searches, where an x
+    # holding every point that went into its rows made 53.
     C = uk.parse_and_build("-T(13,17) # T(5,7)")
     C.validate()
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon(C).breakpoints) == 21
-    assert len(calls) <= 70
+    assert len(calls) <= 41
 
 
 def test_no_engine_path_builds_the_crossing_candidates(monkeypatch, capsys):
@@ -387,8 +415,9 @@ def traced(search):
             log.append((other, self, out))
             return out
 
-    residue, points, rest = search
-    copy = (Traced(residue), tuple((point, tuple(map(Traced, rows))) for point, rows in points), rest)
+    residue, points = search
+    copy = (Traced(residue), tuple((point, tuple((Traced(row), combo) for row, combo in rows), own, mask)
+                                   for point, rows, own, mask in points))
     return copy, log, Traced
 
 
@@ -401,8 +430,8 @@ def test_threshold_carries_the_target_residue(expr, t):
     # followed by identity from the target through the XORs made with it.
     C = uk.parse_and_build(expr)
     search = _gamma_search(C)
-    residue, points, _ = search
-    rows = sum(len(basis) for _, basis in points)
+    residue, points = search
+    rows = sum(len(basis) for _, basis, _, _ in points)
     weight, _ = phi_key(t)
     copy, log, _ = traced(search)
     level, _, _ = threshold(copy, weight)
@@ -411,7 +440,7 @@ def test_threshold_carries_the_target_residue(expr, t):
         if left is (own[-1] if own else copy[0]):
             own.append(out)
     assert own[-1] == 0
-    assert len({weight(p) for p, _ in points if weight(p) < level}) > 1  # several levels searched
+    assert len({weight(p) for p, *_ in points if weight(p) < level}) > 1  # several levels searched
     lengths = [v.bit_length() for v in [residue] + own]
     assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
     assert len(own) <= rows <= len(C.generator_coset().basis)
@@ -440,18 +469,33 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
         assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
 
 
-def test_solve_search_over_the_gamma_search():
-    # solve_search picks admitted items whose sum is the target modulo the
-    # base span; its kernel combos sum into the base span.  Checked against
-    # a fresh span of the boundaries, not the prepared residues.
-    C = built("T(3,4)")
-    search, coset = _gamma_search(C), C.generator_coset()
-    with pytest.raises(uk.ConsistencyError, match="^nothing admitted$"):
-        solve_search(search, [], "nothing admitted")
-    admitted = list(range(len(coset.basis)))
-    x, kernel = solve_search(search, admitted, "the cycle is not in the coset")
-    span = Gf2Span(boundaries(C))
-    assert sum(1 << admitted[k] for k in support(x)) ^ coset.cycle in span
-    assert kernel
-    for combo in kernel:
-        assert sum(1 << admitted[k] for k in support(combo)) in span
+def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
+    # pivot_points memoizes each one-sided gamma search as gamma(t), its
+    # winner, x and kernel, with no echelon rows: x is a coset cycle on the
+    # points up to the winner and each kernel combination a boundary among
+    # them.  z+- is that x and V+- spans that kernel.  Checked against a
+    # fresh span of the boundaries, not the prepared residues; winners that
+    # are not the pivots are refused.
+    C, t = uk.parse_and_build("T(3,4) # -T(2,5)"), F(2, 3)
+    pd = uk.pivot_points(C, t)
+    assert pd.p_minus != pd.p_plus
+    span, coset = Gf2Span(boundaries(C)), C.generator_coset()
+    zs = uk.z_sets(C, t)
+    kernels = 0
+    for side, pivot, z in ((-1, pd.p_minus, zs.z_minus), (1, pd.p_plus, zs.z_plus)):
+        held = _one_sided(C, t, side)
+        assert held is _one_sided(C, t, side)
+        value, p, x, kernel = held
+        assert (value, p, x) == (pd.gamma_t, pivot, z)
+        assert Gf2Span(kernel).rank == len(zs.v_minus if side < 0 else zs.v_plus)
+        assert all(isinstance(v, int) for v in (x, *kernel))
+        weight, _ = phi_key(t, side)
+        assert all(weight(coset.basis[k].point) <= weight(p) for k in support(x))
+        assert x ^ coset.cycle in span
+        assert all(combo in span for combo in kernel)
+        kernels += len(kernel)
+    assert kernels
+    swapped = pd._replace(p_minus=pd.p_plus, p_plus=pd.p_minus)
+    monkeypatch.setattr(UPSILON2, "pivot_points", lambda *args: swapped)
+    with pytest.raises(uk.ConsistencyError, match="are not the pivots"):
+        uk.z_sets(C, t)

@@ -6,7 +6,10 @@ import pytest
 import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span
-from helpers import CATALOG_SCAN, boundaries, built, count_thresholds, interior_breakpoints, pl
+from helpers import (
+    CATALOG_SCAN, assert_witnesses_connect, boundaries, built, count_thresholds,
+    interior_breakpoints, pl,
+)
 from oracles import crossings, half_gap, margin_one_sided, reference_threshold, same_affine
 
 
@@ -97,25 +100,12 @@ def test_delta_is_half_the_gap_to_the_nearest_crossing(name):
     ("2*hom-K", F(1)), ("nK(3) # T(3,4)", F(2, 3)), ("T(5,7)", F(4, 5)), ("figure6", F(1)),
 ])
 def test_witness_chains_connect_the_z_sets(expr, t):
-    # Each piece's witness names grading-1 elements outside the t half-plane
-    # but inside the s half-plane at gamma2, whose boundaries with those of
-    # the t half-plane and the one-sided directions join z- to z+.
+    # Each piece's witness, the x of the gamma2 search at its midpoint, names
+    # grading-1 elements outside the t half-plane but inside the s
+    # half-plane at gamma2, whose boundaries with those of the t half-plane
+    # and the one-sided directions join z- to z+.
     C = uk.parse_and_build(expr)
-    res = uk.upsilon2(C, t)
-    zs = res.zsets
-    assert res.witnesses
-    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    index = {e.name: k for k, e in enumerate(slice1)}
-    inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
-    for s0, s1, names in res.witnesses:
-        mid = (s0 + s1) / 2
-        assert set(names) <= index.keys(), (expr, s0)
-        for name in names:
-            point = slice1[index[name]].point
-            assert uk.phi(t, point) > res.gamma_t, (expr, s0, name)
-            assert uk.phi(mid, point) <= res.gamma2.evaluate(mid), (expr, s0, name)
-        span = Gf2Span(list(zs.v_minus + zs.v_plus) + inside + [columns[index[n]] for n in names])
-        assert zs.z_minus ^ zs.z_plus in span, (expr, s0)
+    assert_witnesses_connect(C, uk.upsilon2(C, t))
 
 
 def test_upsilon2_finds_the_pivots_once(monkeypatch):
@@ -171,25 +161,28 @@ def test_upsilon2_searches_only_where_the_winner_changes(monkeypatch):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("name, additions", [("2*hom-K", 244), ("figure6", 3)])
+@pytest.mark.parametrize("name, additions", [("2*hom-K", 20), ("figure6", 2)])
 def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions):
     # Outside threshold, the search's preparation and z_sets, upsilon2 puts
-    # each base column into one Gf2Span, which the search is reduced by, and
-    # each witness solves over the residues of its admitted items.  Preparing
-    # the search adds each item's residue to its point's span at most once.
+    # each base column (v+- and the grading-1 columns inside the t
+    # half-plane) into one Gf2Span, which the search is reduced by, and
+    # nothing else: the witnesses are the sweep's midpoint certificates, where
+    # a solve per witness over its admitted items added 224 more for 2*hom-K
+    # and 1 for figure6.  Preparing the search adds each item's residue to
+    # its point's solver at most once.
     C = uk.parse_and_build(name)
     uk.upsilon2(C, 1)  # the pivots, the coset and validation are memoized now
     added, prepared, paused = [], [], []
     for cls, method in ((Gf2Span, "add"), (Gf2Solver, "add_column")):
-        def counting(self, v, original=getattr(cls, method)):
+        def counting(self, v, *tag, original=getattr(cls, method)):
             if not paused:
                 added.append(v)
             elif paused[-1] == "prepare_search":
                 prepared.append(v)
-            return original(self, v)
+            return original(self, v, *tag)
         monkeypatch.setattr(cls, method, counting)
     # The level search in upsilon calls threshold, upsilon2 prepares it, and
-    # z_sets runs _one_sided_set.
+    # z_sets reads the memoized one-sided searches.
     for mod_name, attr in (("upsilon", "threshold"), ("upsilon2", "prepare_search"),
                            ("upsilon2", "z_sets")):
         module = importlib.import_module(f"upsilonkit.{mod_name}")
@@ -202,50 +195,55 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
         monkeypatch.setattr(module, attr, pausing)
     res = uk.upsilon2(C, 1)
     assert res.upsilon2.is_finite
-    assert len(added) == additions
+    inside = [e for e in C.grading_slice(1) if uk.phi(1, e.point) <= res.gamma_t]
+    assert len(added) == additions == len(res.zsets.v_minus + res.zsets.v_plus) + len(inside)
     items = [e for e in C.grading_slice(1) if uk.phi(1, e.point) > res.gamma_t]
     assert 0 < len(prepared) <= len(items)
 
 
 @pytest.mark.parametrize("name", ["2*hom-K", "T(3,4) # -T(2,5)"])
 def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
-    # Z+- and the witnesses solve over their prepared search's residues: no
-    # vector put into a Gf2Solver has a bit at a leading bit of its base
-    # span's echelon rows.  The base of Z+- is the boundary span; that of the
-    # witnesses is v+- and the grading-1 columns inside the t half-plane.
+    # Z+- and the witnesses are read off the searches the sweep runs: once
+    # the pivots are memoized, z_sets and the witnesses put no vector into
+    # any Gf2Solver.  The only solvers upsilon2 feeds are the per-point ones
+    # of its gamma2 search's preparation, and they get residues: no vector
+    # has a bit at a leading bit of the echelon rows of the base, v+- and
+    # the grading-1 columns inside the t half-plane.
     C = uk.parse_and_build(name)
     C.validate()  # the grading-0 elimination, which solves over raw columns, is memoized now
-    phase, fed = ["witnesses"], {"zsets": [], "witnesses": []}
+    phase, fed = ["upsilon2"], {"upsilon2": [], "prepare_search": []}
     original = Gf2Solver.add_column
     monkeypatch.setattr(Gf2Solver, "add_column",
-                        lambda self, v: fed[phase[-1]].append(v) or original(self, v))
+                        lambda self, v, *tag: fed[phase[-1]].append(v) or original(self, v, *tag))
     module = importlib.import_module("upsilonkit.upsilon2")
 
-    def in_zsets_phase(*args, original=module.z_sets):
-        phase.append("zsets")
+    def in_preparation(*args, original=module.prepare_search):
+        phase.append("prepare_search")
         try:
             return original(*args)
         finally:
             phase.pop()
-    monkeypatch.setattr(module, "z_sets", in_zsets_phase)
+    monkeypatch.setattr(module, "prepare_search", in_preparation)
 
     def leading_bits(span):
         return sum(1 << (row.bit_length() - 1) for row in span.basis())
 
-    boundary_pivots = leading_bits(C._elimination()[1])
     slice1, columns = C.grading_slice(1), C.slice_boundary(1)
     witnesses = 0
     for t in sorted(set(interior_breakpoints(C)) | {F(1)}):
-        fed["zsets"].clear()
-        fed["witnesses"].clear()
+        uk.pivot_points(C, t)
+        fed["upsilon2"].clear()
+        fed["prepare_search"].clear()
+        zs = uk.z_sets(C, t)
+        assert not fed["upsilon2"], t
         res = uk.upsilon2(C, t)
-        zs = res.zsets
-        assert fed["zsets"] and not any(v & boundary_pivots for v in fed["zsets"]), t
+        assert not fed["upsilon2"], t
         inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
         base_pivots = leading_bits(Gf2Span(list(zs.v_minus + zs.v_plus) + inside))
-        assert not any(v & base_pivots for v in fed["witnesses"]), t
+        assert bool(fed["prepare_search"]) == zs.disjoint, t
+        assert not any(v & base_pivots for v in fed["prepare_search"]), t
         witnesses += len(res.witnesses)
-    assert witnesses  # some witness solve was checked
+    assert witnesses  # some witness was checked
 
 
 def test_disjointness_theorem_scan():
