@@ -25,10 +25,11 @@ meets the phi of another point with rows (a kinetic event).  threshold
 certifies each winner, and an event that the certificate survives needs
 no search, so the searches grow with the winner changes and the events
 the certificate cannot decide, not with the pairs of points or with every
-event.  The pivots report delta from the first crossings of neighbours in
-the phi order on each side of t, with no list of all pairs.
-Upsilon and the pivots at each t are memoized on the complex, so
-upsilon2, z_sets, delta_upsilon_prime and the CLI share one search.
+event.  The pivots p+- and gamma(t) are read off the two one-sided
+searches at t (_one_sided), memoized on the complex with Upsilon, so
+upsilon2, z_sets, delta_upsilon_prime and the CLI share them; the support
+line is the points of p-'s key, and delta comes from the first crossings
+of neighbours in the phi order on each side of t, with no list of pairs.
 """
 
 from __future__ import annotations
@@ -335,31 +336,39 @@ class PivotData(NamedTuple):
     delta: Fraction  # reported only: half the distance to the nearest other crossing
 
 
-@memoized
-def pivot_points(C: ModelComplex, t) -> PivotData:
-    """The unique minimizing points just left and just right of t."""
+def _pivots(C: ModelComplex, t) -> tuple[Fraction, Fraction, LatticePoint, LatticePoint]:
+    """(t, gamma(t), p-, p+) off the memoized one-sided searches, whose
+    levels at t must agree: both are gamma(t), by continuity."""
     C.require_valid()
     t = as_rational(t)
     if not 0 < t < 2:
         raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
+    (left, p_minus, *_), (right, p_plus, *_) = (_one_sided(C, t, side) for side in (-1, 1))
+    if left != right:
+        raise ConsistencyError(f"one-sided levels {left} and {right} differ at t = {t}")
+    return t, left, p_minus, p_plus
+
+
+@memoized
+def pivot_points(C: ModelComplex, t) -> PivotData:
+    """The pivots p+- at t, the slice points of p-'s phi_t key (gamma(t)), and delta."""
+    t, gamma_t, p_minus, p_plus = _pivots(C, t)
     points = {e.point for e in C.grading_slice(0)}
+    weight, _ = phi_key(t)
+    on_line = frozenset(q for q in points if weight(q) == weight(p_minus))
     above = _first_crossing(points, t)
     below = 2 - _first_crossing({(j, i) for i, j in points}, 2 - t)  # phi_x(j, i) = phi_{2-x}(i, j)
-    delta = min(t - below, above - t) / 2
-    gamma_t, on_line, _ = _gamma(C, t)
-    pivots = [_one_sided(C, t, side)[1] for side in (-1, 1)]
-    if not on_line.issuperset(pivots):
-        raise ConsistencyError("pivot point not on the support line")
-    return PivotData(t, gamma_t, frozenset(on_line), *pivots, delta)
+    return PivotData(t, gamma_t, on_line, p_minus, p_plus, min(t - below, above - t) / 2)
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:
-    """Jump of the derivative of Upsilon at t, cross-checked against pivots."""
-    pd = pivot_points(C, t)
-    t = pd.t
+    """Jump of the derivative of Upsilon at t, cross-checked against the pivots."""
+    t, gamma_t, p_minus, p_plus = _pivots(C, t)
     ups = upsilon(C)
+    if ups.evaluate(t) != -2 * gamma_t:
+        raise ConsistencyError(f"Upsilon({t}) = {ups.evaluate(t)} but the pivots give {-2 * gamma_t}")
     jump = ups.one_sided_slope(t, "right") - ups.one_sided_slope(t, "left")
-    from_pivots = Fraction(2) / t * (pd.p_plus[0] - pd.p_minus[0])
+    from_pivots = Fraction(2) / t * (p_plus[0] - p_minus[0])
     if jump != from_pivots:
         raise ConsistencyError(
             f"slope jump {jump} disagrees with pivot formula {from_pivots} at t = {t}"

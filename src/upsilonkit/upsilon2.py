@@ -13,16 +13,16 @@ filtrations; off the line strictly between the pivots it lies in V- or V+,
 and the middle chains' part bounds below the line, in V-, so Z+- would meet.
 
 z_sets is the one path to Z- and Z+; it reads them, with no elimination,
-off the one-sided gamma searches that upsilon.pivot_points memoizes on
-the complex, so upsilon2, which calls both, searches once.  gamma2(s) is
-one upsilon._level search, as gamma(t) is: the (column, point) items of
-the grading-1 slice outside the t half-plane join the base (v-, v+ and
-the columns inside) in phi_s order until it holds z- + z+, prepared once
-modulo that base: z- + z+ is homologous inside the t half-plane iff its
-residue is 0.  upsilon.level_pl sweeps that search over s, as it sweeps
-gamma's over t; each piece's witness is the x of its midpoint search.
-Half-planes compare the integer keys of upsilon.phi_key with 2q times
-the level.
+off the memoized one-sided gamma searches (upsilon._one_sided) that give
+pivot_points its pivots, so upsilon2, which calls both, searches once
+per side of t.  gamma2(s) is one upsilon._level search, as gamma(t) is:
+the (column, point) items of the grading-1 slice outside the t
+half-plane join the base (v-, v+ and the columns inside) in phi_s order
+until it holds z- + z+, prepared once modulo that base: z- + z+ is
+homologous inside the t half-plane iff its residue is 0.
+upsilon.level_pl sweeps that search over s, as it sweeps gamma's over t;
+each piece's witness is the x of its midpoint search.  Half-planes
+compare the integer keys of upsilon.phi_key with 2q times the level.
 """
 
 from __future__ import annotations

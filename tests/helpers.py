@@ -62,12 +62,28 @@ def combine(vectors, combo: int) -> int:
     return acc
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch module.name to record the arguments of each call; returns the record."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def count_thresholds(monkeypatch) -> list:
     """Patch upsilon.threshold to record one entry per call; returns the record."""
-    calls = []
-    original = UPSILON.threshold
-    monkeypatch.setattr(UPSILON, "threshold", lambda *args: calls.append(1) or original(*args))
-    return calls
+    return count_calls(monkeypatch, UPSILON, "threshold")
+
+
+def skew_one_sided(monkeypatch, shift):
+    """Patch upsilon._one_sided to add shift(side) to the level it reports."""
+    one_sided = UPSILON._one_sided
+
+    def skewed(C, t, side):
+        value, *rest = one_sided(C, t, side)
+        return (value + shift(side), *rest)
+
+    monkeypatch.setattr(UPSILON, "_one_sided", skewed)
 
 
 def boundaries(C) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit.cli import MAX_SAMPLES, main, make_parser, pl_to_json, pl_to_text, write_csv
-from helpers import pl
+from helpers import pl, skew_one_sided
 
 
 def run(capsys, *argv):
@@ -279,6 +279,19 @@ def test_internal_error_exits_3_with_a_reproducer(capsys, monkeypatch):
     monkeypatch.setattr("upsilonkit.cli.genus_report", fail)
     code, _, err = run(capsys, "bounds", "T(2,3)", "--t", "1", "--t", "1/2")
     assert code == 3 and "reproducer: upsilonkit bounds --t 1 --t 1/2 -- 'T(2,3)'" in err
+
+
+def test_pivots_exit_3_when_the_one_sided_levels_differ(capsys, monkeypatch):
+    skew_one_sided(monkeypatch, lambda side: side > 0)
+    code, out, err = run(capsys, "pivots", "T(2,3)", "--t", "1")
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "internal error: one-sided levels 1/2 and 3/2 differ at t = 1",
+        "reproducer: upsilonkit pivots --t 1 -- 'T(2,3)'",
+        "complex:",
+        *uk.serialize_complex(uk.catalog("T(2,3)")).splitlines(),
+    ]
 
 
 @pytest.mark.parametrize("expr", ["20*T(2,3)", "4*hom-K", "hom-K # hom-K # hom-K # hom-K",

@@ -15,7 +15,7 @@ from upsilonkit.upsilon import (
 )
 from helpers import (
     CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built, combine,
-    count_thresholds, interior_breakpoints, pl,
+    count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
 from oracles import certified_pl, crossings, half_gap, reference_threshold
 
@@ -98,13 +98,76 @@ def test_pivot_points_at_smooth_point():
 
 def test_pivot_domain(monkeypatch):
     C = built("T(2,3)")
-    # delta_upsilon_prime reads its t check from pivot_points, before any Upsilon.
+    # delta_upsilon_prime shares its t check with pivot_points, before any
+    # search or Upsilon.
     monkeypatch.setattr(UPSILON, "upsilon", None)
     for t in (0, 2, F(5, 2)):
         with pytest.raises(DomainError):
             uk.pivot_points(C, t)
         with pytest.raises(DomainError):
             uk.delta_upsilon_prime(C, t)
+
+
+# T(3,4) # box(1) # box(1) has a point with no rows (its unit vectors are
+# boundaries) on the support line at t = 2/3 and 4/3.
+ROWLESS_ON_THE_LINE = "T(3,4) # box(1) # box(1)"
+
+
+@pytest.mark.parametrize("expr", [*CATALOG_SCAN, "-T(13,17) # T(5,7)", "2*hom-K # T(3,4)",
+                                  "box(1) # box(2) # box(3)", ROWLESS_ON_THE_LINE])
+def test_support_line_is_the_two_sided_level(expr):
+    # Lemma (checked): the two-sided gamma(t) search stops at gamma(t), the
+    # level of both one-sided searches at t, and every slice point of that
+    # weight joins at that level, rows or none.  So pivot_points reads
+    # on_line as the points of p-'s key, with no two-sided search.  Checked
+    # at every interior breakpoint of Upsilon and each piece's midpoint.
+    C = uk.parse_and_build(expr)
+    bps = [x for x, _ in uk.upsilon(C).breakpoints]
+    rows = {point: point_rows for point, point_rows, _, _ in _gamma_search(C)[1]}
+    rowless = 0
+    for t in sorted(set(bps[1:-1]) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}):
+        level, points, _ = _gamma(C, t)
+        pd = uk.pivot_points(C, t)
+        assert (level, points) == (pd.gamma_t, pd.on_line), t
+        rowless += sum(not rows[point] for point in points)
+    assert rowless == (2 if expr == ROWLESS_ON_THE_LINE else 0)
+
+
+def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
+    # After Upsilon, a slope jump runs the two one-sided searches at t and
+    # nothing else: no two-sided search and no sort of the slice for delta.
+    # pivot_points at the same t then reads those memoized searches.
+    C = uk.torus_knot_complex(23, 29)
+    uk.upsilon(C)
+    searches = count_thresholds(monkeypatch)
+    sorts = count_calls(monkeypatch, UPSILON, "_first_crossing")
+    ts = interior_breakpoints(C)
+    assert len(ts) == 31
+    for t in ts:
+        before = len(searches)
+        uk.delta_upsilon_prime(C, t)
+        assert len(searches) - before == 2, t
+    assert not sorts
+    for t in ts:
+        uk.pivot_points(C, t)
+    assert len(searches) == 2 * len(ts) and len(sorts) == 2 * len(ts)
+
+
+def test_pivots_refuse_one_sided_levels_that_differ(monkeypatch):
+    skew_one_sided(monkeypatch, lambda side: side > 0)
+    for read in (uk.pivot_points, uk.delta_upsilon_prime):
+        with pytest.raises(uk.ConsistencyError, match="one-sided levels 1 and 2 differ at t = 2/3"):
+            read(uk.torus_knot_complex(3, 4), F(2, 3))  # fresh: nothing memoized
+
+
+def test_slope_jump_refuses_an_upsilon_off_the_one_sided_level(monkeypatch):
+    # Both sides agree, and the pivots and so the pivot formula are right,
+    # but gamma(t) is not -Upsilon(t) / 2.
+    skew_one_sided(monkeypatch, lambda side: 1)
+    C = uk.torus_knot_complex(3, 4)
+    assert uk.pivot_points(C, F(2, 3)).gamma_t == 2
+    with pytest.raises(uk.ConsistencyError, match=r"Upsilon\(2/3\) = -2 but the pivots give -4"):
+        uk.delta_upsilon_prime(C, F(2, 3))
 
 
 def test_derivative_jumps():
@@ -470,7 +533,7 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
 
 
 def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
-    # pivot_points memoizes each one-sided gamma search as gamma(t), its
+    # _one_sided memoizes each one-sided gamma search as gamma(t), its
     # winner, x and kernel, with no echelon rows: x is a coset cycle on the
     # points up to the winner and each kernel combination a boundary among
     # them.  z+- is that x and V+- spans that kernel.  Checked against a

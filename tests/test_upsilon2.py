@@ -109,8 +109,9 @@ def test_witness_chains_connect_the_z_sets(expr, t):
 
 
 def test_upsilon2_finds_the_pivots_once(monkeypatch):
-    # upsilon2 reads the pivots directly and through z_sets; both share one
-    # memoized search, which runs the gamma kernel once per side of t.
+    # upsilon2 reads the pivots directly and through z_sets; both share the
+    # memoized one-sided searches, which run the gamma kernel once per side
+    # of t, and neither runs the two-sided gamma(t) search.
     sides, zsets_calls = [], []
     upsilon_module = importlib.import_module("upsilonkit.upsilon")
     gamma = upsilon_module._gamma
@@ -130,7 +131,7 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
     monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "z_sets", counting)
     res = uk.upsilon2(C, F(2, 3))
     assert res.zsets.disjoint and res.upsilon2.is_finite
-    assert sorted(sides) == [-1, 0, 1]
+    assert sorted(sides) == [-1, 1]
     assert len(zsets_calls) == 1
     assert uk.pivot_points(C, F(2, 3)) is uk.pivot_points(C, F(2, 3))
 
