@@ -93,8 +93,7 @@ class Gf2Solver:
     """Echelon form of a column set, tracking column combinations.
 
     Supports particular solutions of ``M x = b`` (as a bitmask over the
-    columns added so far) and a basis for the kernel of M.  A column added
-    with a tag stands for that bitmask in place of its own bit.
+    columns added so far) and a basis for the kernel of M.
     """
 
     __slots__ = ("_rows", "_kernel", "_ncols")
@@ -116,8 +115,8 @@ class Gf2Solver:
             combo ^= rc[1]
         return v, combo
 
-    def add_column(self, v: int, tag: Optional[int] = None) -> None:
-        combo = 1 << self._ncols if tag is None else tag
+    def add_column(self, v: int) -> None:
+        combo = 1 << self._ncols
         self._ncols += 1
         v, combo = self._reduce(v, combo)
         if v:
@@ -133,10 +132,6 @@ class Gf2Solver:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def basis(self) -> list[tuple[int, int]]:
-        """The echelon rows by leading bit, as (row, columns summing to it)."""
-        return [self._rows[p] for p in sorted(self._rows)]
 
     def kernel_basis(self) -> list[int]:
         return list(self._kernel)

@@ -10,26 +10,27 @@ shares: the unit vectors of the slice elements join the coset's boundary
 span in phi_t order until it holds the cycle, and the points of the last
 level are those on the support line.  prepare_search reduces a search
 modulo its base span once (for gamma, once per complex), so threshold
-weighs each point once and never copies the base; its certificate names
-admitted items that sum to the target, exactly, and the kernel among
-them, which upsilon2 reads as Z+- and witnesses with no elimination of
-its own.  The engine orders points only by the integer key 2q phi_t for
-t = p/q (phi_key), with no Fraction arithmetic per point; phi is the
-Fraction reference.  Just left or right of t the key is paired with the
-slope of phi_t (symbolic perturbation), so the pivots come from the
-kernel at t.
+weighs each point once, never copies the base and is the search's only
+elimination; its certificate names admitted items that sum to the
+target, exactly, and the kernel among them, which upsilon2 reads as Z+-
+and witnesses with no elimination of its own.  The engine orders points
+only by the integer key 2q phi_t for t = p/q (phi_key), with no Fraction
+arithmetic per point; phi is the Fraction reference.  Just left or right
+of t the key is paired with the slope of phi_t (symbolic perturbation),
+so the pivots come from the kernel at t.
 
 gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
 gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
-meets the phi of another point with rows (a kinetic event).  threshold
-certifies each winner, and an event that the certificate survives needs
-no search, so the searches grow with the winner changes and the events
-the certificate cannot decide, not with the pairs of points or with every
-event.  The pivots p+- and gamma(t) are read off the two one-sided
-searches at t (_one_sided), memoized on the complex with Upsilon, so
-upsilon2, z_sets, delta_upsilon_prime and the CLI share them; the support
-line is the points of p-'s key, and delta comes from the first crossings
-of neighbours in the phi order on each side of t, with no list of pairs.
+meets the phi of another point with a nonzero residue (a kinetic event).
+threshold certifies each winner, and an event that the certificate
+survives needs no search, so the searches grow with the winner changes
+and the events the certificate cannot decide, not with the pairs of
+points or with every event.  The pivots p+- and gamma(t) are read off
+the two one-sided searches at t (_one_sided), memoized on the complex
+with Upsilon, so upsilon2, z_sets, delta_upsilon_prime and the CLI share
+them; the support line is the points of p-'s key, and delta comes from
+the first crossings of neighbours in the phi order on each side of t,
+with no list of pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
 from .exact import DomainError, PLFunction, as_rational, shared
-from .gf2 import Gf2Solver, Gf2Span, functional
+from .gf2 import Gf2Span, functional
 
 
 class ConsistencyError(RuntimeError):
@@ -74,27 +75,26 @@ def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
 
 def prepare_search(base_span: Gf2Span, target: int, items):
     """A level search reduced modulo base_span once: (residue of target,
-    ((point, rows, dependents, mask), ...)) for the distinct points of the
-    (vector, point) items, with items as bits by their index.  rows is an
-    echelon basis of the point's items' residues as (row, items that sum to
-    it), dependents the combinations of its items whose residues sum to 0,
-    mask its items.  A point with no rows still belongs to its level."""
+    ((point, ((residue, bit), ...)), ...)) for the distinct points of the
+    (vector, point) items, each item as its residue and its bit 1 << index.
+    threshold is the only elimination the search gets: an item whose
+    residue is 0, or depends on those admitted before it, goes into its
+    certificate's kernel.  A point whose residues are all 0 still belongs
+    to its level."""
     residue, *rest = base_span.residues([target] + [vector for vector, _ in items])
-    solvers: dict = {}  # point -> Gf2Solver of its items' residues, each tagged by its item's bit
-    masks: dict = {}
+    points: dict = {}
     for k, (r, (_, point)) in enumerate(zip(rest, items)):
-        solvers.setdefault(point, Gf2Solver()).add_column(r, 1 << k)
-        masks[point] = masks.get(point, 0) | 1 << k
-    return residue, tuple((point, tuple(solver.basis()), tuple(solver.kernel_basis()), masks[point])
-                          for point, solver in solvers.items())
+        points.setdefault(point, []).append((r, 1 << k))
+    return residue, tuple((point, tuple(pairs)) for point, pairs in points.items())
 
 
 class Certificate:
     """Why the target of a search enters at a level, in its residue space.
     x names items of the level and below whose residues sum to the target's;
-    kernel, the items of each admitted row that reduced to 0.  f, read as
-    w -> parity of f & w, is 1 on the target and 0 on every row of the
-    points below the level, so they do not span it (built on first use)."""
+    kernel is a basis of the item sets of the level and below whose residues
+    sum to 0, one per item that reduced to 0.  f, read as w -> parity of
+    f & w, is 1 on the target and 0 on every item residue of the points
+    below the level, so they do not span it (built on first use)."""
 
     __slots__ = ("x", "kernel", "_rows", "_below", "_before", "_f")
 
@@ -112,12 +112,12 @@ class Certificate:
         """Whether p, the one point of a one-sided level, still wins, with
         this certificate, after the event where the (p, q) pairs of met
         meet: each q joins the points below p if its slope j - i is below
-        p's and leaves them otherwise; no joiner may have a row f is 1 on,
-        and no leaver may have an item in x."""
+        p's and leaves them otherwise; no joiner may have a residue f is 1
+        on, and no leaver may have an item in x."""
         for _, q in met:
-            mask, rows = movers[q]
+            mask, pairs = movers[q]
             if q[1] - q[0] < p[1] - p[0]:
-                if any((self.f & row).bit_count() & 1 for row, _ in rows):
+                if any((self.f & r).bit_count() & 1 for r, _ in pairs):
                     return False
             elif self.x & mask:
                 return False
@@ -126,8 +126,8 @@ class Certificate:
 
 def threshold(search, weight):
     """Least weight at which the target of a prepare_search result enters
-    the span of its rows, admitted from empty in increasing weight(point)
-    one level at a time.  Returns (level, points of that level, its
+    the span of its item residues, admitted from empty in increasing
+    weight(point) one level at a time.  Returns (level, points of that level, its
     Certificate); raises ConsistencyError if the target never enters.
 
     The target's residue is carried along: a new row changes it only when
@@ -136,12 +136,13 @@ def threshold(search, weight):
     carries the XOR of the items that sum to it, and the residue that of
     the items it has taken off the target (the R = DV bookkeeping of
     Cohen-Steiner, Edelsbrunner & Morozov, Vines and vineyards, SoCG 2006):
-    the residue's ends as the certificate's x, and a row that reduces to 0
-    leaves its items in the kernel.  The elimination is written out, with
-    no call per row: it is the engine's innermost loop."""
+    the residue's ends as the certificate's x, and an item that reduces to
+    0 leaves the items that sum to its residue in the kernel.  The
+    elimination is written out, with no call per row: it is the engine's
+    innermost loop."""
     residue, points = search
     groups: dict = {}
-    for k, (point, _, _, _) in enumerate(points):
+    for k, (point, _) in enumerate(points):
         groups.setdefault(weight(point), []).append(k)
     rows: dict = {}  # leading bit -> echelon row, in insertion order
     combos: dict = {}  # leading bit -> the items that sum to its row
@@ -237,15 +238,16 @@ def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
     """The level of search, a prepare_search result, as an exact PL function
     of t on [0, 2], and per piece its midpoint certificate's x, by a kinetic
     sweep (Basch, Guibas & Hershberger, SODA 1997).  Just right of t the
-    level is phi(p) for its one point p, and the points with rows below p
-    change only where phi(p) meets phi(q) for such a q (an event); a point
-    whose residues are all 0 adds no row.  p's certificate decides most
-    events with no search (McConnell, Mehlhorn, Naeher & Schweitzer,
-    Certifying algorithms, 2011); elsewhere the level found just right of
-    the event must continue the piece.  Each piece, ending where the winner
+    level is phi(p) for its one point p, and the points below p with a
+    nonzero residue change only where phi(p) meets phi(q) for such a q (an
+    event); a point whose residues are all 0 adds no row.  p's certificate
+    decides most events with no search (McConnell, Mehlhorn, Naeher &
+    Schweitzer, Certifying algorithms, 2011); elsewhere the level found
+    just right of the event must continue the piece.  Each piece, ending where the winner
     changes, is checked at its midpoint; raises ConsistencyError naming
     what otherwise."""
-    movers = {point: (mask, rows) for point, rows, _, mask in search[1] if rows}
+    movers = {point: (sum(bit for _, bit in pairs), pairs)
+              for point, pairs in search[1] if any(r for r, _ in pairs)}
     t = Fraction(0)
     value, (p,), certificate = _level(search, t, 1)
     breakpoints, xs = [(t, value)], []
@@ -280,13 +282,10 @@ def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set, Certificat
 @memoized
 def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple:
     """The gamma search just left (-1) or right (+1) of t with no echelon rows:
-    gamma(t), its winner p, its certificate's x and the kernel of the items
-    up to p, the certificate's with those points' dependents (z_sets)."""
+    gamma(t), its winner p, its certificate's x and kernel.  The level is p
+    alone, so the kernel spans the cycles on the points up to p (z_sets)."""
     value, (p,), certificate = _gamma(C, t, side)
-    weight, _ = phi_key(t, side)
-    dependents = [c for q, _, own, _ in _gamma_search(C)[1]
-                  if own and weight(q) <= weight(p) for c in own]
-    return value, p, certificate.x, (*certificate.kernel, *dependents)
+    return value, p, certificate.x, certificate.kernel
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:

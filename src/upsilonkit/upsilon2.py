@@ -65,14 +65,12 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     pd = pivot_points(C, t)
     t = pd.t
     coset = C.generator_coset()
-    (_, pm, zm, km), (_, pp, zp, kp) = (_one_sided(C, t, side) for side in (-1, 1))
-    if (pm, pp) != (pd.p_minus, pd.p_plus):
-        raise ConsistencyError(f"one-sided winners {pm}, {pp} are not the pivots at t = {t}")
+    (_, pm, zm, km), (_, _, zp, kp) = (_one_sided(C, t, side) for side in (-1, 1))
     vm, vp = (tuple(Gf2Span(kernel).basis()) for kernel in (km, kp))
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
     weight, _ = phi_key(t)
-    bound = weight(pd.p_minus)  # p- is on the support line: its key is the level
+    bound = weight(pm)  # p- is on the support line: its key is the level
     outside = sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) > bound)
     if any(vec & outside for vec in (zm, zp) + vm + vp):
         raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")

@@ -12,7 +12,6 @@ import upsilonkit as uk
 from upsilonkit.gf2 import Gf2Span
 
 UPSILON = importlib.import_module("upsilonkit.upsilon")  # uk.upsilon is the function
-UPSILON2 = importlib.import_module("upsilonkit.upsilon2")  # uk.upsilon2 is the function
 
 # Every named/parameterized family member exercised by the suites.
 CATALOG_SCAN = [

@@ -81,23 +81,6 @@ def test_solver_agrees_with_span(cols, target):
     assert solver.rank + len(solver.kernel_basis()) == len(cols)
 
 
-@given(st.lists(vectors, max_size=8), st.integers(0, 8))
-def test_solver_tags_and_basis(cols, shift):
-    # Columns tagged with bit k + shift stand for that bit: each echelon row
-    # of basis(), in ascending leading bit, is the sum of the columns its
-    # tags name, and so is each kernel vector (0).
-    solver = Gf2Solver()
-    for k, v in enumerate(cols):
-        solver.add_column(v, 1 << (k + shift))
-    rows = solver.basis()
-    assert [row for row, _ in rows] == sorted(row for row, _ in rows)
-    assert [row for row, _ in rows] == Gf2Span(cols).basis()
-    for row, combo in rows:
-        assert combine(cols, combo >> shift) == row and not combo & ((1 << shift) - 1)
-    for combo in solver.kernel_basis():
-        assert combo and combine(cols, combo >> shift) == 0
-
-
 @given(st.lists(vectors, max_size=8))
 def test_span_basis_spans_inputs(vs):
     span = Gf2Span(vs)

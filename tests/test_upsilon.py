@@ -14,7 +14,7 @@ from upsilonkit.upsilon import (
     prepare_search, threshold,
 )
 from helpers import (
-    CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built, combine,
+    CATALOG_SCAN, UPSILON, assert_witnesses_connect, boundaries, built, combine,
     count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
 from oracles import certified_pl, crossings, half_gap, reference_threshold
@@ -108,8 +108,8 @@ def test_pivot_domain(monkeypatch):
             uk.delta_upsilon_prime(C, t)
 
 
-# T(3,4) # box(1) # box(1) has a point with no rows (its unit vectors are
-# boundaries) on the support line at t = 2/3 and 4/3.
+# T(3,4) # box(1) # box(1) has a point whose residues are all 0 (its unit
+# vectors are boundaries) on the support line at t = 2/3 and 4/3.
 ROWLESS_ON_THE_LINE = "T(3,4) # box(1) # box(1)"
 
 
@@ -118,18 +118,19 @@ ROWLESS_ON_THE_LINE = "T(3,4) # box(1) # box(1)"
 def test_support_line_is_the_two_sided_level(expr):
     # Lemma (checked): the two-sided gamma(t) search stops at gamma(t), the
     # level of both one-sided searches at t, and every slice point of that
-    # weight joins at that level, rows or none.  So pivot_points reads
-    # on_line as the points of p-'s key, with no two-sided search.  Checked
-    # at every interior breakpoint of Upsilon and each piece's midpoint.
+    # weight joins at that level, whether or not its residues are all 0.  So
+    # pivot_points reads on_line as the points of p-'s key, with no
+    # two-sided search.  Checked at every interior breakpoint of Upsilon and
+    # each piece's midpoint.
     C = uk.parse_and_build(expr)
     bps = [x for x, _ in uk.upsilon(C).breakpoints]
-    rows = {point: point_rows for point, point_rows, _, _ in _gamma_search(C)[1]}
+    residues = {point: [r for r, _ in pairs] for point, pairs in _gamma_search(C)[1]}
     rowless = 0
     for t in sorted(set(bps[1:-1]) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}):
         level, points, _ = _gamma(C, t)
         pd = uk.pivot_points(C, t)
         assert (level, points) == (pd.gamma_t, pd.on_line), t
-        rowless += sum(not rows[point] for point in points)
+        rowless += sum(not any(residues[point]) for point in points)
     assert rowless == (2 if expr == ROWLESS_ON_THE_LINE else 0)
 
 
@@ -340,9 +341,9 @@ def certificate_holds(raw, t):
     _, (p,), certificate = _level(search, t, 1)
     f, x = certificate.f, certificate.x
     weight, _ = phi_key(t, 1)
-    below = [rows for q, rows, _, _ in points if weight(q) < weight(p)]
+    below = [pairs for q, pairs in points if weight(q) < weight(p)]
     assert (f & residue).bit_count() % 2 == 1, t
-    assert not any((f & row).bit_count() % 2 for rows in below for row, _ in rows), t
+    assert not any((f & r).bit_count() % 2 for pairs in below for r, _ in pairs), t
     # x is exact: items of the winner and the points before it whose
     # residues sum to the target's, so their vectors sum to it modulo the base.
     vectors = [v for v, _ in items]
@@ -352,21 +353,22 @@ def certificate_holds(raw, t):
     assert p in {items[k][1] for k in support(x)}, t
     assert combine(residues, x) == target_residue, t
     assert combine(vectors, x) ^ target in base, t
-    # The kernel and the admitted points' dependents reduce to 0 and span
-    # the kernel of the admitted vectors modulo the base.
-    combos = [*certificate.kernel, *(c for q, _, own, _ in points if weight(q) <= weight(p) for c in own)]
+    # The kernel reduces to 0 and is a basis of the kernel of the admitted
+    # vectors modulo the base.
+    combos = certificate.kernel
     assert all(set(support(c)) <= admitted and not combine(residues, c) for c in combos), t
     rank = Gf2Span(combos).rank
+    assert rank == len(combos), t
     assert rank == len(Gf2Solver([*base.basis(), *(vectors[k] for k in sorted(admitted))]).kernel_basis()), t
     return len(below), rank
 
 
 @pytest.mark.parametrize("expr", ["T(3,4) # -T(2,5)", "2*hom-K", "nK(3) # T(5,7)"])
 def test_one_sided_search_certificate(expr):
-    # The dual f is 1 on the target and 0 on every row of the points before
-    # the winner just right of t; the primal x is an exact set of items of
-    # the winner and points before it whose residues sum to the target's,
-    # and the kernel, with the dependents of those points, spans the rest.
+    # The dual f is 1 on the target and 0 on every item residue of the
+    # points before the winner just right of t; the primal x is an exact
+    # set of items of the winner and points before it whose residues sum to
+    # the target's, and the kernel is a basis of the rest.
     C = uk.parse_and_build(expr)
     ts = sorted({F(0), F(1, 3), F(2, 3), F(1), F(3, 2)} | set(interior_breakpoints(C)))
     below, ranks = zip(*(certificate_holds(gamma_raw(C), t) for t in ts))
@@ -479,8 +481,8 @@ def traced(search):
             return out
 
     residue, points = search
-    copy = (Traced(residue), tuple((point, tuple((Traced(row), combo) for row, combo in rows), own, mask)
-                                   for point, rows, own, mask in points))
+    copy = (Traced(residue), tuple((point, tuple((Traced(r), bit) for r, bit in pairs))
+                                   for point, pairs in points))
     return copy, log, Traced
 
 
@@ -489,12 +491,13 @@ def traced(search):
 def test_threshold_carries_the_target_residue(expr, t):
     # threshold starts from the prepared target's residue and only steps it,
     # each step lowering the leading bit: at most one step per row, so per
-    # item, and no membership test of the target per level.  The residue is
+    # item, and no membership test of the target per level.  Rows are
+    # counted as the ranks of the points' residues.  The residue is
     # followed by identity from the target through the XORs made with it.
     C = uk.parse_and_build(expr)
     search = _gamma_search(C)
     residue, points = search
-    rows = sum(len(basis) for _, basis, _, _ in points)
+    rows = sum(Gf2Span(r for r, _ in pairs).rank for _, pairs in points)
     weight, _ = phi_key(t)
     copy, log, _ = traced(search)
     level, _, _ = threshold(copy, weight)
@@ -532,13 +535,13 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
         assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
 
 
-def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
+def test_z_sets_read_the_memoized_one_sided_searches():
     # _one_sided memoizes each one-sided gamma search as gamma(t), its
     # winner, x and kernel, with no echelon rows: x is a coset cycle on the
     # points up to the winner and each kernel combination a boundary among
-    # them.  z+- is that x and V+- spans that kernel.  Checked against a
-    # fresh span of the boundaries, not the prepared residues; winners that
-    # are not the pivots are refused.
+    # them.  z+- is that x and V+- spans that kernel, which is a basis.
+    # Checked against a fresh span of the boundaries, not the prepared
+    # residues.
     C, t = uk.parse_and_build("T(3,4) # -T(2,5)"), F(2, 3)
     pd = uk.pivot_points(C, t)
     assert pd.p_minus != pd.p_plus
@@ -550,7 +553,7 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
         assert held is _one_sided(C, t, side)
         value, p, x, kernel = held
         assert (value, p, x) == (pd.gamma_t, pivot, z)
-        assert Gf2Span(kernel).rank == len(zs.v_minus if side < 0 else zs.v_plus)
+        assert Gf2Span(kernel).rank == len(kernel) == len(zs.v_minus if side < 0 else zs.v_plus)
         assert all(isinstance(v, int) for v in (x, *kernel))
         weight, _ = phi_key(t, side)
         assert all(weight(coset.basis[k].point) <= weight(p) for k in support(x))
@@ -558,7 +561,3 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
         assert all(combo in span for combo in kernel)
         kernels += len(kernel)
     assert kernels
-    swapped = pd._replace(p_minus=pd.p_plus, p_plus=pd.p_minus)
-    monkeypatch.setattr(UPSILON2, "pivot_points", lambda *args: swapped)
-    with pytest.raises(uk.ConsistencyError, match="are not the pivots"):
-        uk.z_sets(C, t)

@@ -59,6 +59,10 @@ MARGIN_INPUTS = {
     "nK(3)": lambda: uk.parse_and_build("nK(3)"),
     "2*hom-K # T(3,4)": lambda: uk.parse_and_build("2*hom-K # T(3,4)"),
     "hom-K with an acyclic box at (1,0)": lambda: uk.add_acyclic_box(built("hom-K"), (1, 0), 1),
+    # Points with several slice elements, where the chains threshold picks
+    # for Z+- are one of many.
+    "box(1) # hom-K": lambda: uk.parse_and_build("box(1) # hom-K"),
+    "2*hom-K # box(1) # box(2)": lambda: uk.parse_and_build("2*hom-K # box(1) # box(2)"),
 }
 
 
@@ -98,6 +102,7 @@ def test_delta_is_half_the_gap_to_the_nearest_crossing(name):
 
 @pytest.mark.parametrize("expr,t", [
     ("2*hom-K", F(1)), ("nK(3) # T(3,4)", F(2, 3)), ("T(5,7)", F(4, 5)), ("figure6", F(1)),
+    ("box(1) # hom-K", F(1)), ("2*hom-K # box(1) # box(2)", F(1)),
 ])
 def test_witness_chains_connect_the_z_sets(expr, t):
     # Each piece's witness, the x of the gamma2 search at its midpoint, names
@@ -169,18 +174,18 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
     # half-plane) into one Gf2Span, which the search is reduced by, and
     # nothing else: the witnesses are the sweep's midpoint certificates, where
     # a solve per witness over its admitted items added 224 more for 2*hom-K
-    # and 1 for figure6.  Preparing the search adds each item's residue to
-    # its point's solver at most once.
+    # and 1 for figure6.  Preparing the search, once, adds no column to any
+    # span or solver: threshold is the search's only elimination.
     C = uk.parse_and_build(name)
     uk.upsilon2(C, 1)  # the pivots, the coset and validation are memoized now
-    added, prepared, paused = [], [], []
+    added, prepared, paused, entered = [], [], [], []
     for cls, method in ((Gf2Span, "add"), (Gf2Solver, "add_column")):
-        def counting(self, v, *tag, original=getattr(cls, method)):
+        def counting(self, v, original=getattr(cls, method)):
             if not paused:
                 added.append(v)
             elif paused[-1] == "prepare_search":
                 prepared.append(v)
-            return original(self, v, *tag)
+            return original(self, v)
         monkeypatch.setattr(cls, method, counting)
     # The level search in upsilon calls threshold, upsilon2 prepares it, and
     # z_sets reads the memoized one-sided searches.
@@ -189,6 +194,7 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
         module = importlib.import_module(f"upsilonkit.{mod_name}")
         def pausing(*args, attr=attr, original=getattr(module, attr)):
             paused.append(attr)
+            entered.append(attr)
             try:
                 return original(*args)
             finally:
@@ -198,33 +204,28 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
     assert res.upsilon2.is_finite
     inside = [e for e in C.grading_slice(1) if uk.phi(1, e.point) <= res.gamma_t]
     assert len(added) == additions == len(res.zsets.v_minus + res.zsets.v_plus) + len(inside)
-    items = [e for e in C.grading_slice(1) if uk.phi(1, e.point) > res.gamma_t]
-    assert 0 < len(prepared) <= len(items)
+    assert entered.count("prepare_search") == 1 and not prepared
 
 
 @pytest.mark.parametrize("name", ["2*hom-K", "T(3,4) # -T(2,5)"])
 def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
     # Z+- and the witnesses are read off the searches the sweep runs: once
-    # the pivots are memoized, z_sets and the witnesses put no vector into
-    # any Gf2Solver.  The only solvers upsilon2 feeds are the per-point ones
-    # of its gamma2 search's preparation, and they get residues: no vector
-    # has a bit at a leading bit of the echelon rows of the base, v+- and
-    # the grading-1 columns inside the t half-plane.
+    # the pivots are memoized, z_sets and upsilon2 put no vector into any
+    # Gf2Solver.  The only elimination upsilon2 feeds is threshold's, over
+    # its gamma2 search, and that search holds residues: neither its target
+    # nor an item has a bit at a leading bit of the echelon rows of the
+    # base, v+- and the grading-1 columns inside the t half-plane.
     C = uk.parse_and_build(name)
     C.validate()  # the grading-0 elimination, which solves over raw columns, is memoized now
-    phase, fed = ["upsilon2"], {"upsilon2": [], "prepare_search": []}
+    fed, prepared = [], []
     original = Gf2Solver.add_column
-    monkeypatch.setattr(Gf2Solver, "add_column",
-                        lambda self, v, *tag: fed[phase[-1]].append(v) or original(self, v, *tag))
+    monkeypatch.setattr(Gf2Solver, "add_column", lambda self, v: fed.append(v) or original(self, v))
     module = importlib.import_module("upsilonkit.upsilon2")
 
-    def in_preparation(*args, original=module.prepare_search):
-        phase.append("prepare_search")
-        try:
-            return original(*args)
-        finally:
-            phase.pop()
-    monkeypatch.setattr(module, "prepare_search", in_preparation)
+    def recording(*args, original=module.prepare_search):
+        prepared.append(original(*args))
+        return prepared[-1]
+    monkeypatch.setattr(module, "prepare_search", recording)
 
     def leading_bits(span):
         return sum(1 << (row.bit_length() - 1) for row in span.basis())
@@ -233,18 +234,37 @@ def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
     witnesses = 0
     for t in sorted(set(interior_breakpoints(C)) | {F(1)}):
         uk.pivot_points(C, t)
-        fed["upsilon2"].clear()
-        fed["prepare_search"].clear()
+        prepared.clear()
         zs = uk.z_sets(C, t)
-        assert not fed["upsilon2"], t
+        assert not fed, t
         res = uk.upsilon2(C, t)
-        assert not fed["upsilon2"], t
+        assert not fed, t
         inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
         base_pivots = leading_bits(Gf2Span(list(zs.v_minus + zs.v_plus) + inside))
-        assert bool(fed["prepare_search"]) == zs.disjoint, t
-        assert not any(v & base_pivots for v in fed["prepare_search"]), t
+        assert len(prepared) == zs.disjoint, t
+        for residue, points in prepared:
+            vectors = [residue, *(r for _, pairs in points for r, _ in pairs)]
+            assert not any(v & base_pivots for v in vectors), t
         witnesses += len(res.witnesses)
     assert witnesses  # some witness was checked
+
+
+@pytest.mark.parametrize("name", ["2*hom-K", "nK(3) # T(5,7)"])
+def test_level_searches_build_no_solver(monkeypatch, name):
+    # Once the complex's one elimination per column set is memoized, Upsilon,
+    # the pivots, Z+- and Upsilon2 run every level search through threshold
+    # alone: no Gf2Solver gets a column.
+    C = uk.parse_and_build(name)
+    C._elimination()
+    fed = []
+    original = Gf2Solver.add_column
+    monkeypatch.setattr(Gf2Solver, "add_column", lambda self, v: fed.append(v) or original(self, v))
+    uk.upsilon(C)
+    for t in (F(2, 3), F(1)):
+        uk.pivot_points(C, t)
+        uk.z_sets(C, t)
+        uk.upsilon2(C, t)
+    assert not fed
 
 
 def test_disjointness_theorem_scan():

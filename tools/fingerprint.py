@@ -51,6 +51,8 @@ EXPRESSIONS = CATALOG_SCAN + [f"-{name}" for name in CATALOG_SCAN] + [
     # The benchmark's costliest inputs: many crossing candidates, and large
     # slices for the gamma2 sweep.
     "T(17,19)", "nK(3)", "3*hom-K", "2*hom-K # T(3,4)",
+    # Several slice elements at one point: the witnesses are one chain of many.
+    "box(1) # hom-K",
 ]
 # Inputs whose one-sided cycle sets are printed at every interior breakpoint:
 # mixed-sign sums, and cosets past the brute-force oracle's reach.
