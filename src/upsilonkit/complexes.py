@@ -252,7 +252,9 @@ class ModelComplex:
     def _elimination(self) -> tuple[int, Gf2Span, int | None]:
         """One elimination per column set: the grading-0 rank, the grading-1
         span (callers must not add to it), and the first grading-0 cycle of
-        a kernel basis outside that span, or None."""
+        a kernel basis outside that span, or None.  With H0 of dimension 1
+        every such cycle has the same residue modulo the span, so the
+        searches do not depend on which one comes first."""
         cycles = Gf2Solver(self.slice_boundary(0))
         boundaries = Gf2Span(self.slice_boundary(1))
         z0 = next((z for z in cycles.kernel_basis() if z not in boundaries), None)

@@ -2,13 +2,15 @@
 
 Vectors are plain Python ints: bit ``i`` is the coefficient of basis
 element ``i`` and addition is XOR, so everything is exact for any
-dimension.  Pivoting always uses the highest set bit, which keeps
-echelon bases, solutions, and kernel bases deterministic.
+dimension.  A span keeps one echelon row per pivot, its leading bit, and
+has one reduction: clear every pivot bit.  The result is the canonical
+residue, the least member of the vector's coset, so it does not depend
+on the rows a span happens to hold.  A solver is a span of augmented
+columns, whose low bits record which columns sum to each row.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Optional
 
 
@@ -37,21 +39,21 @@ def functional(rows: Iterable[int], v: int) -> int:
 class Gf2Span:
     """Growable span of bit vectors kept in row-echelon form."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_mask")
 
     def __init__(self, vectors: Iterable[int] = ()):
-        self._rows: dict[int, int] = {}
+        self._rows: dict[int, int] = {}  # pivot -> the row it leads
+        self._mask = 0  # the pivots
         for v in vectors:
             self.add(v)
 
     def reduce(self, v: int) -> int:
-        """Residue of v modulo the span; 0 iff v is a member."""
-        rows = self._rows
-        while v:
-            row = rows.get(v.bit_length() - 1)
-            if row is None:
-                break
-            v ^= row
+        """Canonical residue of v modulo the span: every pivot bit cleared,
+        highest first.  Linear, 0 exactly on the span, and the least member
+        of v's coset."""
+        rows, mask = self._rows, self._mask
+        while hit := v & mask:
+            v ^= rows[hit.bit_length() - 1]
         return v
 
     def add(self, v: int) -> int:
@@ -59,7 +61,9 @@ class Gf2Span:
         did not grow."""
         v = self.reduce(v)
         if v:
-            self._rows[v.bit_length() - 1] = v
+            lead = v.bit_length() - 1
+            self._rows[lead] = v
+            self._mask |= 1 << lead
         return v
 
     def __contains__(self, v: int) -> bool:
@@ -72,66 +76,39 @@ class Gf2Span:
     def basis(self) -> list[int]:
         return [self._rows[p] for p in sorted(self._rows)]
 
-    def residues(self, vectors: Iterable[int]) -> list[int]:
-        """Canonical residues of the vectors modulo the span: every pivot bit
-        cleared by the rows in reduced echelon form.  Linear, and 0 exactly
-        on the span."""
-        reduced: dict[int, int] = {}  # pivot -> row with no other pivot bit
-        mask, out = 0, []  # mask: the pivots of reduced
-        for v in chain((self._rows[p] for p in sorted(self._rows)), vectors):
-            while hit := v & mask:
-                v ^= reduced[hit.bit_length() - 1]
-            if len(reduced) < len(self._rows):  # a row, reduced by the lower rows
-                reduced[v.bit_length() - 1] = v
-                mask |= 1 << (v.bit_length() - 1)
-            else:
-                out.append(v)
-        return out
 
+class Gf2Solver(Gf2Span):
+    """The span of n columns, column k added as (column << n) | 1 << k.
 
-class Gf2Solver:
-    """Echelon form of a column set, tracking column combinations.
-
-    Supports particular solutions of ``M x = b`` (as a bitmask over the
-    columns added so far) and a basis for the kernel of M.
+    The low n bits of a row name the columns whose sum is its high bits.
+    Rows led at bit n or above give the rank; the others, with no high
+    bits, are a kernel basis.  Supports particular solutions of ``M x = b``
+    as a bitmask over the columns.
     """
 
-    __slots__ = ("_rows", "_kernel", "_ncols")
+    __slots__ = ("_n", "_added")
 
-    def __init__(self, columns: Iterable[int] = ()):
-        self._rows: dict[int, tuple[int, int]] = {}
-        self._kernel: list[int] = []
-        self._ncols = 0
+    def __init__(self, columns: Iterable[int]):
+        super().__init__()
+        columns = tuple(columns)
+        self._n, self._added = len(columns), 0
         for c in columns:
             self.add_column(c)
 
-    def _reduce(self, v: int, combo: int) -> tuple[int, int]:
-        rows = self._rows
-        while v:
-            rc = rows.get(v.bit_length() - 1)
-            if rc is None:
-                break
-            v ^= rc[0]
-            combo ^= rc[1]
-        return v, combo
-
     def add_column(self, v: int) -> None:
-        combo = 1 << self._ncols
-        self._ncols += 1
-        v, combo = self._reduce(v, combo)
-        if v:
-            self._rows[v.bit_length() - 1] = (v, combo)
-        else:
-            self._kernel.append(combo)
+        if self._added == self._n:
+            raise ValueError(f"a solver over {self._n} columns takes no more")
+        self.add(v << self._n | 1 << self._added)
+        self._added += 1
 
     def solve(self, target: int) -> Optional[int]:
         """Bitmask x with (columns selected by x) XOR-summing to target."""
-        v, combo = self._reduce(target, 0)
-        return combo if v == 0 else None
+        x = self.reduce(target << self._n)
+        return x if x >> self._n == 0 else None
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return sum(p >= self._n for p in self._rows)
 
     def kernel_basis(self) -> list[int]:
-        return list(self._kernel)
+        return [row for p, row in self._rows.items() if p < self._n]

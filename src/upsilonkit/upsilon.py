@@ -81,11 +81,11 @@ def prepare_search(base_span: Gf2Span, target: int, items):
     residue is 0, or depends on those admitted before it, goes into its
     certificate's kernel.  A point whose residues are all 0 still belongs
     to its level."""
-    residue, *rest = base_span.residues([target] + [vector for vector, _ in items])
+    reduce = base_span.reduce
     points: dict = {}
-    for k, (r, (_, point)) in enumerate(zip(rest, items)):
-        points.setdefault(point, []).append((r, 1 << k))
-    return residue, tuple((point, tuple(pairs)) for point, pairs in points.items())
+    for k, (vector, point) in enumerate(items):
+        points.setdefault(point, []).append((reduce(vector), 1 << k))
+    return reduce(target), tuple((point, tuple(pairs)) for point, pairs in points.items())
 
 
 class Certificate:

@@ -65,8 +65,7 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     pd = pivot_points(C, t)
     t = pd.t
     coset = C.generator_coset()
-    (_, pm, zm, km), (_, _, zp, kp) = (_one_sided(C, t, side) for side in (-1, 1))
-    vm, vp = (tuple(Gf2Span(kernel).basis()) for kernel in (km, kp))
+    (_, pm, zm, vm), (_, _, zp, vp) = (_one_sided(C, t, side) for side in (-1, 1))
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
     weight, _ = phi_key(t)

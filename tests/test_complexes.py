@@ -99,14 +99,15 @@ def test_each_column_set_is_eliminated_once(monkeypatch, name):
     # The ranks, the H0 coset and the gamma search read one elimination of
     # the grading-0 columns and one of the grading-1 columns.  Preparing the
     # search only reduces its items modulo that span: it adds no column to
-    # any span or solver, as threshold is the search's elimination.
+    # any span or solver, as threshold is the search's elimination.  A
+    # solver is a span of augmented columns, so Gf2Span.add counts every
+    # column of either, once.
     C = uk.catalog(name)  # a fresh complex: nothing memoized yet
     added, prepared, paused = [], [], []
-    for cls, method in ((gf2.Gf2Span, "add"), (gf2.Gf2Solver, "add_column")):
-        def counting(self, v, original=getattr(cls, method)):
-            (prepared if paused else added).append(v)
-            return original(self, v)
-        monkeypatch.setattr(cls, method, counting)
+    def counting(self, v, original=gf2.Gf2Span.add):
+        (prepared if paused else added).append(v)
+        return original(self, v)
+    monkeypatch.setattr(gf2.Gf2Span, "add", counting)
     upsilon = importlib.import_module("upsilonkit.upsilon")  # the package's upsilon is the function
     calls = []
     def pausing(*args, original=upsilon.prepare_search):

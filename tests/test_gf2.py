@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -43,7 +44,7 @@ def test_span_membership_and_rank():
 def test_span_reduce_residue():
     span = Gf2Span([0b110])
     assert span.reduce(0b110) == 0
-    assert span.reduce(0b111) in (0b001, 0b111 ^ 0b110)
+    assert span.reduce(0b111) == 0b001  # the pivot bit cleared
 
 
 def test_solver_solution_and_kernel():
@@ -81,6 +82,30 @@ def test_solver_agrees_with_span(cols, target):
     assert solver.rank + len(solver.kernel_basis()) == len(cols)
 
 
+def test_solver_takes_only_its_columns():
+    solver = Gf2Solver([0b01, 0b10])
+    with pytest.raises(ValueError):
+        solver.add_column(0b11)
+    assert solver.rank == 2 and solver.kernel_basis() == []
+
+
+@given(st.lists(vectors, max_size=8), vectors)
+def test_gf2_against_every_subset_sum(cols, v):
+    # A reference with no echelon form: the span is every subset sum of
+    # the columns, enumerated.
+    sums = {combine(cols, mask) for mask in range(1 << len(cols))}
+    span, solver = Gf2Span(cols), Gf2Solver(cols)
+    assert span.reduce(v) == min(v ^ s for s in sums)  # the least member of v's coset
+    assert 1 << span.rank == 1 << solver.rank == len(sums)
+    kernel = solver.kernel_basis()
+    assert len(kernel) == len(cols) - solver.rank
+    assert all(k and not combine(cols, k) for k in kernel)
+    assert len({combine(kernel, mask) for mask in range(1 << len(kernel))}) == 1 << len(kernel)
+    x = solver.solve(v)
+    assert (x is not None) == (v in sums)
+    assert x is None or combine(cols, x) == v
+
+
 @given(st.lists(vectors, max_size=8))
 def test_span_basis_spans_inputs(vs):
     span = Gf2Span(vs)
@@ -92,26 +117,25 @@ def test_span_basis_spans_inputs(vs):
 
 @given(st.lists(vectors, max_size=8), vectors, vectors)
 def test_residues_are_linear(rows, a, b):
-    ra, rb, rab = Gf2Span(rows).residues([a, b, a ^ b])
-    assert rab == ra ^ rb
+    span = Gf2Span(rows)
+    assert span.reduce(a ^ b) == span.reduce(a) ^ span.reduce(b)
 
 
 @given(st.lists(vectors, max_size=8), vectors)
 def test_residue_is_zero_exactly_on_the_span(rows, v):
     span = Gf2Span(rows)
-    (r,) = span.residues([v])
+    r = span.reduce(v)
     assert (r == 0) == (v in span)
-    assert span.reduce(v ^ r) == 0  # v and its residue differ by a member
+    assert v ^ r in span  # v and its residue differ by a member
 
 
 @given(st.lists(vectors, max_size=8), st.lists(vectors, max_size=8))
 def test_residues_clear_every_pivot_bit(rows, vs):
     span = Gf2Span(rows)
     pivots = sum(1 << (row.bit_length() - 1) for row in span.basis())
-    residues = span.residues(vs)
-    assert len(residues) == len(vs)
+    residues = [span.reduce(v) for v in vs]
     assert all(r & pivots == 0 for r in residues)
-    assert Gf2Span(rows[::-1]).residues(vs) == residues  # canonical: the same for any rows
+    assert [Gf2Span(rows[::-1]).reduce(v) for v in vs] == residues  # canonical: the same for any rows
 
 
 def parity(f: int, v: int) -> int:

@@ -22,10 +22,16 @@ def table(name):
 
 
 def test_traced_names_resolve():
+    # tracer._patch reads a method as cls.__dict__[name], so a dotted name
+    # must be defined on its class itself: an inherited one resolves by
+    # getattr but fails every traced run with a KeyError.
     for mod_name, attrs in [*table("SPANNED").items(), *table("COUNTED").items()]:
         module = importlib.import_module(f"upsilonkit.{mod_name}")
         for attr in attrs:
-            assert callable(reduce(getattr, attr.split("."), module)), (mod_name, attr)
+            *owner, name = attr.split(".")
+            cls = reduce(getattr, owner, module)
+            assert callable(getattr(cls, name)), (mod_name, attr)
+            assert not owner or name in vars(cls), (mod_name, attr)
 
 
 def test_uk_names_exist():

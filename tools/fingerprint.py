@@ -41,7 +41,6 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 import upsilonkit as uk  # noqa: E402
-from upsilonkit.gf2 import Gf2Span  # noqa: E402
 
 CATALOG_SCAN = ["unknot", "fig8", "figure6", "hom-C1", "hom-C2", "hom-K",
                 "T(2,3)", "T(3,4)", "T(2,5)", "box(1)", "box(2)", "nK(1)", "nK(2)"]
@@ -151,14 +150,27 @@ def _pivots(pd):
 
 
 def _affine_set(z, directions):
-    """z + span(directions) as a set: z reduced modulo the span, and the
-    span's reduced echelon rows, neither depending on the member or the
-    basis an engine picked."""
-    span = Gf2Span(directions)
-    pivots = [1 << (row.bit_length() - 1) for row in span.basis()]
-    # A pivot bit's residue is its reduced row with the pivot bit cleared.
-    rows = tuple(p ^ r for p, r in zip(pivots, span.residues(pivots)))
-    return span.residues([z])[0], rows
+    """z + span(directions) as a set: z with every pivot bit cleared, and
+    the span's reduced echelon rows, each with one pivot bit, by ascending
+    pivot; neither depends on the member or the basis an engine picked.
+    Reduced here rather than by the engine, so that this script reads
+    every checkout the same way."""
+    rows: dict[int, int] = {}  # pivot -> the one member with it and no other pivot bit
+
+    def clear(v):
+        for p, row in rows.items():
+            if v >> p & 1:
+                v ^= row
+        return v
+
+    for v in directions:
+        if v := clear(v):
+            lead = v.bit_length() - 1
+            for p, row in rows.items():
+                if row >> lead & 1:
+                    rows[p] = row ^ v
+            rows[lead] = v
+    return clear(z), tuple(rows[p] for p in sorted(rows))
 
 
 def _zsets(zs):
