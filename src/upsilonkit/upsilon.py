@@ -9,11 +9,13 @@ gamma(t) is one level search (_level over threshold), which upsilon2
 shares: the unit vectors of the slice elements join the coset's boundary
 span in phi_t order until it holds the cycle, and the points of the last
 level are those on the support line.  prepare_search reduces a search
-modulo its base span once (for gamma, once per complex), so threshold
-weighs each point once, never copies the base and is the search's only
-elimination; its certificate names admitted items that sum to the
-target, exactly, and the kernel among them, which upsilon2 reads as Z+-
-and witnesses with no elimination of its own.  The engine orders points
+modulo its base span once (for gamma, once per complex), each item one
+int laid out as a Gf2Solver column, its residue above its own item bit.
+So threshold weighs each point once, never copies the base and is the
+search's only elimination, and the low bits of its rows and of the
+target name, exactly, the admitted items that sum to them: its
+certificate's x and kernel, which upsilon2 reads as Z+- and witnesses
+with no elimination of its own.  The engine orders points
 only by the integer key 2q phi_t for t = p/q (phi_key), with no Fraction
 arithmetic per point; phi is the Fraction reference.  Just left or right
 of t the key is paired with the slope of phi_t (symbolic perturbation),
@@ -74,18 +76,19 @@ def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
 
 
 def prepare_search(base_span: Gf2Span, target: int, items):
-    """A level search reduced modulo base_span once: (residue of target,
-    ((point, ((residue, bit), ...)), ...)) for the distinct points of the
-    (vector, point) items, each item as its residue and its bit 1 << index.
-    threshold is the only elimination the search gets: an item whose
-    residue is 0, or depends on those admitted before it, goes into its
-    certificate's kernel.  A point whose residues are all 0 still belongs
-    to its level."""
-    reduce = base_span.reduce
+    """A level search reduced modulo base_span once: (target, ((point,
+    (vector, ...)), ...), n) for the distinct points of the n (vector, point)
+    items, laid out as Gf2Solver's columns: item k is its residue << n | 1 << k,
+    so its low n bits name the items that sum to it, and the target is its
+    residue << n.  threshold is the only elimination the search gets: an item
+    whose residue is 0, or depends on those admitted before it, goes into its
+    certificate's kernel.  A point whose residues are all 0 still belongs to
+    its level."""
+    reduce, n = base_span.reduce, len(items)
     points: dict = {}
     for k, (vector, point) in enumerate(items):
-        points.setdefault(point, []).append((reduce(vector), 1 << k))
-    return reduce(target), tuple((point, tuple(pairs)) for point, pairs in points.items())
+        points.setdefault(point, []).append(reduce(vector) << n | 1 << k)
+    return reduce(target) << n, tuple((point, tuple(vectors)) for point, vectors in points.items()), n
 
 
 class Certificate:
@@ -93,8 +96,9 @@ class Certificate:
     x names items of the level and below whose residues sum to the target's;
     kernel is a basis of the item sets of the level and below whose residues
     sum to 0, one per item that reduced to 0.  f, read as w -> parity of
-    f & w, is 1 on the target and 0 on every item residue of the points
-    below the level, so they do not span it (built on first use)."""
+    f & w, is 1 on the target and 0 on every item vector of the points below
+    the level, so they do not span it (built on first use).  Its bits lie
+    above the item bits, so on a prepared item it reads the residue alone."""
 
     __slots__ = ("x", "kernel", "_rows", "_below", "_before", "_f")
 
@@ -112,14 +116,14 @@ class Certificate:
         """Whether p, the one point of a one-sided level, still wins, with
         this certificate, after the event where the (p, q) pairs of met
         meet: each q joins the points below p if its slope j - i is below
-        p's and leaves them otherwise; no joiner may have a residue f is 1
-        on, and no leaver may have an item in x."""
+        p's and leaves them otherwise; f may be 1 on no joiner's item, and no
+        leaver's item may be in x."""
         for _, q in met:
-            mask, pairs = movers[q]
+            vectors = movers[q]
             if q[1] - q[0] < p[1] - p[0]:
-                if any((self.f & r).bit_count() & 1 for r, _ in pairs):
+                if any((self.f & v).bit_count() & 1 for v in vectors):
                     return False
-            elif self.x & mask:
+            elif any(self.x & v for v in vectors):
                 return False
         return True
 
@@ -130,49 +134,38 @@ def threshold(search, weight):
     weight(point) one level at a time.  Returns (level, points of that level, its
     Certificate); raises ConsistencyError if the target never enters.
 
-    The target's residue is carried along: a new row changes it only when
-    it has the residue's leading bit, and then the residue's leading bit
-    falls, so one call takes at most one residue step per row.  Each row
-    carries the XOR of the items that sum to it, and the residue that of
-    the items it has taken off the target (the R = DV bookkeeping of
-    Cohen-Steiner, Edelsbrunner & Morozov, Vines and vineyards, SoCG 2006):
-    the residue's ends as the certificate's x, and an item that reduces to
-    0 leaves the items that sum to its residue in the kernel.  The
-    elimination is written out, with no call per row: it is the engine's
-    innermost loop."""
-    residue, points = search
+    Rows are augmented as the items are, so each carries in its low n bits
+    the items that sum to it (the R = DV bookkeeping of Cohen-Steiner,
+    Edelsbrunner & Morozov, Vines and vineyards, SoCG 2006).  An item led
+    below bit n after reduction has a residue of 0: its low bits go into the
+    kernel.  The target is carried along: a new row changes it only when
+    it has the target's leading bit, and then that bit falls, so one call
+    takes at most one step of the target per row.  The search ends at the
+    first level where the target is led below bit n; its low bits are then
+    the certificate's x.  The elimination is written out, with no call per
+    row: it is the engine's innermost loop."""
+    residue, points, n = search
     groups: dict = {}
     for k, (point, _) in enumerate(points):
         groups.setdefault(weight(point), []).append(k)
-    rows: dict = {}  # leading bit -> echelon row, in insertion order
-    combos: dict = {}  # leading bit -> the items that sum to its row
-    x, kernel = 0, []
+    rows: dict = {}  # leading bit -> augmented echelon row, in insertion order
+    kernel = []
     for level in sorted(groups):
         below, before = len(rows), residue
         for k in groups[level]:
-            for v, v_combo in points[k][1]:
-                while v:
-                    lead = v.bit_length() - 1
-                    row = rows.get(lead)
-                    if row is None:
-                        break
-                    v ^= row
-                    v_combo ^= combos[lead]
-                if not v:
-                    kernel.append(v_combo)
+            for v in points[k][1]:
+                while (lead := v.bit_length() - 1) in rows:
+                    v ^= rows[lead]
+                if lead < n:
+                    kernel.append(v)
                     continue
-                rows[lead], combos[lead] = v, v_combo
+                rows[lead] = v
                 if lead == residue.bit_length() - 1:
-                    residue, x = residue ^ v, x ^ v_combo
-                    while residue:
-                        lead = residue.bit_length() - 1
-                        row = rows.get(lead)
-                        if row is None:
-                            break
-                        residue ^= row
-                        x ^= combos[lead]
-        if not residue:
-            certificate = Certificate(x, tuple(kernel), rows, below, before)
+                    residue ^= v
+                    while (lead := residue.bit_length() - 1) in rows:
+                        residue ^= rows[lead]
+        if residue.bit_length() <= n:
+            certificate = Certificate(residue, tuple(kernel), rows, below, before)
             return level, {points[k][0] for k in groups[level]}, certificate
     raise ConsistencyError("threshold target not in the span of all items")
 
@@ -180,7 +173,8 @@ def threshold(search, weight):
 @memoized
 def _gamma_search(C: ModelComplex):
     """The H0 coset as a prepared search: the cycle and the grading-0 slice
-    as (unit vector, point) items modulo the boundary span; item sets are chains."""
+    as (unit vector, point) items modulo the boundary span; item sets are
+    chains.  Needs a one-dimensional H0 but no other validity."""
     coset = C.generator_coset()
     items = [(1 << idx, e.point) for idx, e in enumerate(coset.basis)]
     return prepare_search(C._elimination()[1], coset.cycle, items)
@@ -246,8 +240,8 @@ def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
     just right of the event must continue the piece.  Each piece, ending where the winner
     changes, is checked at its midpoint; raises ConsistencyError naming
     what otherwise."""
-    movers = {point: (sum(bit for _, bit in pairs), pairs)
-              for point, pairs in search[1] if any(r for r, _ in pairs)}
+    _, points, n = search
+    movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = Fraction(0)
     value, (p,), certificate = _level(search, t, 1)
     breakpoints, xs = [(t, value)], []
@@ -273,25 +267,19 @@ def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
     return PLFunction(breakpoints), tuple(xs)
 
 
-def _gamma(C: ModelComplex, t, side: int = 0) -> tuple[Fraction, set, Certificate]:
-    """gamma(t), the slice points of the level that admits the cycle and
-    its certificate; needs a one-dimensional H0 but no other validity."""
-    return _level(_gamma_search(C), t, side)
-
-
 @memoized
 def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple:
     """The gamma search just left (-1) or right (+1) of t with no echelon rows:
     gamma(t), its winner p, its certificate's x and kernel.  The level is p
     alone, so the kernel spans the cycles on the points up to p (z_sets)."""
-    value, (p,), certificate = _gamma(C, t, side)
+    value, (p,), certificate = _level(_gamma_search(C), t, side)
     return value, p, certificate.x, certificate.kernel
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
     """gamma(t) = min over representing cycles of max weight over support."""
     C.require_valid()
-    return _gamma(C, t)[0]
+    return _level(_gamma_search(C), t)[0]
 
 
 def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:

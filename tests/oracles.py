@@ -38,7 +38,7 @@ from functools import cache
 
 import upsilonkit as uk
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
-from upsilonkit.upsilon import _gamma
+from upsilonkit.upsilon import _gamma_search, _level
 from helpers import boundaries, combine
 
 MAX_DIM = 16
@@ -211,7 +211,7 @@ def _margin_set(C, t_side):
 
 
 def _margin_pivot(C, t_side):
-    _, points, _ = _gamma(C, t_side)
+    _, points, _ = _level(_gamma_search(C), t_side)
     assert len(points) == 1, f"weight tie off the crossing arrangement at t = {t_side}"
     return next(iter(points))
 

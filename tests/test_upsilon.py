@@ -10,7 +10,7 @@ from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.cli import main
 from upsilonkit.upsilon import (
-    _first_crossing, _gamma, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
+    _first_crossing, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
     prepare_search, threshold,
 )
 from helpers import (
@@ -124,10 +124,12 @@ def test_support_line_is_the_two_sided_level(expr):
     # each piece's midpoint.
     C = uk.parse_and_build(expr)
     bps = [x for x, _ in uk.upsilon(C).breakpoints]
-    residues = {point: [r for r, _ in pairs] for point, pairs in _gamma_search(C)[1]}
+    search = _gamma_search(C)
+    _, items, n = search
+    residues = {point: [v >> n for v in vectors] for point, vectors in items}
     rowless = 0
     for t in sorted(set(bps[1:-1]) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}):
-        level, points, _ = _gamma(C, t)
+        level, points, _ = _level(search, t)
         pd = uk.pivot_points(C, t)
         assert (level, points) == (pd.gamma_t, pd.on_line), t
         rowless += sum(not any(residues[point]) for point in points)
@@ -239,7 +241,7 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     span, cycle, items = gamma_raw(C)
     for t in midpoints_and(uk.breakpoint_candidates(C)):
         reference = reference_threshold(span, cycle, items, lambda p: uk.phi(t, p))
-        assert _gamma(C, t)[:2] == reference, (expr, t)
+        assert _level(_gamma_search(C), t)[:2] == reference, (expr, t)
 
 
 def gamma_raw(C):
@@ -288,7 +290,7 @@ def sweeps_match_every_crossing(C) -> int:
     at every crossing of two of its points and at each midpoint, and check
     each finite gamma2's witnesses; returns the number of finite gamma2
     checked."""
-    assert uk.gamma_pl(C) == certified_pl(lambda t: _gamma(C, t)[0], crossings(
+    assert uk.gamma_pl(C) == certified_pl(lambda t: _level(_gamma_search(C), t)[0], crossings(
         e.point for e in C.grading_slice(0)), "gamma")
     finite = 0
     for t in sorted({F(2, 3), F(1)} | set(interior_breakpoints(C))):
@@ -337,13 +339,14 @@ def certificate_holds(raw, t):
     rank of the admitted items' kernel)."""
     base, target, items = raw
     search = prepare_search(base, target, items)
-    residue, points = search
+    prepared, points, n = search
     _, (p,), certificate = _level(search, t, 1)
-    f, x = certificate.f, certificate.x
+    f, x = certificate.f >> n, certificate.x
+    assert f << n == certificate.f, t  # f reads an item's residue alone
     weight, _ = phi_key(t, 1)
-    below = [pairs for q, pairs in points if weight(q) < weight(p)]
-    assert (f & residue).bit_count() % 2 == 1, t
-    assert not any((f & r).bit_count() % 2 for pairs in below for r, _ in pairs), t
+    below = [vectors for q, vectors in points if weight(q) < weight(p)]
+    assert (f & prepared >> n).bit_count() % 2 == 1, t
+    assert not any((f & v >> n).bit_count() % 2 for vectors in below for v in vectors), t
     # x is exact: items of the winner and the points before it whose
     # residues sum to the target's, so their vectors sum to it modulo the base.
     vectors = [v for v, _ in items]
@@ -382,6 +385,65 @@ def test_gamma2_search_certificate():
     bps = [s for s, _ in res.gamma2.breakpoints]
     below, ranks = zip(*(certificate_holds(raw, s) for s in sorted(set(bps[:-1]) | {F(1, 3), F(1), F(3, 2)})))
     assert max(below) > 1 and max(ranks) > 0, (below, ranks)
+
+
+VECTORS = st.integers(0, (1 << 16) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(VECTORS, max_size=6), weights=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+       items=st.lists(st.tuples(VECTORS, st.integers(0, 4)), max_size=12),
+       combo=st.integers(0, (1 << 12) - 1), extra=st.just(0) | VECTORS)
+def test_threshold_matches_the_reference_on_dense_searches(base, weights, items, combo, extra):
+    # Dense 16-bit vectors over a random base, with no staircase shape: the
+    # level and its points are the reference's, and the certificate meets
+    # its definition with fresh spans and solvers.  The target is a sum of
+    # items, off by extra, so it mostly enters.
+    base, items = Gf2Span(base), [(v, (p, 0)) for v, p in items]
+    vectors = [v for v, _ in items]
+    target = combine(vectors, combo & ((1 << len(items)) - 1)) ^ extra
+
+    def weight(point):
+        return weights[point[0]]
+
+    search = prepare_search(base, target, items)
+    reference = reference_threshold(base, target, items, weight)
+    if reference is None:
+        with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
+            threshold(search, weight)
+        return
+    level, points, certificate = threshold(search, weight)
+    assert (level, points) == reference
+    prepared, _, n = search
+    x, kernel = certificate.x, certificate.kernel
+    admitted = {k for k, (_, q) in enumerate(items) if weight(q) <= level}
+    target_residue, residues = base.reduce(target), [base.reduce(v) for v in vectors]
+    # x is exact.
+    assert set(support(x)) <= admitted
+    assert combine(residues, x) == target_residue and combine(vectors, x) ^ target in base
+    # The kernel is independent and of full rank among the admitted items.
+    assert all(set(support(c)) <= admitted and not combine(residues, c) for c in kernel)
+    rank = Gf2Span(kernel).rank
+    assert rank == len(kernel)
+    assert rank == len(Gf2Solver([*base.basis(), *(vectors[k] for k in sorted(admitted))]).kernel_basis())
+    # f is 1 on the target and 0 on every item below the level; a target in
+    # the base enters at the first level, with no functional to read.
+    if target_residue:
+        f = certificate.f >> n
+        assert f << n == certificate.f
+        assert (f & prepared >> n).bit_count() % 2 == 1
+        below = [residues[k] for k, (_, q) in enumerate(items) if weight(q) < level]
+        assert not any((f & r).bit_count() % 2 for r in below)
+
+
+@pytest.mark.parametrize("target,items", [(0b100, [(0b001, (0, 0)), (0b011, (1, 0))]),
+                                          (0b100, []), (0, [])])
+def test_threshold_refuses_a_target_that_never_enters(target, items):
+    # A target outside the span of the base and every item, and a search
+    # with no items, where no level is searched at all.
+    search = prepare_search(Gf2Span([0b010]), target, items)
+    with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
+        threshold(search, lambda point: point[0])
 
 
 def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
@@ -480,9 +542,8 @@ def traced(search):
             log.append((other, self, out))
             return out
 
-    residue, points = search
-    copy = (Traced(residue), tuple((point, tuple((Traced(r), bit) for r, bit in pairs))
-                                   for point, pairs in points))
+    target, points, n = search
+    copy = (Traced(target), tuple((point, tuple(Traced(v) for v in vectors)) for point, vectors in points), n)
     return copy, log, Traced
 
 
@@ -493,19 +554,20 @@ def test_threshold_carries_the_target_residue(expr, t):
     # each step lowering the leading bit: at most one step per row, so per
     # item, and no membership test of the target per level.  Rows are
     # counted as the ranks of the points' residues.  The residue is
-    # followed by identity from the target through the XORs made with it.
+    # followed by identity from the target through the XORs made with it;
+    # it ends led below bit n, the certificate's x in its item bits.
     C = uk.parse_and_build(expr)
     search = _gamma_search(C)
-    residue, points = search
-    rows = sum(Gf2Span(r for r, _ in pairs).rank for _, pairs in points)
+    residue, points, n = search
+    rows = sum(Gf2Span(v >> n for v in vectors).rank for _, vectors in points)
     weight, _ = phi_key(t)
     copy, log, _ = traced(search)
-    level, _, _ = threshold(copy, weight)
+    level, _, certificate = threshold(copy, weight)
     own = []  # the residue's values after the target
     for left, _, out in log:
         if left is (own[-1] if own else copy[0]):
             own.append(out)
-    assert own[-1] == 0
+    assert own[-1] == certificate.x and own[-1].bit_length() <= n
     assert len({weight(p) for p, *_ in points if weight(p) < level}) > 1  # several levels searched
     lengths = [v.bit_length() for v in [residue] + own]
     assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths

@@ -119,11 +119,12 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
     # of t, and neither runs the two-sided gamma(t) search.
     sides, zsets_calls = [], []
     upsilon_module = importlib.import_module("upsilonkit.upsilon")
-    gamma = upsilon_module._gamma
+    level = upsilon_module._level
 
-    def searching(C, t, side=0):
-        sides.append(side)
-        return gamma(C, t, side)
+    def searching(search, t, side=0):
+        if search is upsilon_module._gamma_search(C):
+            sides.append(side)
+        return level(search, t, side)
 
     def counting(*args):
         zsets_calls.append(args)
@@ -131,7 +132,7 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 
     C = uk.catalog("T(3,4)")  # a fresh complex: nothing memoized yet
     C.require_valid()  # validation runs the kernel at t = 0 and 2
-    monkeypatch.setattr(upsilon_module, "_gamma", searching)
+    monkeypatch.setattr(upsilon_module, "_level", searching)
     # The package exports the function upsilon2 under the module's name.
     monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "z_sets", counting)
     res = uk.upsilon2(C, F(2, 3))
@@ -243,8 +244,8 @@ def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
         inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
         base_pivots = leading_bits(Gf2Span(list(zs.v_minus + zs.v_plus) + inside))
         assert len(prepared) == zs.disjoint, t
-        for residue, points in prepared:
-            vectors = [residue, *(r for _, pairs in points for r, _ in pairs)]
+        for target, points, n in prepared:
+            vectors = [target >> n, *(v >> n for _, item_vectors in points for v in item_vectors)]
             assert not any(v & base_pivots for v in vectors), t
         witnesses += len(res.witnesses)
     assert witnesses  # some witness was checked
