@@ -336,9 +336,11 @@ class ModelComplex:
                           detail=f"dim H(g) for g=-1..2: {[dims[g] for g in (-1, 0, 1, 2)]}")
 
         if hom_ok:
-            from .upsilon import _gamma_search, _level  # deferred: upsilon builds on this module
+            from .upsilon import _one_sided  # deferred: upsilon builds on this module
 
-            g0, g2 = (_level(_gamma_search(self), t)[0] for t in (0, 2))
+            # gamma(0) off the search just right of 0, which gamma_pl's sweep
+            # starts from, and gamma(2) off the one just left of 2.
+            g0, g2 = _one_sided(self, 0, 1)[0], _one_sided(self, 2, -1)[0]
             yield CheckResult("normalization", g0 == 0 and g2 == 0,
                               detail=f"gamma(0) = {g0}, gamma(2) = {g2}")
         else:

@@ -125,11 +125,11 @@ class PLFunction:
             raise DomainError(f"x = {x} outside [0, 2]")
         if self._infinite is not None:
             return self._infinite
-        k = bisect_left(self._points, (x,))
-        if k < len(self._points) and self._points[k][0] == x:
+        k, hit = self._locate(x)
+        if hit:
             return self._points[k][1]
-        (x0, y0), (x1, y1) = self._points[k - 1], self._points[k]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        x0, y0 = self._points[k - 1]
+        return y0 + self._slope(k) * (x - x0)
 
     def one_sided_slope(self, x: RationalLike, side: str) -> Fraction:
         if side not in ("left", "right"):
@@ -141,21 +141,53 @@ class PLFunction:
             raise DomainError(f"left slope needs 0 < x <= 2, got {x}")
         if side == "right" and not 0 <= x < 2:
             raise DomainError(f"right slope needs 0 <= x < 2, got {x}")
+        k, hit = self._locate(x)
+        return self._slope(k + 1 if hit and side == "right" else k)
+
+    def value_and_slopes(self, x: RationalLike) -> tuple:
+        """(f(x), slope just left of x, slope just right of x) from one
+        bisect; the left slope at 0 and the right slope at 2 are None."""
+        x = as_rational(x)
+        if x < 0 or x > 2:
+            raise DomainError(f"x = {x} outside [0, 2]")
+        if self._infinite is not None:
+            raise DomainError("slope of a constant-infinite function")
+        k, hit = self._locate(x)
+        if hit:
+            left, right = self._slope(k) if x > 0 else None, self._slope(k + 1) if x < 2 else None
+            return self._points[k][1], left, right
+        slope = self._slope(k)
+        x0, y0 = self._points[k - 1]
+        return y0 + slope * (x - x0), slope, slope
+
+    def _locate(self, x: Fraction) -> tuple[int, bool]:
+        """The one bisect of x in [0, 2] over a finite function's breakpoints:
+        (k, True) if x is breakpoint k, else (k, False) for x inside piece k,
+        the one from breakpoint k - 1 to breakpoint k."""
         k = bisect_left(self._points, (x,))
-        if k < len(self._points) and self._points[k][0] == x and side == "right":
-            k += 1
+        return k, self._points[k][0] == x
+
+    def _slope(self, k: int) -> Fraction:
+        """Slope of piece k, from breakpoint k - 1 to breakpoint k."""
         (x0, y0), (x1, y1) = self._points[k - 1], self._points[k]
         return (y1 - y0) / (x1 - x0)
 
     def scale(self, a: RationalLike, b: RationalLike = 0) -> "PLFunction":
-        """Pointwise a*f + b."""
+        """Pointwise a*f + b.  For a != 0 the map y -> a y + b keeps the
+        breakpoints and their collinearity, so a canonical function maps to
+        a canonical one with no checks or merge."""
         a = as_rational(a)
         b = as_rational(b)
         if self._infinite is not None:
             if a == 0:
                 raise DomainError("0 * infinite function is undefined")
             return PLFunction(infinite=self._infinite if a > 0 else -self._infinite)
-        return PLFunction([(x, a * y + b) for x, y in self._points])
+        if a == 0:
+            return PLFunction([(x, b) for x, _ in self._points])
+        out = object.__new__(PLFunction)
+        out._infinite = None
+        out._points = tuple((x, shared(a * y + b)) for x, y in self._points)
+        return out
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if not isinstance(other, PLFunction):

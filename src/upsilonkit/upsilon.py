@@ -27,12 +27,15 @@ meets the phi of another point with a nonzero residue (a kinetic event).
 threshold certifies each winner, and an event that the certificate
 survives needs no search, so the searches grow with the winner changes
 and the events the certificate cannot decide, not with the pairs of
-points or with every event.  The pivots p+- and gamma(t) are read off
-the two one-sided searches at t (_one_sided), memoized on the complex
-with Upsilon, so upsilon2, z_sets, delta_upsilon_prime and the CLI share
-them; the support line is the points of p-'s key, and delta comes from
-the first crossings of neighbours in the phi order on each side of t,
-with no list of pairs.
+points or with every event.  Each gamma search just left or right of a
+t runs once per complex (_one_sided, memoized on it with Upsilon): the
+sweep's searches are the right-hand ones, validation reads gamma(0) and
+gamma(2) off those right of 0 and left of 2, and the pivots p+- and
+gamma(t) are read off the two at t, so upsilon2, z_sets,
+delta_upsilon_prime and the CLI share them and, at a breakpoint of
+Upsilon, run only the left-hand search.  The support line is the points
+of p-'s key, and delta comes from the first crossings of neighbours in
+the phi order on each side of t, with no list of pairs.
 """
 
 from __future__ import annotations
@@ -97,31 +100,47 @@ class Certificate:
     kernel is a basis of the item sets of the level and below whose residues
     sum to 0, one per item that reduced to 0.  f, read as w -> parity of
     f & w, is 1 on the target and 0 on every item vector of the points below
-    the level, so they do not span it (built on first use).  Its bits lie
-    above the item bits, so on a prepared item it reads the residue alone."""
+    the level, so they do not span it.  Its bits lie above the item bits, so
+    on a prepared item it reads the residue alone.  f is None when the
+    target's residue is 0: such a target, in the base span, enters at the
+    first level with x = 0, and no functional is 1 on it.
 
-    __slots__ = ("x", "kernel", "_rows", "_below", "_before", "_f")
+    f is built on first use from the echelon rows below the level and the
+    target's residue before it, which the certificate then drops.  A
+    caller done with the certificate releases it: that drops them, and f,
+    which reads None from then on."""
+
+    __slots__ = ("x", "kernel", "_f", "_echelon")
 
     def __init__(self, x: int, kernel: tuple, rows: dict, below: int, before: int):
-        self.x, self.kernel, self._rows, self._below, self._before = x, kernel, rows, below, before
-        self._f = None
+        self.x, self.kernel, self._f, self._echelon = x, kernel, None, (rows, below, before)
 
     @property
-    def f(self) -> int:
-        if self._f is None:  # from the echelon rows below the level, a prefix of rows
-            self._f = functional(islice(self._rows.values(), self._below), self._before)
+    def f(self) -> int | None:
+        if self._echelon is not None:
+            rows, below, before = self._echelon
+            if before:  # the rows below the level are a prefix of rows
+                self._f = functional(islice(rows.values(), below), before)
+            self._echelon = None
         return self._f
+
+    def release(self) -> None:
+        self._f = self._echelon = None
 
     def survives(self, p: LatticePoint, met, movers) -> bool:
         """Whether p, the one point of a one-sided level, still wins, with
         this certificate, after the event where the (p, q) pairs of met
         meet: each q joins the points below p if its slope j - i is below
         p's and leaves them otherwise; f may be 1 on no joiner's item, and no
-        leaver's item may be in x."""
+        leaver's item may be in x.  With no f every event fails, so the
+        caller searches again."""
+        f = self.f
+        if f is None:
+            return False
         for _, q in met:
             vectors = movers[q]
             if q[1] - q[0] < p[1] - p[0]:
-                if any((self.f & v).bit_count() & 1 for v in vectors):
+                if any((f & v).bit_count() & 1 for v in vectors):
                     return False
             elif any(self.x & v for v in vectors):
                 return False
@@ -180,17 +199,19 @@ def _gamma_search(C: ModelComplex):
     return prepare_search(C._elimination()[1], coset.cycle, items)
 
 
-def _level(search, t, side: int = 0) -> tuple[Fraction, set, Certificate]:
+def _level(search, t, side: int = 0) -> tuple[Fraction, object, Certificate]:
     """The phi_t value of the level at which the target of search, a
     prepare_search result, enters in the order of phi_key(t, side), the
     points of that level and threshold's certificate of it: gamma(t) and
     gamma2(s).  A one-sided level has one point, as the one-sided keys never
-    tie two points."""
+    tie two points, and is given as that point."""
     weight, d = phi_key(t, side)
     level, points, certificate = threshold(search, weight)
-    if side and len(points) != 1:
+    if not side:
+        return Fraction(level, d), points, certificate
+    if len(points) != 1:
         raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
-    return Fraction(level[0] if side else level, d), points, certificate
+    return Fraction(level[0], d), points.pop(), certificate
 
 
 def _next_crossing(pairs, t: Fraction) -> tuple[Fraction, list]:
@@ -228,22 +249,25 @@ def _first_crossing(points, t: Fraction) -> Fraction:
     return _next_crossing(zip(order, order[1:]), t)[0]
 
 
-def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
+def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     """The level of search, a prepare_search result, as an exact PL function
     of t on [0, 2], and per piece its midpoint certificate's x, by a kinetic
-    sweep (Basch, Guibas & Hershberger, SODA 1997).  Just right of t the
-    level is phi(p) for its one point p, and the points below p with a
-    nonzero residue change only where phi(p) meets phi(q) for such a q (an
-    event); a point whose residues are all 0 adds no row.  p's certificate
-    decides most events with no search (McConnell, Mehlhorn, Naeher &
-    Schweitzer, Certifying algorithms, 2011); elsewhere the level found
-    just right of the event must continue the piece.  Each piece, ending where the winner
-    changes, is checked at its midpoint; raises ConsistencyError naming
-    what otherwise."""
+    sweep (Basch, Guibas & Hershberger, SODA 1997).  right(t) is the
+    search's one-sided level just right of t, as _level(search, t, 1) gives
+    it; gamma's is the memoized _one_sided, so the sweep's searches are the
+    ones the pivots read.  Just right of t the level is phi(p) for its one
+    point p, and the points below p with a nonzero residue change only where
+    phi(p) meets phi(q) for such a q (an event); a point whose residues are
+    all 0 adds no row.  p's certificate decides most events with no search
+    (McConnell, Mehlhorn, Naeher & Schweitzer, Certifying algorithms, 2011);
+    elsewhere the level found just right of the event must continue the
+    piece, and the certificate it replaces is released.  Each piece, ending
+    where the winner changes, is checked at its midpoint; raises
+    ConsistencyError naming what otherwise."""
     _, points, n = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = Fraction(0)
-    value, (p,), certificate = _level(search, t, 1)
+    value, p, certificate = right(t)
     breakpoints, xs = [(t, value)], []
     while t < 2:
         t, met = _next_crossing(zip(repeat(p), movers), t)
@@ -252,7 +276,8 @@ def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
         (t0, v0), slope = breakpoints[-1], Fraction(p[1] - p[0], 2)
         value, winner = v0 + (t - t0) * slope, p
         if t < 2:
-            level, (winner,), certificate = _level(search, t, 1)
+            certificate.release()
+            level, winner, certificate = right(t)
             if level != value:
                 raise ConsistencyError(f"{what} not continuous at {t}")
             if winner == p:
@@ -264,16 +289,25 @@ def level_pl(search, what: str) -> tuple[PLFunction, tuple[int, ...]]:
         breakpoints.append((t, value))
         xs.append(at_mid.x)
         p = winner
+    certificate.release()
     return PLFunction(breakpoints), tuple(xs)
 
 
 @memoized
-def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple:
-    """The gamma search just left (-1) or right (+1) of t with no echelon rows:
-    gamma(t), its winner p, its certificate's x and kernel.  The level is p
-    alone, so the kernel spans the cycles on the points up to p (z_sets)."""
-    value, (p,), certificate = _level(_gamma_search(C), t, side)
-    return value, p, certificate.x, certificate.kernel
+def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple[Fraction, LatticePoint, Certificate]:
+    """The gamma search just left (-1) or right (+1) of t, the only one
+    there: gamma(t), its winner p and its certificate.  The level is p
+    alone, so the certificate's kernel spans the cycles on the points up to
+    p (z_sets).  gamma_pl's sweep runs the right-hand searches, and
+    validation the ones right of 0 and left of 2, so at a breakpoint of
+    Upsilon the pivots find the right-hand search memoized and run the
+    left-hand one fresh.  A right-hand certificate keeps its echelon rows,
+    for the sweep's events, until the sweep replaces it; a left-hand one
+    keeps none."""
+    value, p, certificate = _level(_gamma_search(C), t, side)
+    if side < 0:
+        certificate.release()
+    return value, p, certificate
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
@@ -305,7 +339,7 @@ def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
 def gamma_pl(C: ModelComplex) -> PLFunction:
     """gamma as an exact PL function of t on [0, 2]."""
     C.require_valid()
-    return level_pl(_gamma_search(C), "gamma")[0]
+    return level_pl(_gamma_search(C), "gamma", lambda t: _one_sided(C, t, 1))[0]
 
 
 @memoized
@@ -330,7 +364,7 @@ def _pivots(C: ModelComplex, t) -> tuple[Fraction, Fraction, LatticePoint, Latti
     t = as_rational(t)
     if not 0 < t < 2:
         raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
-    (left, p_minus, *_), (right, p_plus, *_) = (_one_sided(C, t, side) for side in (-1, 1))
+    (left, p_minus, _), (right, p_plus, _) = (_one_sided(C, t, side) for side in (-1, 1))
     if left != right:
         raise ConsistencyError(f"one-sided levels {left} and {right} differ at t = {t}")
     return t, left, p_minus, p_plus
@@ -351,10 +385,10 @@ def pivot_points(C: ModelComplex, t) -> PivotData:
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:
     """Jump of the derivative of Upsilon at t, cross-checked against the pivots."""
     t, gamma_t, p_minus, p_plus = _pivots(C, t)
-    ups = upsilon(C)
-    if ups.evaluate(t) != -2 * gamma_t:
-        raise ConsistencyError(f"Upsilon({t}) = {ups.evaluate(t)} but the pivots give {-2 * gamma_t}")
-    jump = ups.one_sided_slope(t, "right") - ups.one_sided_slope(t, "left")
+    value, left, right = upsilon(C).value_and_slopes(t)
+    if value != -2 * gamma_t:
+        raise ConsistencyError(f"Upsilon({t}) = {value} but the pivots give {-2 * gamma_t}")
+    jump = right - left
     from_pivots = Fraction(2) / t * (p_plus[0] - p_minus[0])
     if jump != from_pivots:
         raise ConsistencyError(

@@ -34,7 +34,7 @@ from .complexes import ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, PLFunction, as_rational
 from .gf2 import Gf2Span, support
 from .upsilon import (
-    ConsistencyError, _one_sided, delta_upsilon_prime, level_pl, phi_key, pivot_points,
+    ConsistencyError, _level, _one_sided, delta_upsilon_prime, level_pl, phi_key, pivot_points,
     prepare_search,
 )
 
@@ -65,7 +65,8 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     pd = pivot_points(C, t)
     t = pd.t
     coset = C.generator_coset()
-    (_, pm, zm, vm), (_, _, zp, vp) = (_one_sided(C, t, side) for side in (-1, 1))
+    (_, pm, minus), (_, _, plus) = (_one_sided(C, t, side) for side in (-1, 1))
+    zm, vm, zp, vp = minus.x, minus.kernel, plus.x, plus.kernel
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
     weight, _ = phi_key(t)
@@ -119,7 +120,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     if not search[0]:
         raise ConsistencyError(f"disjoint Z sets meet inside the t half-plane at t = {t}")
 
-    g2, xs = level_pl(search, "gamma2")
+    g2, xs = level_pl(search, "gamma2", lambda s: _level(search, s, 1))
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
     bps = [s for s, _ in g2.breakpoints]

@@ -75,12 +75,15 @@ def count_thresholds(monkeypatch) -> list:
 
 
 def skew_one_sided(monkeypatch, shift):
-    """Patch upsilon._one_sided to add shift(side) to the level it reports."""
+    """Patch upsilon._one_sided to add shift(side) to the level it reports
+    at t in (0, 2), where the pivots are read.  Validation reads gamma(0)
+    and gamma(2) off the same memoized searches at 0 and 2, which stay
+    as they are, so a fresh complex still validates."""
     one_sided = UPSILON._one_sided
 
     def skewed(C, t, side):
         value, *rest = one_sided(C, t, side)
-        return (value + shift(side), *rest)
+        return (value + shift(side) if 0 < t < 2 else value, *rest)
 
     monkeypatch.setattr(UPSILON, "_one_sided", skewed)
 

@@ -26,6 +26,9 @@ reference_d_squared is the d^2 = 0 check of validate before it read the
 slice columns: it walks every pair of (U-power, target) terms by name and
 counts each U^k z of d(d(x)) mod 2, so it needs no grading-drop.
 
+pl_value_and_slopes reads a PL function's value and one-sided slopes at x
+by a linear scan of all its pieces, where PLFunction bisects once.
+
 certified_pl is the PL assembly before the kinetic sweep: it evaluates a
 level at every crossing of two points (crossings, all pairs) and checks
 linearity at each midpoint, so it visits every candidate where the sweep
@@ -235,3 +238,19 @@ def margin_one_sided(C, t):
     assert same_affine(*zm, *zm2) and same_affine(*zp, *zp2), (
         f"one-sided cycle sets unstable under delta halving at t = {t}")
     return (delta,) + pivots + (zm, zp)
+
+
+def pl_value_and_slopes(points, x):
+    """(f(x), slope just left of x, slope just right of x) of the PL function
+    with these breakpoints, by a scan of every piece; a slope with no piece
+    on its side of x is None."""
+    value = left = right = None
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        slope = (y1 - y0) / (x1 - x0)
+        if x0 <= x <= x1:
+            value = y0 + slope * (x - x0)
+        if x0 < x <= x1:
+            left = slope
+        if x0 <= x < x1:
+            right = slope
+    return value, left, right

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import upsilonkit as uk
+from oracles import pl_value_and_slopes
 from upsilonkit.exact import (
     NEG_INF,
     POS_INF,
@@ -173,3 +174,52 @@ def test_scale_matches_pointwise(xs, x):
         ys.setdefault(xv, Fraction(k, 3))
     f = PLFunction(sorted(ys.items()))
     assert f.scale(-2, 5).evaluate(x) == -2 * f.evaluate(x) + 5
+
+
+# Canonical PL functions: random breakpoints, merged by the constructor.
+PL_FUNCTIONS = st.builds(
+    lambda inner, ys: PLFunction(zip([Fraction(0), *sorted(set(inner)), Fraction(2)], ys)),
+    st.lists(st.fractions(min_value=0, max_value=2, max_denominator=12).filter(lambda x: 0 < x < 2),
+             max_size=6),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=8, max_size=8),
+)
+SCALARS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(PL_FUNCTIONS, SCALARS, SCALARS)
+def test_scale_keeps_canonical_functions_canonical(f, a, b):
+    # With a != 0, scale skips the constructor's checks and merge: the
+    # result is the constructor's on the mapped breakpoints, and so is the
+    # constant b for a = 0.
+    g = f.scale(a, b)
+    if a == 0:
+        assert g == PLFunction.constant(b)
+        return
+    assert g.breakpoints == PLFunction([(x, a * y + b) for x, y in f.breakpoints]).breakpoints
+    assert [x for x, _ in g.breakpoints] == [x for x, _ in f.breakpoints]
+
+
+@given(PL_FUNCTIONS, st.fractions(min_value=0, max_value=2, max_denominator=24))
+def test_one_bisect_reads_match_a_scan_of_the_pieces(f, inner):
+    # value_and_slopes, evaluate and one_sided_slope share one bisect; a
+    # linear scan of every piece gives the same value and slopes at every
+    # breakpoint (0 and 2 among them) and at points inside pieces.
+    for x in {inner, *(x for x, _ in f.breakpoints)}:
+        expected = pl_value_and_slopes(f.breakpoints, x)
+        assert f.value_and_slopes(x) == expected, x
+        value, left, right = expected
+        assert f.evaluate(x) == value, x
+        if left is not None:
+            assert f.one_sided_slope(x, "left") == left, x
+        if right is not None:
+            assert f.one_sided_slope(x, "right") == right, x
+    assert f.value_and_slopes(0)[1] is None and f.value_and_slopes(2)[2] is None
+    for x in (Fraction(-1, 24), Fraction(49, 24)):
+        with pytest.raises(DomainError, match="outside"):
+            f.value_and_slopes(x)
+
+
+def test_one_bisect_read_refuses_an_infinite_function():
+    for sign in (POS_INF, NEG_INF):
+        with pytest.raises(DomainError, match="slope of a constant-infinite function"):
+            PLFunction(infinite=sign).value_and_slopes(1)

@@ -137,23 +137,72 @@ def test_support_line_is_the_two_sided_level(expr):
 
 
 def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
-    # After Upsilon, a slope jump runs the two one-sided searches at t and
-    # nothing else: no two-sided search and no sort of the slice for delta.
-    # pivot_points at the same t then reads those memoized searches.
+    # After Upsilon, a slope jump runs the left-hand search at t and nothing
+    # else: the sweep searched just right of every breakpoint, and no
+    # two-sided search or sort of the slice for delta runs.  pivot_points
+    # at the same t then reads both memoized searches.
     C = uk.torus_knot_complex(23, 29)
     uk.upsilon(C)
     searches = count_thresholds(monkeypatch)
+    levels = count_calls(monkeypatch, UPSILON, "_level")
     sorts = count_calls(monkeypatch, UPSILON, "_first_crossing")
     ts = interior_breakpoints(C)
     assert len(ts) == 31
     for t in ts:
         before = len(searches)
         uk.delta_upsilon_prime(C, t)
-        assert len(searches) - before == 2, t
+        assert len(searches) - before == 1, t
     assert not sorts
     for t in ts:
         uk.pivot_points(C, t)
-    assert len(searches) == 2 * len(ts) and len(sorts) == 2 * len(ts)
+    assert len(searches) == len(ts) and len(sorts) == 2 * len(ts)
+    assert [side for _, _, side in levels] == [-1] * len(ts)
+
+
+@pytest.mark.parametrize("expr, breakpoints, searches", [("T(23,29)", 33, 96),
+                                                         ("-T(13,17) # T(5,7)", 21, 61)])
+def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searches):
+    # validate, Upsilon and the slope jump at every interior breakpoint (an
+    # upsilon-staircase op) run each one-sided gamma search once: validation
+    # the ones right of 0, where the sweep starts, and left of 2, the sweep
+    # its right-hand searches and two-sided midpoint checks, and each jump
+    # only its left-hand search.  Searching right of each breakpoint again
+    # made 128 and 81.  Once done with, each search keeps no echelon rows.
+    calls = count_thresholds(monkeypatch)
+    levels = count_calls(monkeypatch, UPSILON, "_level")
+    C = uk.parse_and_build(expr)
+    C.validate()
+    f = uk.upsilon(C)
+    jumps = [uk.delta_upsilon_prime(C, t) for t, _ in f.breakpoints[1:-1]]
+    assert len(f.breakpoints) == breakpoints and all(jumps)
+    assert len(calls) == searches
+    one_sided = [(args[1], args[2]) for args in levels if len(args) == 3 and args[2]]
+    assert len(one_sided) == len(set(one_sided)) == searches - (breakpoints - 1)
+    assert one_sided.count((0, 1)) == 1 and (2, -1) in one_sided
+    # Every one of them is memoized, and released: no echelon rows, no f.
+    held = [_one_sided(C, t, side)[2] for t, side in one_sided]
+    assert len(calls) == searches
+    assert all(c._echelon is None and c.f is None for c in held)
+
+
+def test_sweep_refuses_a_level_off_its_piece(monkeypatch):
+    # The level just right of an event must continue the piece, and the
+    # two-sided level at each piece's midpoint must lie on it.
+    C = uk.torus_knot_complex(3, 4)
+    C.validate()
+    skew_one_sided(monkeypatch, lambda side: 1)
+    with pytest.raises(uk.ConsistencyError, match="gamma not continuous at 2/3"):
+        uk.gamma_pl(C)
+    monkeypatch.undo()
+    level = UPSILON._level
+
+    def skewed(search, t, side=0):
+        value, *rest = level(search, t, side)
+        return (value if side else value + 1, *rest)
+
+    monkeypatch.setattr(UPSILON, "_level", skewed)
+    with pytest.raises(uk.ConsistencyError, match=r"gamma not linear on \(0, 2/3\)"):
+        uk.gamma_pl(uk.torus_knot_complex(3, 4))
 
 
 def test_pivots_refuse_one_sided_levels_that_differ(monkeypatch):
@@ -165,9 +214,11 @@ def test_pivots_refuse_one_sided_levels_that_differ(monkeypatch):
 
 def test_slope_jump_refuses_an_upsilon_off_the_one_sided_level(monkeypatch):
     # Both sides agree, and the pivots and so the pivot formula are right,
-    # but gamma(t) is not -Upsilon(t) / 2.
-    skew_one_sided(monkeypatch, lambda side: 1)
+    # but gamma(t) is not -Upsilon(t) / 2.  Upsilon comes first: its sweep
+    # reads the same right-hand searches, and would refuse the skewed one.
     C = uk.torus_knot_complex(3, 4)
+    uk.upsilon(C)
+    skew_one_sided(monkeypatch, lambda side: 1)
     assert uk.pivot_points(C, F(2, 3)).gamma_t == 2
     with pytest.raises(uk.ConsistencyError, match=r"Upsilon\(2/3\) = -2 but the pivots give -4"):
         uk.delta_upsilon_prime(C, F(2, 3))
@@ -340,7 +391,7 @@ def certificate_holds(raw, t):
     base, target, items = raw
     search = prepare_search(base, target, items)
     prepared, points, n = search
-    _, (p,), certificate = _level(search, t, 1)
+    _, p, certificate = _level(search, t, 1)
     f, x = certificate.f >> n, certificate.x
     assert f << n == certificate.f, t  # f reads an item's residue alone
     weight, _ = phi_key(t, 1)
@@ -427,13 +478,27 @@ def test_threshold_matches_the_reference_on_dense_searches(base, weights, items,
     assert rank == len(kernel)
     assert rank == len(Gf2Solver([*base.basis(), *(vectors[k] for k in sorted(admitted))]).kernel_basis())
     # f is 1 on the target and 0 on every item below the level; a target in
-    # the base enters at the first level, with no functional to read.
-    if target_residue:
-        f = certificate.f >> n
-        assert f << n == certificate.f
-        assert (f & prepared >> n).bit_count() % 2 == 1
-        below = [residues[k] for k, (_, q) in enumerate(items) if weight(q) < level]
-        assert not any((f & r).bit_count() % 2 for r in below)
+    # the base enters at the first level with x = 0, and has no f.
+    if not target_residue:
+        assert certificate.f is None and x == 0
+        return
+    f = certificate.f >> n
+    assert f << n == certificate.f
+    assert (f & prepared >> n).bit_count() % 2 == 1
+    below = [residues[k] for k, (_, q) in enumerate(items) if weight(q) < level]
+    assert not any((f & r).bit_count() % 2 for r in below)
+
+
+def test_a_target_in_the_base_has_no_functional():
+    # Its residue is 0, so it enters at the first level with x = 0 and no
+    # functional is 1 on it: f is None, and the certificate decides no
+    # event, so a sweep would search again at the next one.
+    search = prepare_search(Gf2Span([2]), 2, [(1, (0, 0))])
+    level, points, certificate = threshold(search, lambda p: p[0])
+    assert (level, points, certificate.x) == (0, {(0, 0)}, 0)
+    assert certificate.f is None
+    assert not certificate.survives((0, 0), [], {})
+    assert not certificate.survives((0, 0), [((0, 0), (1, 0))], {(1, 0): (1 << 1,)})
 
 
 @pytest.mark.parametrize("target,items", [(0b100, [(0b001, (0, 0)), (0b011, (1, 0))]),
@@ -597,23 +662,30 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
         assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
 
 
-def test_z_sets_read_the_memoized_one_sided_searches():
+def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
     # _one_sided memoizes each one-sided gamma search as gamma(t), its
-    # winner, x and kernel, with no echelon rows: x is a coset cycle on the
-    # points up to the winner and each kernel combination a boundary among
-    # them.  z+- is that x and V+- spans that kernel, which is a basis.
-    # Checked against a fresh span of the boundaries, not the prepared
-    # residues.
+    # winner and its certificate.  At a breakpoint the sweep has run the
+    # right-hand search, so the pivots and z_sets run only the left-hand
+    # one, and after Upsilon neither certificate keeps echelon rows or f.
+    # x is a coset cycle on the points up to the winner and each kernel
+    # combination a boundary among them.  z+- is that x and V+- spans that
+    # kernel, which is a basis.  Checked against a fresh span of the
+    # boundaries, not the prepared residues.
     C, t = uk.parse_and_build("T(3,4) # -T(2,5)"), F(2, 3)
+    assert t in interior_breakpoints(C)
+    searches = count_thresholds(monkeypatch)
     pd = uk.pivot_points(C, t)
     assert pd.p_minus != pd.p_plus
     span, coset = Gf2Span(boundaries(C)), C.generator_coset()
     zs = uk.z_sets(C, t)
+    assert len(searches) == 1
     kernels = 0
     for side, pivot, z in ((-1, pd.p_minus, zs.z_minus), (1, pd.p_plus, zs.z_plus)):
         held = _one_sided(C, t, side)
         assert held is _one_sided(C, t, side)
-        value, p, x, kernel = held
+        value, p, certificate = held
+        x, kernel = certificate.x, certificate.kernel
+        assert certificate._echelon is None and certificate.f is None
         assert (value, p, x) == (pd.gamma_t, pivot, z)
         assert Gf2Span(kernel).rank == len(kernel) == len(zs.v_minus if side < 0 else zs.v_plus)
         assert all(isinstance(v, int) for v in (x, *kernel))
@@ -623,3 +695,18 @@ def test_z_sets_read_the_memoized_one_sided_searches():
         assert all(combo in span for combo in kernel)
         kernels += len(kernel)
     assert kernels
+
+
+def test_a_right_hand_search_keeps_its_rows_until_the_sweep_replaces_it():
+    # Read before Upsilon, the right-hand search at a breakpoint keeps its
+    # echelon rows, since the sweep will start a piece from it; the sweep
+    # then takes that memoized search and, once it has replaced it,
+    # releases its rows and f.  A left-hand search never keeps any.
+    C, t = uk.parse_and_build("T(3,4) # -T(2,5)"), F(2, 3)
+    uk.pivot_points(C, t)
+    (*_, left), (*_, right) = (_one_sided(C, t, side) for side in (-1, 1))
+    assert left._echelon is None and right._echelon is not None
+    held = _one_sided(C, t, 1)
+    uk.upsilon(C)
+    assert t in interior_breakpoints(C)
+    assert _one_sided(C, t, 1) is held and right._echelon is None and right.f is None
