@@ -131,19 +131,6 @@ class PLFunction:
         x0, y0 = self._points[k - 1]
         return y0 + self._slope(k) * (x - x0)
 
-    def one_sided_slope(self, x: RationalLike, side: str) -> Fraction:
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        if self._infinite is not None:
-            raise DomainError("slope of a constant-infinite function")
-        x = as_rational(x)
-        if side == "left" and not 0 < x <= 2:
-            raise DomainError(f"left slope needs 0 < x <= 2, got {x}")
-        if side == "right" and not 0 <= x < 2:
-            raise DomainError(f"right slope needs 0 <= x < 2, got {x}")
-        k, hit = self._locate(x)
-        return self._slope(k + 1 if hit and side == "right" else k)
-
     def value_and_slopes(self, x: RationalLike) -> tuple:
         """(f(x), slope just left of x, slope just right of x) from one
         bisect; the left slope at 0 and the right slope at 2 are None."""

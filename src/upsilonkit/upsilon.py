@@ -24,14 +24,16 @@ so the pivots come from the kernel at t.
 gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
 gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
 meets the phi of another point with a nonzero residue (a kinetic event).
-threshold certifies each winner, and an event that the certificate
-survives needs no search, so the searches grow with the winner changes
-and the events the certificate cannot decide, not with the pairs of
-points or with every event.  Each gamma search just left or right of a
-t runs once per complex (_one_sided, memoized on it with Upsilon): the
-sweep's searches are the right-hand ones, validation reads gamma(0) and
-gamma(2) off those right of 0 and left of 2, and the pivots p+- and
-gamma(t) are read off the two at t, so upsilon2, z_sets,
+threshold certifies each winner with a functional f, built while its rows
+are in hand and only for the right-hand searches the sweep reads it on,
+so a certificate is an immutable record holding no rows.  An event that
+the certificate survives needs no search, so the searches grow with the
+winner changes and the events the certificate cannot decide, not with
+the pairs of points or with every event.  Each gamma search just left or
+right of a t runs once per complex (_one_sided, memoized on it with
+Upsilon): the sweep's searches are the right-hand ones, validation reads
+gamma(0) and gamma(2) off those right of 0 and left of 2, and the pivots
+p+- and gamma(t) are read off the two at t, so upsilon2, z_sets,
 delta_upsilon_prime and the CLI share them and, at a breakpoint of
 Upsilon, run only the left-hand search.  The support line is the points
 of p-'s key, and delta comes from the first crossings of neighbours in
@@ -94,38 +96,22 @@ def prepare_search(base_span: Gf2Span, target: int, items):
     return reduce(target) << n, tuple((point, tuple(vectors)) for point, vectors in points.items()), n
 
 
-class Certificate:
+class Certificate(NamedTuple):
     """Why the target of a search enters at a level, in its residue space.
     x names items of the level and below whose residues sum to the target's;
     kernel is a basis of the item sets of the level and below whose residues
     sum to 0, one per item that reduced to 0.  f, read as w -> parity of
     f & w, is 1 on the target and 0 on every item vector of the points below
     the level, so they do not span it.  Its bits lie above the item bits, so
-    on a prepared item it reads the residue alone.  f is None when the
-    target's residue is 0: such a target, in the base span, enters at the
-    first level with x = 0, and no functional is 1 on it.
+    on a prepared item it reads the residue alone.  f is None when
+    threshold was not asked for it (_level asks just right of t, where the
+    sweep reads f), or when the target's residue is 0: such a target, in
+    the base span, enters at the first level with x = 0, and no functional
+    is 1 on it."""
 
-    f is built on first use from the echelon rows below the level and the
-    target's residue before it, which the certificate then drops.  A
-    caller done with the certificate releases it: that drops them, and f,
-    which reads None from then on."""
-
-    __slots__ = ("x", "kernel", "_f", "_echelon")
-
-    def __init__(self, x: int, kernel: tuple, rows: dict, below: int, before: int):
-        self.x, self.kernel, self._f, self._echelon = x, kernel, None, (rows, below, before)
-
-    @property
-    def f(self) -> int | None:
-        if self._echelon is not None:
-            rows, below, before = self._echelon
-            if before:  # the rows below the level are a prefix of rows
-                self._f = functional(islice(rows.values(), below), before)
-            self._echelon = None
-        return self._f
-
-    def release(self) -> None:
-        self._f = self._echelon = None
+    x: int
+    kernel: tuple
+    f: int | None
 
     def survives(self, p: LatticePoint, met, movers) -> bool:
         """Whether p, the one point of a one-sided level, still wins, with
@@ -134,8 +120,7 @@ class Certificate:
         p's and leaves them otherwise; f may be 1 on no joiner's item, and no
         leaver's item may be in x.  With no f every event fails, so the
         caller searches again."""
-        f = self.f
-        if f is None:
+        if (f := self.f) is None:
             return False
         for _, q in met:
             vectors = movers[q]
@@ -147,11 +132,12 @@ class Certificate:
         return True
 
 
-def threshold(search, weight):
+def threshold(search, weight, dual: bool = False):
     """Least weight at which the target of a prepare_search result enters
     the span of its item residues, admitted from empty in increasing
     weight(point) one level at a time.  Returns (level, points of that level, its
-    Certificate); raises ConsistencyError if the target never enters.
+    Certificate); raises ConsistencyError if the target never enters.  Its
+    f is built, from the rows below the level, only if dual is true.
 
     Rows are augmented as the items are, so each carries in its low n bits
     the items that sum to it (the R = DV bookkeeping of Cohen-Steiner,
@@ -184,8 +170,9 @@ def threshold(search, weight):
                     while (lead := residue.bit_length() - 1) in rows:
                         residue ^= rows[lead]
         if residue.bit_length() <= n:
-            certificate = Certificate(residue, tuple(kernel), rows, below, before)
-            return level, {points[k][0] for k in groups[level]}, certificate
+            # the rows below the level are a prefix of rows
+            f = functional(islice(rows.values(), below), before) if dual and before else None
+            return level, {points[k][0] for k in groups[level]}, Certificate(residue, tuple(kernel), f)
     raise ConsistencyError("threshold target not in the span of all items")
 
 
@@ -204,9 +191,10 @@ def _level(search, t, side: int = 0) -> tuple[Fraction, object, Certificate]:
     prepare_search result, enters in the order of phi_key(t, side), the
     points of that level and threshold's certificate of it: gamma(t) and
     gamma2(s).  A one-sided level has one point, as the one-sided keys never
-    tie two points, and is given as that point."""
+    tie two points, and is given as that point.  Only a right-hand
+    certificate carries f, which the sweep reads."""
     weight, d = phi_key(t, side)
-    level, points, certificate = threshold(search, weight)
+    level, points, certificate = threshold(search, weight, side > 0)
     if not side:
         return Fraction(level, d), points, certificate
     if len(points) != 1:
@@ -261,9 +249,8 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     all 0 adds no row.  p's certificate decides most events with no search
     (McConnell, Mehlhorn, Naeher & Schweitzer, Certifying algorithms, 2011);
     elsewhere the level found just right of the event must continue the
-    piece, and the certificate it replaces is released.  Each piece, ending
-    where the winner changes, is checked at its midpoint; raises
-    ConsistencyError naming what otherwise."""
+    piece.  Each piece, ending where the winner changes, is checked at its
+    midpoint; raises ConsistencyError naming what otherwise."""
     _, points, n = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = Fraction(0)
@@ -276,7 +263,6 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
         (t0, v0), slope = breakpoints[-1], Fraction(p[1] - p[0], 2)
         value, winner = v0 + (t - t0) * slope, p
         if t < 2:
-            certificate.release()
             level, winner, certificate = right(t)
             if level != value:
                 raise ConsistencyError(f"{what} not continuous at {t}")
@@ -289,7 +275,6 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
         breakpoints.append((t, value))
         xs.append(at_mid.x)
         p = winner
-    certificate.release()
     return PLFunction(breakpoints), tuple(xs)
 
 
@@ -301,13 +286,9 @@ def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple[Fraction, Latti
     p (z_sets).  gamma_pl's sweep runs the right-hand searches, and
     validation the ones right of 0 and left of 2, so at a breakpoint of
     Upsilon the pivots find the right-hand search memoized and run the
-    left-hand one fresh.  A right-hand certificate keeps its echelon rows,
-    for the sweep's events, until the sweep replaces it; a left-hand one
-    keeps none."""
-    value, p, certificate = _level(_gamma_search(C), t, side)
-    if side < 0:
-        certificate.release()
-    return value, p, certificate
+    left-hand one fresh.  A right-hand certificate carries f, for the
+    sweep's events; a left-hand one none."""
+    return _level(_gamma_search(C), t, side)
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:

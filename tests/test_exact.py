@@ -115,24 +115,17 @@ def test_infinite_function():
     with pytest.raises(ValueError):
         PLFunction(infinite=7)
     with pytest.raises(DomainError):
-        f.one_sided_slope(1, "left")
+        f.value_and_slopes(1)
     with pytest.raises(DomainError):
         f + PLFunction.constant(0)
 
 
-def test_one_sided_slope():
+def test_value_and_slopes():
     f = PLFunction([(0, 0), (1, -3), (2, 0)])
-    assert f.one_sided_slope(1, "left") == -3
-    assert f.one_sided_slope(1, "right") == 3
-    assert f.one_sided_slope(Fraction(1, 2), "left") == -3
-    assert f.one_sided_slope(Fraction(1, 2), "right") == -3
-    assert f.one_sided_slope(2, "left") == 3
-    with pytest.raises(DomainError):
-        f.one_sided_slope(0, "left")
-    with pytest.raises(DomainError):
-        f.one_sided_slope(2, "right")
-    with pytest.raises(ValueError):
-        f.one_sided_slope(1, "middle")
+    assert f.value_and_slopes(1) == (-3, -3, 3)
+    assert f.value_and_slopes(Fraction(1, 2)) == (Fraction(-3, 2), -3, -3)
+    assert f.value_and_slopes(2) == (0, 3, None)
+    assert f.value_and_slopes(0) == (0, None, -3)
 
 
 def test_scale_and_neg():
@@ -201,18 +194,13 @@ def test_scale_keeps_canonical_functions_canonical(f, a, b):
 
 @given(PL_FUNCTIONS, st.fractions(min_value=0, max_value=2, max_denominator=24))
 def test_one_bisect_reads_match_a_scan_of_the_pieces(f, inner):
-    # value_and_slopes, evaluate and one_sided_slope share one bisect; a
-    # linear scan of every piece gives the same value and slopes at every
-    # breakpoint (0 and 2 among them) and at points inside pieces.
+    # value_and_slopes and evaluate share one bisect; a linear scan of
+    # every piece gives the same value and slopes at every breakpoint (0
+    # and 2 among them) and at points inside pieces.
     for x in {inner, *(x for x, _ in f.breakpoints)}:
         expected = pl_value_and_slopes(f.breakpoints, x)
         assert f.value_and_slopes(x) == expected, x
-        value, left, right = expected
-        assert f.evaluate(x) == value, x
-        if left is not None:
-            assert f.one_sided_slope(x, "left") == left, x
-        if right is not None:
-            assert f.one_sided_slope(x, "right") == right, x
+        assert f.evaluate(x) == expected[0], x
     assert f.value_and_slopes(0)[1] is None and f.value_and_slopes(2)[2] is None
     for x in (Fraction(-1, 24), Fraction(49, 24)):
         with pytest.raises(DomainError, match="outside"):

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.cli import main
 from upsilonkit.upsilon import (
-    _first_crossing, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
+    Certificate, _first_crossing, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
     prepare_search, threshold,
 )
 from helpers import (
@@ -167,9 +168,11 @@ def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searche
     # the ones right of 0, where the sweep starts, and left of 2, the sweep
     # its right-hand searches and two-sided midpoint checks, and each jump
     # only its left-hand search.  Searching right of each breakpoint again
-    # made 128 and 81.  Once done with, each search keeps no echelon rows.
+    # made 128 and 81.  Only the right-hand searches build f: building it
+    # for every search would make 96 and 61 functionals.
     calls = count_thresholds(monkeypatch)
     levels = count_calls(monkeypatch, UPSILON, "_level")
+    functionals = count_calls(monkeypatch, UPSILON, "functional")
     C = uk.parse_and_build(expr)
     C.validate()
     f = uk.upsilon(C)
@@ -179,10 +182,11 @@ def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searche
     one_sided = [(args[1], args[2]) for args in levels if len(args) == 3 and args[2]]
     assert len(one_sided) == len(set(one_sided)) == searches - (breakpoints - 1)
     assert one_sided.count((0, 1)) == 1 and (2, -1) in one_sided
-    # Every one of them is memoized, and released: no echelon rows, no f.
-    held = [_one_sided(C, t, side)[2] for t, side in one_sided]
+    assert len(functionals) == {"T(23,29)": 32, "-T(13,17) # T(5,7)": 21}[expr]
+    # Every one of them is memoized; only a right-hand one carries f.
+    held = [(side, _one_sided(C, t, side)[2]) for t, side in one_sided]
     assert len(calls) == searches
-    assert all(c._echelon is None and c.f is None for c in held)
+    assert all(c.f is None if side < 0 else isinstance(c.f, int) for side, c in held)
 
 
 def test_sweep_refuses_a_level_off_its_piece(monkeypatch):
@@ -238,7 +242,8 @@ def test_jump_cross_check_everywhere():
         for t in interior_breakpoints(C):
             jump = uk.delta_upsilon_prime(C, t)
             f = uk.upsilon(C)
-            assert jump == f.one_sided_slope(t, "right") - f.one_sided_slope(t, "left")
+            _, left, right = f.value_and_slopes(t)
+            assert jump == right - left
 
 
 def oss_gamma(p, q):
@@ -438,6 +443,19 @@ def test_gamma2_search_certificate():
     assert max(below) > 1 and max(ranks) > 0, (below, ranks)
 
 
+def test_only_right_hand_certificates_carry_f():
+    # _level asks threshold for f just right of t, where the sweep reads
+    # it, and not left of t or at t.  A certificate is the record (x,
+    # kernel, f) alone.
+    assert Certificate._fields == ("x", "kernel", "f")
+    C = uk.parse_and_build("nK(3) # T(5,7)")
+    gamma2 = prepare_search(*gamma2_search(C, uk.upsilon2(C, F(2, 5))))
+    for search in (_gamma_search(C), gamma2):
+        for t in (F(1, 3), F(1), F(3, 2)):
+            assert isinstance(_level(search, t, 1)[2].f, int), t
+            assert _level(search, t, -1)[2].f is None and _level(search, t)[2].f is None, t
+
+
 VECTORS = st.integers(0, (1 << 16) - 1)
 
 
@@ -461,10 +479,12 @@ def test_threshold_matches_the_reference_on_dense_searches(base, weights, items,
     reference = reference_threshold(base, target, items, weight)
     if reference is None:
         with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
-            threshold(search, weight)
+            threshold(search, weight, True)
         return
-    level, points, certificate = threshold(search, weight)
+    level, points, certificate = threshold(search, weight, True)
     assert (level, points) == reference
+    # Not asked for f, threshold builds none and finds the rest alike.
+    assert threshold(search, weight) == (level, points, certificate._replace(f=None))
     prepared, _, n = search
     x, kernel = certificate.x, certificate.kernel
     admitted = {k for k, (_, q) in enumerate(items) if weight(q) <= level}
@@ -494,7 +514,7 @@ def test_a_target_in_the_base_has_no_functional():
     # functional is 1 on it: f is None, and the certificate decides no
     # event, so a sweep would search again at the next one.
     search = prepare_search(Gf2Span([2]), 2, [(1, (0, 0))])
-    level, points, certificate = threshold(search, lambda p: p[0])
+    level, points, certificate = threshold(search, lambda p: p[0], True)
     assert (level, points, certificate.x) == (0, {(0, 0)}, 0)
     assert certificate.f is None
     assert not certificate.survives((0, 0), [], {})
@@ -666,7 +686,7 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
     # _one_sided memoizes each one-sided gamma search as gamma(t), its
     # winner and its certificate.  At a breakpoint the sweep has run the
     # right-hand search, so the pivots and z_sets run only the left-hand
-    # one, and after Upsilon neither certificate keeps echelon rows or f.
+    # one.  The left-hand certificate carries no f, the right-hand one f.
     # x is a coset cycle on the points up to the winner and each kernel
     # combination a boundary among them.  z+- is that x and V+- spans that
     # kernel, which is a basis.  Checked against a fresh span of the
@@ -685,7 +705,7 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
         assert held is _one_sided(C, t, side)
         value, p, certificate = held
         x, kernel = certificate.x, certificate.kernel
-        assert certificate._echelon is None and certificate.f is None
+        assert certificate.f is None if side < 0 else isinstance(certificate.f, int)
         assert (value, p, x) == (pd.gamma_t, pivot, z)
         assert Gf2Span(kernel).rank == len(kernel) == len(zs.v_minus if side < 0 else zs.v_plus)
         assert all(isinstance(v, int) for v in (x, *kernel))
@@ -697,16 +717,38 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
     assert kernels
 
 
-def test_a_right_hand_search_keeps_its_rows_until_the_sweep_replaces_it():
-    # Read before Upsilon, the right-hand search at a breakpoint keeps its
-    # echelon rows, since the sweep will start a piece from it; the sweep
-    # then takes that memoized search and, once it has replaced it,
-    # releases its rows and f.  A left-hand search never keeps any.
+def assert_no_search_holds_rows(C):
+    """No memoized one-sided gamma search of C reaches a dict, as echelon
+    rows are kept, through gc.get_referents (classes aside)."""
+    stack = [v for k, v in C._cache.items() if k[0] is UPSILON._one_sided.__wrapped__]
+    assert stack
+    seen = set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, dict), type(obj)
+        stack.extend(gc.get_referents(obj))
+
+
+def test_no_memoized_search_holds_rows():
+    # A certificate is x, kernel and f, built while threshold's rows are in
+    # hand, so no memoized search keeps them, whoever ran it.  Upsilon of
+    # 3*hom-K is 0: its sweep never searches at 1/2, where the pivots run
+    # a right-hand search of their own.
+    C = uk.parse_and_build("3*hom-K")
+    uk.upsilon(C)
+    assert not interior_breakpoints(C)
+    uk.pivot_points(C, F(1, 2))
+    assert_no_search_holds_rows(C)
+    # Read before Upsilon, the right-hand search at a breakpoint is the one
+    # the sweep then takes from the memo.
     C, t = uk.parse_and_build("T(3,4) # -T(2,5)"), F(2, 3)
     uk.pivot_points(C, t)
-    (*_, left), (*_, right) = (_one_sided(C, t, side) for side in (-1, 1))
-    assert left._echelon is None and right._echelon is not None
+    assert_no_search_holds_rows(C)
     held = _one_sided(C, t, 1)
     uk.upsilon(C)
     assert t in interior_breakpoints(C)
-    assert _one_sided(C, t, 1) is held and right._echelon is None and right.f is None
+    assert _one_sided(C, t, 1) is held
+    assert_no_search_holds_rows(C)
