@@ -133,6 +133,8 @@ class ModelComplex:
         if len(gens) > MAX_GENERATORS:
             raise _size_error("the complex", str(len(gens)))
         for g in gens:
+            if not isinstance(g, Generator):
+                raise ValueError(f"generator {g!r}: not a Generator")
             if not isinstance(g.name, str):
                 raise ValueError(f"generator {g.name!r}: name must be a string")
             # type, not isinstance: a bool level would be written out as True or False.
@@ -143,11 +145,18 @@ class ModelComplex:
         term_lists = []
         for name in names:
             terms = {}  # a repeated term counts once
-            for term in boundary.get(name, ()):
-                k, target = term
-                if target not in ids:
+            given = boundary.get(name, ())
+            if not isinstance(given, Iterable):
+                raise ValueError(f"boundary of {name}: {given!r} is not a collection of terms")
+            for term in given:
+                try:
+                    k, target = term
+                    known = target in ids
+                except (TypeError, ValueError):
+                    raise ValueError(f"boundary of {name}: {term!r} is not a (U-power, target) pair") from None
+                if not known:
                     raise ValueError(f"boundary of {name} hits unknown generator {target!r}")
-                if not isinstance(k, int) or k < 0:
+                if type(k) is not int or k < 0:  # a bool is no U-power
                     raise ValueError(f"boundary of {name}: U-power must be a non-negative integer")
                 if k > _MAX_U_POWER:
                     raise ValueError(f"boundary of {name}: U-power {k} does not fit in 64 bits")

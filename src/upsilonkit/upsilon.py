@@ -5,39 +5,31 @@ phi_t(i, j) = (t/2) j + (1 - t/2) i.  gamma(t) is the smallest w such
 that some grading-0 cycle carrying the H0 generator is supported on
 points of weight at most w, and Upsilon(t) = -2 gamma(t).
 
-gamma(t) is one level search (_level over threshold), which upsilon2
-shares: the unit vectors of the slice elements join the coset's boundary
-span in phi_t order until it holds the cycle, and the points of the last
-level are those on the support line.  prepare_search reduces a search
-modulo its base span once (for gamma, once per complex), each item one
-int laid out as a Gf2Solver column, its residue above its own item bit.
-So threshold weighs each point once, never copies the base and is the
-search's only elimination, and the low bits of its rows and of the
-target name, exactly, the admitted items that sum to them: its
-certificate's x and kernel, which upsilon2 reads as Z+- and witnesses
-with no elimination of its own.  The engine orders points
-only by the integer key 2q phi_t for t = p/q (phi_key), with no Fraction
-arithmetic per point; phi is the Fraction reference.  Just left or right
-of t the key is paired with the slope of phi_t (symbolic perturbation),
-so the pivots come from the kernel at t.
+Every gamma and gamma2 search is one level search (_level over
+threshold) just left or right of t: the unit vectors of the slice
+elements join the coset's boundary span one point at a time, in the phi
+order at t -+ eps, until it holds the cycle.  Upsilon is continuous, so
+either side's level is gamma(t); the points they stop at are the pivots
+p+-.  Points are ordered by the integer key 2q phi_t for t = p/q
+(phi_key; phi is the Fraction reference), a tie by side (j - i), as
+phi_t moves with slope (j - i) / 2 in t (symbolic perturbation).
+prepare_search reduces a search modulo its base span once, each item one
+int laid out as a Gf2Solver column, so threshold is its only
+elimination, and the low bits of its rows and target name the admitted
+items that sum to them: the certificate's x and kernel, which upsilon2
+reads as Z+- and witnesses.
 
-gamma as a PL function is one kinetic sweep, level_pl, which upsilon2's
-gamma2(s) shares: from t = 0 it keeps the one-sided winner p until phi(p)
-meets the phi of another point with a nonzero residue (a kinetic event).
-threshold certifies each winner with a functional f, built while its rows
-are in hand and only for the right-hand searches the sweep reads it on,
-so a certificate is an immutable record holding no rows.  An event that
-the certificate survives needs no search, so the searches grow with the
-winner changes and the events the certificate cannot decide, not with
-the pairs of points or with every event.  Each gamma search just left or
-right of a t runs once per complex (_one_sided, memoized on it with
-Upsilon): the sweep's searches are the right-hand ones, validation reads
-gamma(0) and gamma(2) off those right of 0 and left of 2, and the pivots
-p+- and gamma(t) are read off the two at t, so upsilon2, z_sets,
-delta_upsilon_prime and the CLI share them and, at a breakpoint of
-Upsilon, run only the left-hand search.  The support line is the points
-of p-'s key, and delta comes from the first crossings of neighbours in
-the phi order on each side of t, with no list of pairs.
+gamma as a PL function is one kinetic sweep, level_pl, which gamma2(s)
+shares: from t = 0 it keeps the right-hand winner p until phi(p) meets
+the phi of another point with a nonzero residue (an event), which
+needs no search if p's certificate, holding a functional f and no rows,
+survives it.  Each gamma search just left or right of a t runs once per
+complex (_one_sided, memoized): the sweep runs the right-hand ones,
+validation reads gamma(0) and gamma(2) off those right of 0 and left of
+2, and the pivots are read off the two at t, so upsilon2, z_sets,
+delta_upsilon_prime and the CLI share them.  The support line is the
+points of p-'s key, and delta comes from the first crossings of
+neighbours in the phi order on each side of t, with no list of pairs.
 """
 
 from __future__ import annotations
@@ -64,19 +56,14 @@ def phi(t, point: LatticePoint) -> Fraction:
     return t / 2 * j + (1 - t / 2) * i
 
 
-def phi_key(t, side: int = 0) -> tuple[Callable[[LatticePoint], object], int]:
-    """(weight, d) ordering points by phi at t (side 0), or just left (-1) or
-    right (+1) of t.  For t = p/q in lowest terms, d = 2q and weight(i, j) =
-    d phi_t(i, j) = (2q - p) i + p j; at side +-1 it is the pair (d phi_t,
-    side (j - i)), lexicographically the phi order at t + side eps for all
-    small eps > 0, as phi_t has slope (j - i) / 2 in t: no two points tie."""
+def phi_key(t) -> tuple[Callable[[LatticePoint], int], int]:
+    """(weight, d) ordering points by phi at t: for t = p/q in lowest terms,
+    d = 2q and weight(i, j) = d phi_t(i, j) = (2q - p) i + p j, an int."""
     t = as_rational(t)
     if not 0 <= t <= 2:
         raise DomainError(f"t = {t} outside [0, 2]")
     p, d = t.numerator, 2 * t.denominator
     a = d - p
-    if side:
-        return (lambda point: (a * point[0] + p * point[1], side * (point[1] - point[0]))), d
     return (lambda point: a * point[0] + p * point[1]), d
 
 
@@ -97,24 +84,21 @@ def prepare_search(base_span: Gf2Span, target: int, items):
 
 
 class Certificate(NamedTuple):
-    """Why the target of a search enters at a level, in its residue space.
-    x names items of the level and below whose residues sum to the target's;
-    kernel is a basis of the item sets of the level and below whose residues
-    sum to 0, one per item that reduced to 0.  f, read as w -> parity of
-    f & w, is 1 on the target and 0 on every item vector of the points below
-    the level, so they do not span it.  Its bits lie above the item bits, so
-    on a prepared item it reads the residue alone.  f is None when
-    threshold was not asked for it (_level asks just right of t, where the
-    sweep reads f), or when the target's residue is 0: such a target, in
-    the base span, enters at the first level with x = 0, and no functional
-    is 1 on it."""
+    """Why the target of a search enters at its point p, in its residue
+    space.  x names items of p and the points before it whose residues sum
+    to the target's; kernel is a basis of the item sets of those points
+    whose residues sum to 0.  f, read as w -> parity of f & w, is 1 on the
+    target and 0 on every item of the points before p; its bits lie above
+    the item bits, so on an item it reads the residue alone.  f is None
+    left of t, where no sweep reads it, and for a target in the base span,
+    which enters at the first point with x = 0."""
 
     x: int
     kernel: tuple
     f: int | None
 
     def survives(self, p: LatticePoint, met, movers) -> bool:
-        """Whether p, the one point of a one-sided level, still wins, with
+        """Whether p, the point of a right-hand search, still wins, with
         this certificate, after the event where the (p, q) pairs of met
         meet: each q joins the points below p if its slope j - i is below
         p's and leaves them otherwise; f may be 1 on no joiner's item, and no
@@ -132,12 +116,14 @@ class Certificate(NamedTuple):
         return True
 
 
-def threshold(search, weight, dual: bool = False):
-    """Least weight at which the target of a prepare_search result enters
-    the span of its item residues, admitted from empty in increasing
-    weight(point) one level at a time.  Returns (level, points of that level, its
-    Certificate); raises ConsistencyError if the target never enters.  Its
-    f is built, from the rows below the level, only if dual is true.
+def threshold(search, weight, side: int):
+    """(weight, point, Certificate) of the first point after which the
+    target of a prepare_search result enters the span of its item residues,
+    admitted one point at a time in increasing int weight(point), a tie in
+    increasing side (j - i): with phi_key's weight, the phi order just left
+    (side -1) or right (+1) of t.  f is built, from the rows before the
+    point, only if side > 0.  Raises ConsistencyError if two points of one
+    weight share j - i, or if the target never enters.
 
     Rows are augmented as the items are, so each carries in its low n bits
     the items that sum to it (the R = DV bookkeeping of Cohen-Steiner,
@@ -146,19 +132,25 @@ def threshold(search, weight, dual: bool = False):
     kernel.  The target is carried along: a new row changes it only when
     it has the target's leading bit, and then that bit falls, so one call
     takes at most one step of the target per row.  The search ends at the
-    first level where the target is led below bit n; its low bits are then
-    the certificate's x.  The elimination is written out, with no call per
-    row: it is the engine's innermost loop."""
+    first point after which the target is led below bit n; its low bits are
+    then the certificate's x.  The elimination is written out, with no call
+    per row: it is the engine's innermost loop."""
     residue, points, n = search
     groups: dict = {}
-    for k, (point, _) in enumerate(points):
-        groups.setdefault(weight(point), []).append(k)
+    for entry in points:
+        groups.setdefault(weight(entry[0]), []).append(entry)
     rows: dict = {}  # leading bit -> augmented echelon row, in insertion order
     kernel = []
     for level in sorted(groups):
-        below, before = len(rows), residue
-        for k in groups[level]:
-            for v in points[k][1]:
+        group = groups[level]
+        if len(group) > 1:  # only a tie is sorted, by slope
+            slopes = {side * (entry[0][1] - entry[0][0]): entry for entry in group}
+            if len(slopes) < len(group):
+                raise ConsistencyError(f"one-sided weight tie at weight {level}, side {side}")
+            group = [slopes[slope] for slope in sorted(slopes)]
+        for point, vectors in group:
+            below, before = len(rows), residue
+            for v in vectors:
                 while (lead := v.bit_length() - 1) in rows:
                     v ^= rows[lead]
                 if lead < n:
@@ -169,10 +161,10 @@ def threshold(search, weight, dual: bool = False):
                     residue ^= v
                     while (lead := residue.bit_length() - 1) in rows:
                         residue ^= rows[lead]
-        if residue.bit_length() <= n:
-            # the rows below the level are a prefix of rows
-            f = functional(islice(rows.values(), below), before) if dual and before else None
-            return level, {points[k][0] for k in groups[level]}, Certificate(residue, tuple(kernel), f)
+            if residue.bit_length() <= n:
+                # the rows before the point are a prefix of rows
+                f = functional(islice(rows.values(), below), before) if side > 0 and before else None
+                return level, point, Certificate(residue, tuple(kernel), f)
     raise ConsistencyError("threshold target not in the span of all items")
 
 
@@ -186,20 +178,13 @@ def _gamma_search(C: ModelComplex):
     return prepare_search(C._elimination()[1], coset.cycle, items)
 
 
-def _level(search, t, side: int = 0) -> tuple[Fraction, object, Certificate]:
-    """The phi_t value of the level at which the target of search, a
-    prepare_search result, enters in the order of phi_key(t, side), the
-    points of that level and threshold's certificate of it: gamma(t) and
-    gamma2(s).  A one-sided level has one point, as the one-sided keys never
-    tie two points, and is given as that point.  Only a right-hand
-    certificate carries f, which the sweep reads."""
-    weight, d = phi_key(t, side)
-    level, points, certificate = threshold(search, weight, side > 0)
-    if not side:
-        return Fraction(level, d), points, certificate
-    if len(points) != 1:
-        raise ConsistencyError(f"one-sided weight tie at t = {t}, side {side}")
-    return Fraction(level[0], d), points.pop(), certificate
+def _level(search, t, side: int) -> tuple[Fraction, LatticePoint, Certificate]:
+    """The phi_t value at which the target of search, a prepare_search
+    result, enters just left (side -1) or right (+1) of t, the point it
+    enters at and threshold's certificate of it: gamma(t) and gamma2(s)."""
+    weight, d = phi_key(t)
+    level, point, certificate = threshold(search, weight, side)
+    return Fraction(level, d), point, certificate
 
 
 def _next_crossing(pairs, t: Fraction) -> tuple[Fraction, list]:
@@ -233,7 +218,8 @@ def _first_crossing(points, t: Fraction) -> Fraction:
     2.  Until then their phi order is the one just right of t, and two that
     meet first are neighbours in it (the kinetic-sorting lemma), so the
     neighbours are the only pairs scanned."""
-    order = sorted(points, key=phi_key(t, 1)[0])
+    weight, _ = phi_key(t)
+    order = sorted(points, key=lambda q: (weight(q), q[1] - q[0]))
     return _next_crossing(zip(order, order[1:]), t)[0]
 
 
@@ -241,16 +227,17 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     """The level of search, a prepare_search result, as an exact PL function
     of t on [0, 2], and per piece its midpoint certificate's x, by a kinetic
     sweep (Basch, Guibas & Hershberger, SODA 1997).  right(t) is the
-    search's one-sided level just right of t, as _level(search, t, 1) gives
-    it; gamma's is the memoized _one_sided, so the sweep's searches are the
-    ones the pivots read.  Just right of t the level is phi(p) for its one
+    search's level just right of t, as _level(search, t, 1) gives it;
+    gamma's is the memoized _one_sided, so the sweep's searches are the
+    ones the pivots read.  Just right of t the level is phi(p) for its
     point p, and the points below p with a nonzero residue change only where
     phi(p) meets phi(q) for such a q (an event); a point whose residues are
     all 0 adds no row.  p's certificate decides most events with no search
     (McConnell, Mehlhorn, Naeher & Schweitzer, Certifying algorithms, 2011);
     elsewhere the level found just right of the event must continue the
     piece.  Each piece, ending where the winner changes, is checked at its
-    midpoint; raises ConsistencyError naming what otherwise."""
+    midpoint by the left-hand search, which builds no f; raises
+    ConsistencyError naming what otherwise."""
     _, points, n = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = Fraction(0)
@@ -269,7 +256,7 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
             if winner == p:
                 continue
         mid = (t0 + t) / 2
-        level, _, at_mid = _level(search, mid)
+        level, _, at_mid = _level(search, mid, -1)
         if level != (v0 + value) / 2:
             raise ConsistencyError(f"{what} not linear on ({t0}, {t})")
         breakpoints.append((t, value))
@@ -281,20 +268,18 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
 @memoized
 def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple[Fraction, LatticePoint, Certificate]:
     """The gamma search just left (-1) or right (+1) of t, the only one
-    there: gamma(t), its winner p and its certificate.  The level is p
-    alone, so the certificate's kernel spans the cycles on the points up to
-    p (z_sets).  gamma_pl's sweep runs the right-hand searches, and
-    validation the ones right of 0 and left of 2, so at a breakpoint of
-    Upsilon the pivots find the right-hand search memoized and run the
-    left-hand one fresh.  A right-hand certificate carries f, for the
-    sweep's events; a left-hand one none."""
+    there: gamma(t), its winner p and its certificate, whose kernel spans
+    the cycles on the points up to p (z_sets).  gamma_pl's sweep runs the
+    right-hand searches, and validation the ones right of 0 and left of 2,
+    so at a breakpoint of Upsilon the pivots find the right-hand search
+    memoized and run the left-hand one fresh."""
     return _level(_gamma_search(C), t, side)
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
     """gamma(t) = min over representing cycles of max weight over support."""
     C.require_valid()
-    return _level(_gamma_search(C), t)[0]
+    return _level(_gamma_search(C), t, -1)[0]
 
 
 def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:

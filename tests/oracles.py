@@ -8,7 +8,9 @@ MAX_DIM to keep enumeration tractable.
 
 margin_one_sided takes "just left and right of t" literally, at t -+ delta
 for a margin delta inside which no two weights cross, where the engine
-orders by an exact one-sided key at t; it has no dimension limit.
+orders by an exact one-sided key at t; it runs reference_threshold there
+and has no dimension limit.  one_sided_weight is that key as a Fraction
+weight, for reference_threshold.
 
 The brute-force oracles are memoised by (complex, t, s): the test
 complexes are shared instances (helpers.built), and several suites ask
@@ -41,7 +43,6 @@ from functools import cache
 
 import upsilonkit as uk
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
-from upsilonkit.upsilon import _gamma_search, _level
 from helpers import boundaries, combine
 
 MAX_DIM = 16
@@ -199,24 +200,28 @@ def same_affine(rep1, dirs1, rep2, dirs2) -> bool:
     return (rep1 ^ rep2) in span1
 
 
-def _margin_set(C, t_side):
-    """Representative and direction basis for the cycles supported in the
-    half-plane of weight at most gamma(t_side)."""
+def _margin_side(C, t_side):
+    """The pivot at t_side, off the crossing arrangement, and the
+    representative and direction basis of the cycles supported in the
+    half-plane of weight at most gamma(t_side), both from the reference
+    search with Fraction weights."""
     coset = C.generator_coset()
-    level = uk.gamma_at(C, t_side)
+    items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
+    bs = list(boundaries(C))
+    level, points = reference_threshold(Gf2Span(bs), coset.cycle, items, lambda p: uk.phi(t_side, p))
+    assert len(points) == 1, f"weight tie off the crossing arrangement at t = {t_side}"
     outside = ~sum(1 << k for k, e in enumerate(coset.basis) if uk.phi(t_side, e.point) <= level)
-    solver = Gf2Solver([b & outside for b in boundaries(C)])
+    solver = Gf2Solver([b & outside for b in bs])
     x = solver.solve(coset.cycle & outside)
     assert x is not None, f"no minimizing cycle at t = {t_side}"
-    bs = list(boundaries(C))
     directions = Gf2Span(combine(bs, combo) for combo in solver.kernel_basis())
-    return coset.cycle ^ combine(bs, x), tuple(directions.basis())
+    return next(iter(points)), (coset.cycle ^ combine(bs, x), tuple(directions.basis()))
 
 
-def _margin_pivot(C, t_side):
-    _, points, _ = _level(_gamma_search(C), t_side)
-    assert len(points) == 1, f"weight tie off the crossing arrangement at t = {t_side}"
-    return next(iter(points))
+def one_sided_weight(t, side):
+    """The phi order just left (side -1) or right (+1) of t as a Fraction
+    weight: (phi_t, side (j - i)), lexicographically."""
+    return lambda p: (uk.phi(t, p), side * (p[1] - p[0]))
 
 
 def margin_one_sided(C, t):
@@ -229,8 +234,8 @@ def margin_one_sided(C, t):
     delta = half_gap(cands, t)
 
     def at(d):
-        pivots = _margin_pivot(C, t - d), _margin_pivot(C, t + d)
-        return pivots, _margin_set(C, t - d), _margin_set(C, t + d)
+        (pm, zm), (pp, zp) = _margin_side(C, t - d), _margin_side(C, t + d)
+        return (pm, pp), zm, zp
 
     pivots, zm, zp = at(delta)
     pivots2, zm2, zp2 = at(delta / 2)

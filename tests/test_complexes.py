@@ -47,6 +47,30 @@ def test_construction_errors():
             ModelComplex([Generator(name, 0, 0, 0)], {})
 
 
+@pytest.mark.parametrize("generators, boundary, message", [
+    ([Generator("a", 0, 0, 0), ("b", 1, 0, 0)], {}, "generator ('b', 1, 0, 0): not a Generator"),
+    ([Generator("a", 0, 0, 0), None], {}, "generator None: not a Generator"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": None},
+     "boundary of b: None is not a collection of terms"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": 5}, "boundary of b: 5 is not a collection of terms"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [5]}, "boundary of b: 5 is not a (U-power, target) pair"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(0, "a", 1)]},
+     "boundary of b: (0, 'a', 1) is not a (U-power, target) pair"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(0, ["a"])]},
+     "boundary of b: (0, ['a']) is not a (U-power, target) pair"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(True, "a")]},
+     "boundary of b: U-power must be a non-negative integer"),
+    ([Generator("a", 0, 0, 0), Generator("b", 1, 0, 0)], {"b": [(1.0, "a")]},
+     "boundary of b: U-power must be a non-negative integer"),
+])
+def test_construction_refuses_malformed_entries(generators, boundary, message):
+    # An entry that is no Generator, a boundary that is no collection, a
+    # term that is no (U-power, target) pair and a bool U-power (refused
+    # as a bool grading is) each raise a ValueError naming the generator.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelComplex(generators, boundary)
+
+
 def test_accessors():
     C = built("T(3,4)")
     assert len(C) == 5

@@ -18,7 +18,7 @@ from helpers import (
     CATALOG_SCAN, UPSILON, assert_witnesses_connect, boundaries, built, combine,
     count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
-from oracles import certified_pl, crossings, half_gap, reference_threshold
+from oracles import certified_pl, crossings, half_gap, one_sided_weight, reference_threshold
 
 
 def test_phi():
@@ -117,20 +117,20 @@ ROWLESS_ON_THE_LINE = "T(3,4) # box(1) # box(1)"
 @pytest.mark.parametrize("expr", [*CATALOG_SCAN, "-T(13,17) # T(5,7)", "2*hom-K # T(3,4)",
                                   "box(1) # box(2) # box(3)", ROWLESS_ON_THE_LINE])
 def test_support_line_is_the_two_sided_level(expr):
-    # Lemma (checked): the two-sided gamma(t) search stops at gamma(t), the
-    # level of both one-sided searches at t, and every slice point of that
-    # weight joins at that level, whether or not its residues are all 0.  So
-    # pivot_points reads on_line as the points of p-'s key, with no
-    # two-sided search.  Checked at every interior breakpoint of Upsilon and
-    # each piece's midpoint.
+    # Lemma (checked): the reference search with the phi_t weights, which
+    # admits a whole level at a time, stops at gamma(t), the level of both
+    # one-sided searches at t, and every slice point of that weight joins
+    # at that level, whether or not its residues are all 0.  So
+    # pivot_points reads on_line as the points of p-'s key.  Checked at
+    # every interior breakpoint of Upsilon and each piece's midpoint.
     C = uk.parse_and_build(expr)
     bps = [x for x, _ in uk.upsilon(C).breakpoints]
-    search = _gamma_search(C)
-    _, items, n = search
+    span, cycle, raw = gamma_raw(C)
+    _, items, n = _gamma_search(C)
     residues = {point: [v >> n for v in vectors] for point, vectors in items}
     rowless = 0
     for t in sorted(set(bps[1:-1]) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}):
-        level, points, _ = _level(search, t)
+        level, points = reference_threshold(span, cycle, raw, lambda p: uk.phi(t, p))
         pd = uk.pivot_points(C, t)
         assert (level, points) == (pd.gamma_t, pd.on_line), t
         rowless += sum(not any(residues[point]) for point in points)
@@ -139,9 +139,9 @@ def test_support_line_is_the_two_sided_level(expr):
 
 def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
     # After Upsilon, a slope jump runs the left-hand search at t and nothing
-    # else: the sweep searched just right of every breakpoint, and no
-    # two-sided search or sort of the slice for delta runs.  pivot_points
-    # at the same t then reads both memoized searches.
+    # else: the sweep searched just right of every breakpoint, and no sort
+    # of the slice for delta runs.  pivot_points at the same t then reads
+    # both memoized searches.
     C = uk.torus_knot_complex(23, 29)
     uk.upsilon(C)
     searches = count_thresholds(monkeypatch)
@@ -164,12 +164,13 @@ def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
                                                          ("-T(13,17) # T(5,7)", 21, 61)])
 def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searches):
     # validate, Upsilon and the slope jump at every interior breakpoint (an
-    # upsilon-staircase op) run each one-sided gamma search once: validation
-    # the ones right of 0, where the sweep starts, and left of 2, the sweep
-    # its right-hand searches and two-sided midpoint checks, and each jump
-    # only its left-hand search.  Searching right of each breakpoint again
-    # made 128 and 81.  Only the right-hand searches build f: building it
-    # for every search would make 96 and 61 functionals.
+    # upsilon-staircase op) run each gamma search, just left or right of a
+    # t, once: validation the ones right of 0, where the sweep starts, and
+    # left of 2, the sweep its right-hand searches and its midpoint checks,
+    # left of each piece's midpoint, and each jump only its left-hand
+    # search.  Searching right of each breakpoint again made 128 and 81.
+    # Only the right-hand searches build f: building it for every search
+    # would make 96 and 61 functionals.
     calls = count_thresholds(monkeypatch)
     levels = count_calls(monkeypatch, UPSILON, "_level")
     functionals = count_calls(monkeypatch, UPSILON, "functional")
@@ -179,19 +180,22 @@ def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searche
     jumps = [uk.delta_upsilon_prime(C, t) for t, _ in f.breakpoints[1:-1]]
     assert len(f.breakpoints) == breakpoints and all(jumps)
     assert len(calls) == searches
-    one_sided = [(args[1], args[2]) for args in levels if len(args) == 3 and args[2]]
-    assert len(one_sided) == len(set(one_sided)) == searches - (breakpoints - 1)
-    assert one_sided.count((0, 1)) == 1 and (2, -1) in one_sided
+    sides = [(t, side) for _, t, side in levels]
+    assert len(sides) == len(set(sides)) == searches
+    mids = {((a + b) / 2, -1) for (a, _), (b, _) in zip(f.breakpoints, f.breakpoints[1:])}
+    assert len(mids) == breakpoints - 1 and mids <= set(sides)
+    assert sides.count((0, 1)) == 1 and (2, -1) in sides
     assert len(functionals) == {"T(23,29)": 32, "-T(13,17) # T(5,7)": 21}[expr]
-    # Every one of them is memoized; only a right-hand one carries f.
-    held = [(side, _one_sided(C, t, side)[2]) for t, side in one_sided]
+    # Every one but the midpoint checks is memoized; only a right-hand one
+    # carries f.
+    held = [(side, _one_sided(C, t, side)[2]) for t, side in sides if (t, side) not in mids]
     assert len(calls) == searches
     assert all(c.f is None if side < 0 else isinstance(c.f, int) for side, c in held)
 
 
 def test_sweep_refuses_a_level_off_its_piece(monkeypatch):
     # The level just right of an event must continue the piece, and the
-    # two-sided level at each piece's midpoint must lie on it.
+    # left-hand level at each piece's midpoint must lie on it.
     C = uk.torus_knot_complex(3, 4)
     C.validate()
     skew_one_sided(monkeypatch, lambda side: 1)
@@ -200,13 +204,15 @@ def test_sweep_refuses_a_level_off_its_piece(monkeypatch):
     monkeypatch.undo()
     level = UPSILON._level
 
-    def skewed(search, t, side=0):
+    def skewed(search, t, side):
         value, *rest = level(search, t, side)
-        return (value if side else value + 1, *rest)
+        return (value + 1 if side < 0 else value, *rest)
 
+    # C's searches right of 0 and left of 2, from validate, are memoized
+    # unskewed, so only the midpoint checks are skewed.
     monkeypatch.setattr(UPSILON, "_level", skewed)
     with pytest.raises(uk.ConsistencyError, match=r"gamma not linear on \(0, 2/3\)"):
-        uk.gamma_pl(uk.torus_knot_complex(3, 4))
+        uk.gamma_pl(C)
 
 
 def test_pivots_refuse_one_sided_levels_that_differ(monkeypatch):
@@ -289,15 +295,19 @@ def midpoints_and(xs):
 
 @pytest.mark.parametrize("expr", ["T(13,17)", "2*hom-K"])
 def test_integer_keys_match_fraction_weights_for_gamma(expr):
-    # The engine orders slice points by the integer 2q phi_t and searches
-    # modulo the boundary span; the reference grows a copy of that span with
-    # the Fraction weight phi_t itself.  Both complexes are past the
-    # brute-force oracle's MAX_DIM.
+    # The engine orders slice points by the integer 2q phi_t, a tie by its
+    # slope j - i, and searches modulo the boundary span; the reference
+    # grows a copy of that span with the Fraction weight phi_t itself, a
+    # whole level at a time.  Each side stops in the reference's level, at
+    # one of its points.  Both complexes are past the brute-force oracle's
+    # MAX_DIM.
     C = uk.parse_and_build(expr)
     span, cycle, items = gamma_raw(C)
     for t in midpoints_and(uk.breakpoint_candidates(C)):
-        reference = reference_threshold(span, cycle, items, lambda p: uk.phi(t, p))
-        assert _level(_gamma_search(C), t)[:2] == reference, (expr, t)
+        level, points = reference_threshold(span, cycle, items, lambda p: uk.phi(t, p))
+        for side in (-1, 1):
+            at, p, _ = _level(_gamma_search(C), t, side)
+            assert at == level and p in points, (expr, t, side)
 
 
 def gamma_raw(C):
@@ -346,7 +356,7 @@ def sweeps_match_every_crossing(C) -> int:
     at every crossing of two of its points and at each midpoint, and check
     each finite gamma2's witnesses; returns the number of finite gamma2
     checked."""
-    assert uk.gamma_pl(C) == certified_pl(lambda t: _level(_gamma_search(C), t)[0], crossings(
+    assert uk.gamma_pl(C) == certified_pl(lambda t: _level(_gamma_search(C), t, -1)[0], crossings(
         e.point for e in C.grading_slice(0)), "gamma")
     finite = 0
     for t in sorted({F(2, 3), F(1)} | set(interior_breakpoints(C))):
@@ -355,7 +365,7 @@ def sweeps_match_every_crossing(C) -> int:
             continue
         base, target, items = gamma2_search(C, res)
         search = prepare_search(base, target, items)
-        reference = certified_pl(lambda s: _level(search, s)[0], crossings(p for _, p in items), "gamma2")
+        reference = certified_pl(lambda s: _level(search, s, -1)[0], crossings(p for _, p in items), "gamma2")
         assert res.gamma2 == reference, t
         assert_witnesses_connect(C, res)
         finite += 1
@@ -399,7 +409,7 @@ def certificate_holds(raw, t):
     _, p, certificate = _level(search, t, 1)
     f, x = certificate.f >> n, certificate.x
     assert f << n == certificate.f, t  # f reads an item's residue alone
-    weight, _ = phi_key(t, 1)
+    weight = one_sided_weight(t, 1)
     below = [vectors for q, vectors in points if weight(q) < weight(p)]
     assert (f & prepared >> n).bit_count() % 2 == 1, t
     assert not any((f & v >> n).bit_count() % 2 for vectors in below for v in vectors), t
@@ -444,16 +454,15 @@ def test_gamma2_search_certificate():
 
 
 def test_only_right_hand_certificates_carry_f():
-    # _level asks threshold for f just right of t, where the sweep reads
-    # it, and not left of t or at t.  A certificate is the record (x,
-    # kernel, f) alone.
+    # threshold builds f just right of t, where the sweep reads it, and
+    # not left of t.  A certificate is the record (x, kernel, f) alone.
     assert Certificate._fields == ("x", "kernel", "f")
     C = uk.parse_and_build("nK(3) # T(5,7)")
     gamma2 = prepare_search(*gamma2_search(C, uk.upsilon2(C, F(2, 5))))
     for search in (_gamma_search(C), gamma2):
         for t in (F(1, 3), F(1), F(3, 2)):
             assert isinstance(_level(search, t, 1)[2].f, int), t
-            assert _level(search, t, -1)[2].f is None and _level(search, t)[2].f is None, t
+            assert _level(search, t, -1)[2].f is None, t
 
 
 VECTORS = st.integers(0, (1 << 16) - 1)
@@ -464,58 +473,83 @@ VECTORS = st.integers(0, (1 << 16) - 1)
        items=st.lists(st.tuples(VECTORS, st.integers(0, 4)), max_size=12),
        combo=st.integers(0, (1 << 12) - 1), extra=st.just(0) | VECTORS)
 def test_threshold_matches_the_reference_on_dense_searches(base, weights, items, combo, extra):
-    # Dense 16-bit vectors over a random base, with no staircase shape: the
-    # level and its points are the reference's, and the certificate meets
-    # its definition with fresh spans and solvers.  The target is a sum of
-    # items, off by extra, so it mostly enters.
+    # Dense 16-bit vectors over a random base, with no staircase shape and
+    # tied weights: on each side the level and its point are the
+    # reference's with the weight (w, side (j - i)), and the certificate
+    # meets its definition with fresh spans and solvers.  Either side stops
+    # in the level where the reference, admitting whole levels of weight w,
+    # holds the target, at one of that level's points: the lemma the
+    # one-sided searches rest on.  The target is a sum of items, off by
+    # extra, so it mostly enters.
     base, items = Gf2Span(base), [(v, (p, 0)) for v, p in items]
     vectors = [v for v, _ in items]
     target = combine(vectors, combo & ((1 << len(items)) - 1)) ^ extra
+    search = prepare_search(base, target, items)
+    prepared, _, n = search
+    target_residue, residues = base.reduce(target), [base.reduce(v) for v in vectors]
 
     def weight(point):
         return weights[point[0]]
 
-    search = prepare_search(base, target, items)
-    reference = reference_threshold(base, target, items, weight)
-    if reference is None:
-        with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
-            threshold(search, weight, True)
-        return
-    level, points, certificate = threshold(search, weight, True)
-    assert (level, points) == reference
-    # Not asked for f, threshold builds none and finds the rest alike.
-    assert threshold(search, weight) == (level, points, certificate._replace(f=None))
-    prepared, _, n = search
-    x, kernel = certificate.x, certificate.kernel
-    admitted = {k for k, (_, q) in enumerate(items) if weight(q) <= level}
-    target_residue, residues = base.reduce(target), [base.reduce(v) for v in vectors]
-    # x is exact.
-    assert set(support(x)) <= admitted
-    assert combine(residues, x) == target_residue and combine(vectors, x) ^ target in base
-    # The kernel is independent and of full rank among the admitted items.
-    assert all(set(support(c)) <= admitted and not combine(residues, c) for c in kernel)
-    rank = Gf2Span(kernel).rank
-    assert rank == len(kernel)
-    assert rank == len(Gf2Solver([*base.basis(), *(vectors[k] for k in sorted(admitted))]).kernel_basis())
-    # f is 1 on the target and 0 on every item below the level; a target in
-    # the base enters at the first level with x = 0, and has no f.
-    if not target_residue:
-        assert certificate.f is None and x == 0
-        return
-    f = certificate.f >> n
-    assert f << n == certificate.f
-    assert (f & prepared >> n).bit_count() % 2 == 1
-    below = [residues[k] for k, (_, q) in enumerate(items) if weight(q) < level]
-    assert not any((f & r).bit_count() % 2 for r in below)
+    two_sided = reference_threshold(base, target, items, weight)
+    for side in (-1, 1):
+        def key(point):
+            return weight(point), side * (point[1] - point[0])
+
+        reference = reference_threshold(base, target, items, key)
+        if reference is None:
+            with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
+                threshold(search, weight, side)
+            continue
+        level, p, certificate = threshold(search, weight, side)
+        assert ((level, side * (p[1] - p[0])), {p}) == reference
+        assert level == two_sided[0] and p in two_sided[1]
+        x, kernel = certificate.x, certificate.kernel
+        admitted = {k for k, (_, q) in enumerate(items) if key(q) <= key(p)}
+        # x is exact.
+        assert set(support(x)) <= admitted
+        assert combine(residues, x) == target_residue and combine(vectors, x) ^ target in base
+        # The kernel is independent and of full rank among the admitted items.
+        assert all(set(support(c)) <= admitted and not combine(residues, c) for c in kernel)
+        rank = Gf2Span(kernel).rank
+        assert rank == len(kernel)
+        assert rank == len(Gf2Solver([*base.basis(), *(vectors[k] for k in sorted(admitted))]).kernel_basis())
+        # f is 1 on the target and 0 on every item before p, built only on
+        # the right; a target in the base enters at the first point with x =
+        # 0, and has no f.
+        if not target_residue:
+            assert x == 0
+        if side < 0 or not target_residue:
+            assert certificate.f is None
+            continue
+        f = certificate.f >> n
+        assert f << n == certificate.f
+        assert (f & prepared >> n).bit_count() % 2 == 1
+        below = [residues[k] for k, (_, q) in enumerate(items) if key(q) < key(p)]
+        assert not any((f & r).bit_count() % 2 for r in below)
+
+
+LATTICE = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+
+
+@given(t=st.fractions(0, 2, max_denominator=40), points=st.sets(LATTICE, min_size=2, max_size=12))
+def test_one_sided_keys_never_tie(t, points):
+    # The lemma the one-sided searches rest on: (phi_key(t) weight, +-(j -
+    # i)) is injective on lattice points, as the weight is (2q - p) i + p j
+    # and 2q - p + p > 0, so threshold never sorts two points of one key
+    # by equal slopes.
+    weight, _ = phi_key(t)
+    for side in (-1, 1):
+        assert len({(weight(p), side * (p[1] - p[0])) for p in points}) == len(points), (t, side)
 
 
 def test_a_target_in_the_base_has_no_functional():
-    # Its residue is 0, so it enters at the first level with x = 0 and no
+    # Its residue is 0, so it enters at the first point with x = 0 and no
     # functional is 1 on it: f is None, and the certificate decides no
     # event, so a sweep would search again at the next one.
     search = prepare_search(Gf2Span([2]), 2, [(1, (0, 0))])
-    level, points, certificate = threshold(search, lambda p: p[0], True)
-    assert (level, points, certificate.x) == (0, {(0, 0)}, 0)
+    level, p, certificate = threshold(search, lambda p: p[0], 1)
+    assert (level, p, certificate.x) == (0, (0, 0), 0)
     assert certificate.f is None
     assert not certificate.survives((0, 0), [], {})
     assert not certificate.survives((0, 0), [((0, 0), (1, 0))], {(1, 0): (1 << 1,)})
@@ -527,8 +561,18 @@ def test_threshold_refuses_a_target_that_never_enters(target, items):
     # A target outside the span of the base and every item, and a search
     # with no items, where no level is searched at all.
     search = prepare_search(Gf2Span([0b010]), target, items)
-    with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
-        threshold(search, lambda point: point[0])
+    for side in (-1, 1):
+        with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
+            threshold(search, lambda point: point[0], side)
+
+
+def test_threshold_refuses_two_points_of_one_weight_and_slope():
+    # No phi_key weight ties two lattice points of one slope j - i, but a
+    # weight that does has no one-sided order.
+    search = prepare_search(Gf2Span(), 0b11, [(0b01, (0, 0)), (0b10, (1, 1))])
+    for side in (-1, 1):
+        with pytest.raises(uk.ConsistencyError, match=f"one-sided weight tie at weight 0, side {side}"):
+            threshold(search, lambda point: 0, side)
 
 
 def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
@@ -646,19 +690,20 @@ def test_threshold_carries_the_target_residue(expr, t):
     residue, points, n = search
     rows = sum(Gf2Span(v >> n for v in vectors).rank for _, vectors in points)
     weight, _ = phi_key(t)
-    copy, log, _ = traced(search)
-    level, _, certificate = threshold(copy, weight)
-    own = []  # the residue's values after the target
-    for left, _, out in log:
-        if left is (own[-1] if own else copy[0]):
-            own.append(out)
-    assert own[-1] == certificate.x and own[-1].bit_length() <= n
-    assert len({weight(p) for p, *_ in points if weight(p) < level}) > 1  # several levels searched
-    lengths = [v.bit_length() for v in [residue] + own]
-    assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
-    assert len(own) <= rows <= len(C.generator_coset().basis)
-    values = {id(v) for v in [copy[0]] + own}
-    assert sum(id(left) in values for left, _, _ in log) == len(own)  # each value stepped once
+    for side in (-1, 1):
+        copy, log, _ = traced(search)
+        level, _, certificate = threshold(copy, weight, side)
+        own = []  # the residue's values after the target
+        for left, _, out in log:
+            if left is (own[-1] if own else copy[0]):
+                own.append(out)
+        assert own[-1] == certificate.x and own[-1].bit_length() <= n
+        assert len({weight(p) for p, *_ in points if weight(p) < level}) > 1  # several levels searched
+        lengths = [v.bit_length() for v in [residue] + own]
+        assert all(a > b for a, b in zip(lengths, lengths[1:])), lengths
+        assert len(own) <= rows <= len(C.generator_coset().basis)
+        values = {id(v) for v in [copy[0]] + own}
+        assert sum(id(left) in values for left, _, _ in log) == len(own)  # each value stepped once
 
 
 @pytest.mark.parametrize("expr", ["2*hom-K", "T(3,4) # -T(2,5)"])
@@ -676,10 +721,11 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
             return original(self, *args)
         monkeypatch.setattr(Gf2Span, method, recording)
     for t in (0, F(1, 3), 1, 2):
-        copy, log, Traced = traced(search)
-        threshold(copy, phi_key(t)[0])
-        assert not touched, t  # no span: neither the base nor a copy of it
-        assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
+        for side in (-1, 1):
+            copy, log, Traced = traced(search)
+            threshold(copy, phi_key(t)[0], side)
+            assert not touched, t  # no span: neither the base nor a copy of it
+            assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
 
 
 def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
@@ -709,7 +755,7 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
         assert (value, p, x) == (pd.gamma_t, pivot, z)
         assert Gf2Span(kernel).rank == len(kernel) == len(zs.v_minus if side < 0 else zs.v_plus)
         assert all(isinstance(v, int) for v in (x, *kernel))
-        weight, _ = phi_key(t, side)
+        weight = one_sided_weight(t, side)
         assert all(weight(coset.basis[k].point) <= weight(p) for k in support(x))
         assert x ^ coset.cycle in span
         assert all(combo in span for combo in kernel)

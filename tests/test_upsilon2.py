@@ -116,12 +116,12 @@ def test_witness_chains_connect_the_z_sets(expr, t):
 def test_upsilon2_finds_the_pivots_once(monkeypatch):
     # upsilon2 reads the pivots directly and through z_sets; both share the
     # memoized one-sided searches, which run the gamma kernel once per side
-    # of t, and neither runs the two-sided gamma(t) search.
+    # of t, and neither runs another gamma search.
     sides, zsets_calls = [], []
     upsilon_module = importlib.import_module("upsilonkit.upsilon")
     level = upsilon_module._level
 
-    def searching(search, t, side=0):
+    def searching(search, t, side):
         if search is upsilon_module._gamma_search(C):
             sides.append(side)
         return level(search, t, side)
