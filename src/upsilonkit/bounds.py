@@ -44,7 +44,7 @@ def gc_bound_from_pl(f: PLFunction, source: str = "pl") -> GenusBoundReport:
 def diagonal_width(C: ModelComplex) -> int:
     """Largest |alg - Alex| over generators; a model-level statistic."""
     C.require_valid()
-    return max((abs(g.i - g.j) for g in C.generators), default=0)
+    return max((abs(i - j) for i, j in zip(C._i, C._j)), default=0)
 
 
 class GenusReport(NamedTuple):

@@ -10,14 +10,14 @@ threshold) just left or right of t: the unit vectors of the slice
 elements join the coset's boundary span one point at a time, in the phi
 order at t -+ eps, until it holds the cycle.  Upsilon is continuous, so
 either side's level is gamma(t); the points they stop at are the pivots
-p+-.  Points are ordered by the integer key 2q phi_t for t = p/q
-(phi_key; phi is the Fraction reference), a tie by side (j - i), as
-phi_t moves with slope (j - i) / 2 in t (symbolic perturbation).
-prepare_search reduces a search modulo its base span once, each item one
-int laid out as a Gf2Solver column, so threshold is its only
-elimination, and the low bits of its rows and target name the admitted
-items that sum to them: the certificate's x and kernel, which upsilon2
-reads as Z+- and witnesses.
+p+-.  That phi order is by one int key per point, m 2q phi_t + side
+(j - i) for t = p/q and m above the spread of j - i (one_sided_key; phi
+is the Fraction reference), as phi_t moves with slope (j - i) / 2 in t
+(Edelsbrunner & Muecke, Simulation of Simplicity, 1990).  prepare_search
+fixes m as it reduces a search modulo its base span once, and threshold
+sorts the keys and is its only elimination: the low bits of its rows and
+target name the admitted items that sum to them, the certificate's x and
+kernel, which upsilon2 reads as Z+- and witnesses.
 
 gamma as a PL function is one kinetic sweep, level_pl, which gamma2(s)
 shares: from t = 0 it keeps the right-hand winner p until phi(p) meets
@@ -26,7 +26,7 @@ needs no search if p's certificate, holding a functional f and no rows,
 survives it.  Each gamma search just left or right of a t runs once per
 complex (_one_sided, memoized): the sweep runs the right-hand ones,
 validation reads gamma(0) and gamma(2) off those right of 0 and left of
-2, and the pivots are read off the two at t, so upsilon2, z_sets,
+2, and the pivots and gamma_at off those at t, so upsilon2, z_sets,
 delta_upsilon_prime and the CLI share them.  The support line is the
 points of p-'s key, and delta comes from the first crossings of
 neighbours in the phi order on each side of t, with no list of pairs.
@@ -56,31 +56,39 @@ def phi(t, point: LatticePoint) -> Fraction:
     return t / 2 * j + (1 - t / 2) * i
 
 
+def one_sided_key(t: Fraction, side: int, m: int) -> tuple[int, int]:
+    """(u, v) with u i + v j = m 2q phi_t(i, j) + side (j - i), t = p/q: for m
+    above the spread of j - i, the key of the phi order just left (side -1)
+    or right (+1) of t, which ties no two points, as (2q - p) + p = 2q > 0."""
+    p, d = t.numerator, 2 * t.denominator
+    return (d - p) * m - side, p * m + side
+
+
 def phi_key(t) -> tuple[Callable[[LatticePoint], int], int]:
     """(weight, d) ordering points by phi at t: for t = p/q in lowest terms,
-    d = 2q and weight(i, j) = d phi_t(i, j) = (2q - p) i + p j, an int."""
+    d = 2q and weight(i, j) = d phi_t(i, j), an int: one_sided_key(t, 0, 1)."""
     t = as_rational(t)
     if not 0 <= t <= 2:
         raise DomainError(f"t = {t} outside [0, 2]")
-    p, d = t.numerator, 2 * t.denominator
-    a = d - p
-    return (lambda point: a * point[0] + p * point[1]), d
+    a, b = one_sided_key(t, 0, 1)
+    return (lambda point: a * point[0] + b * point[1]), 2 * t.denominator
 
 
 def prepare_search(base_span: Gf2Span, target: int, items):
     """A level search reduced modulo base_span once: (target, ((point,
-    (vector, ...)), ...), n) for the distinct points of the n (vector, point)
+    (vector, ...)), ...), n, m) for the distinct points of the n (vector, point)
     items, laid out as Gf2Solver's columns: item k is its residue << n | 1 << k,
     so its low n bits name the items that sum to it, and the target is its
-    residue << n.  threshold is the only elimination the search gets: an item
-    whose residue is 0, or depends on those admitted before it, goes into its
-    certificate's kernel.  A point whose residues are all 0 still belongs to
-    its level."""
+    residue << n; m, for one_sided_key, is one more than the spread of j - i.
+    threshold is the search's only elimination, and a point whose residues
+    are all 0 still belongs to its level."""
     reduce, n = base_span.reduce, len(items)
     points: dict = {}
     for k, (vector, point) in enumerate(items):
         points.setdefault(point, []).append(reduce(vector) << n | 1 << k)
-    return reduce(target) << n, tuple((point, tuple(vectors)) for point, vectors in points.items()), n
+    slopes = [j - i for i, j in points] or [0]
+    entries = tuple((point, tuple(vectors)) for point, vectors in points.items())
+    return reduce(target) << n, entries, n, max(slopes) - min(slopes) + 1
 
 
 class Certificate(NamedTuple):
@@ -116,14 +124,13 @@ class Certificate(NamedTuple):
         return True
 
 
-def threshold(search, weight, side: int):
-    """(weight, point, Certificate) of the first point after which the
-    target of a prepare_search result enters the span of its item residues,
-    admitted one point at a time in increasing int weight(point), a tie in
-    increasing side (j - i): with phi_key's weight, the phi order just left
-    (side -1) or right (+1) of t.  f is built, from the rows before the
-    point, only if side > 0.  Raises ConsistencyError if two points of one
-    weight share j - i, or if the target never enters.
+def threshold(search, keys, side: int):
+    """(point, Certificate) of the first point after which the target of a
+    prepare_search result enters the span of its item residues, admitted in
+    increasing keys[k] for its k-th point: the phi order just left (side -1)
+    or right (+1) of t, with one_sided_key's keys.  f is built, from the rows
+    before the point, only if side > 0.  Raises ConsistencyError if an
+    admitted point shares its key with the next, or if the target never enters.
 
     Rows are augmented as the items are, so each carries in its low n bits
     the items that sum to it (the R = DV bookkeeping of Cohen-Steiner,
@@ -135,36 +142,29 @@ def threshold(search, weight, side: int):
     first point after which the target is led below bit n; its low bits are
     then the certificate's x.  The elimination is written out, with no call
     per row: it is the engine's innermost loop."""
-    residue, points, n = search
-    groups: dict = {}
-    for entry in points:
-        groups.setdefault(weight(entry[0]), []).append(entry)
+    residue, points, n, _ = search
     rows: dict = {}  # leading bit -> augmented echelon row, in insertion order
     kernel = []
-    for level in sorted(groups):
-        group = groups[level]
-        if len(group) > 1:  # only a tie is sorted, by slope
-            slopes = {side * (entry[0][1] - entry[0][0]): entry for entry in group}
-            if len(slopes) < len(group):
-                raise ConsistencyError(f"one-sided weight tie at weight {level}, side {side}")
-            group = [slopes[slope] for slope in sorted(slopes)]
-        for point, vectors in group:
-            below, before = len(rows), residue
-            for v in vectors:
-                while (lead := v.bit_length() - 1) in rows:
-                    v ^= rows[lead]
-                if lead < n:
-                    kernel.append(v)
-                    continue
-                rows[lead] = v
-                if lead == residue.bit_length() - 1:
-                    residue ^= v
-                    while (lead := residue.bit_length() - 1) in rows:
-                        residue ^= rows[lead]
-            if residue.bit_length() <= n:
-                # the rows before the point are a prefix of rows
-                f = functional(islice(rows.values(), below), before) if side > 0 and before else None
-                return level, point, Certificate(residue, tuple(kernel), f)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for at, k in enumerate(order, 1):  # order[at] is the point after k
+        if at < len(order) and keys[k] == keys[order[at]]:
+            raise ConsistencyError(f"one-sided weight tie at key {keys[k]}, side {side}")
+        below, before = len(rows), residue
+        for v in points[k][1]:
+            while (lead := v.bit_length() - 1) in rows:
+                v ^= rows[lead]
+            if lead < n:
+                kernel.append(v)
+                continue
+            rows[lead] = v
+            if lead == residue.bit_length() - 1:
+                residue ^= v
+                while (lead := residue.bit_length() - 1) in rows:
+                    residue ^= rows[lead]
+        if residue.bit_length() <= n:
+            # the rows before the point are a prefix of rows
+            f = functional(islice(rows.values(), below), before) if side > 0 and before else None
+            return points[k][0], Certificate(residue, tuple(kernel), f)
     raise ConsistencyError("threshold target not in the span of all items")
 
 
@@ -178,13 +178,14 @@ def _gamma_search(C: ModelComplex):
     return prepare_search(C._elimination()[1], coset.cycle, items)
 
 
-def _level(search, t, side: int) -> tuple[Fraction, LatticePoint, Certificate]:
+def _level(search, t: Fraction, side: int) -> tuple[Fraction, LatticePoint, Certificate]:
     """The phi_t value at which the target of search, a prepare_search
     result, enters just left (side -1) or right (+1) of t, the point it
     enters at and threshold's certificate of it: gamma(t) and gamma2(s)."""
     weight, d = phi_key(t)
-    level, point, certificate = threshold(search, weight, side)
-    return Fraction(level, d), point, certificate
+    u, v = one_sided_key(t, side, search[3])
+    point, certificate = threshold(search, [u * i + v * j for (i, j), _ in search[1]], side)
+    return Fraction(weight(point), d), point, certificate
 
 
 def _next_crossing(pairs, t: Fraction) -> tuple[Fraction, list]:
@@ -194,8 +195,7 @@ def _next_crossing(pairs, t: Fraction) -> tuple[Fraction, list]:
     meets p after t iff it lies below p at t and rises faster, or above and
     rises slower.  The crossings are compared as integer fractions,
     cross-multiplied."""
-    b = t.numerator
-    a = 2 * t.denominator - b  # a i + b j = 2q phi_t(i, j), as in phi_key
+    a, b = one_sided_key(t, 0, 1)  # a i + b j = 2q phi_t(i, j)
     num, den, met = 2, 1, []
     for pair in pairs:
         (pi, pj), (qi, qj) = pair
@@ -218,8 +218,9 @@ def _first_crossing(points, t: Fraction) -> Fraction:
     2.  Until then their phi order is the one just right of t, and two that
     meet first are neighbours in it (the kinetic-sorting lemma), so the
     neighbours are the only pairs scanned."""
-    weight, _ = phi_key(t)
-    order = sorted(points, key=lambda q: (weight(q), q[1] - q[0]))
+    slopes = [j - i for i, j in points]
+    u, v = one_sided_key(t, 1, max(slopes) - min(slopes) + 1)
+    order = sorted(points, key=lambda q: u * q[0] + v * q[1])
     return _next_crossing(zip(order, order[1:]), t)[0]
 
 
@@ -238,7 +239,7 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     piece.  Each piece, ending where the winner changes, is checked at its
     midpoint by the left-hand search, which builds no f; raises
     ConsistencyError naming what otherwise."""
-    _, points, n = search
+    _, points, n, _ = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = Fraction(0)
     value, p, certificate = right(t)
@@ -270,16 +271,15 @@ def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple[Fraction, Latti
     """The gamma search just left (-1) or right (+1) of t, the only one
     there: gamma(t), its winner p and its certificate, whose kernel spans
     the cycles on the points up to p (z_sets).  gamma_pl's sweep runs the
-    right-hand searches, and validation the ones right of 0 and left of 2,
-    so at a breakpoint of Upsilon the pivots find the right-hand search
-    memoized and run the left-hand one fresh."""
+    right-hand searches and validation those right of 0 and left of 2; the
+    pivots and gamma_at read the ones at t."""
     return _level(_gamma_search(C), t, side)
 
 
 def gamma_at(C: ModelComplex, t) -> Fraction:
     """gamma(t) = min over representing cycles of max weight over support."""
     C.require_valid()
-    return _level(_gamma_search(C), t, -1)[0]
+    return _one_sided(C, as_rational(t), -1)[0]
 
 
 def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:

@@ -4,7 +4,7 @@ import pytest
 
 import upsilonkit as uk
 from upsilonkit import DomainError
-from helpers import built, pl
+from helpers import CATALOG_SCAN, built, pl
 
 
 def test_gc_bound_from_pl_slopes():
@@ -37,6 +37,13 @@ def test_diagonal_width():
     assert uk.diagonal_width(built("box(2)")) == 4
     assert uk.diagonal_width(built("T(3,4)")) == 3
     assert uk.diagonal_width(built("nK(2)")) == 8
+
+
+@pytest.mark.parametrize("expr", CATALOG_SCAN)
+def test_diagonal_width_is_the_widest_generator(expr):
+    # diagonal_width reads the (i, j) columns, not the Generator records.
+    C = built(expr)
+    assert uk.diagonal_width(C) == max(abs(g.i - g.j) for g in C.generators)
 
 
 def test_genus_report_torus57():

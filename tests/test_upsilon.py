@@ -12,7 +12,7 @@ from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.cli import main
 from upsilonkit.upsilon import (
     Certificate, _first_crossing, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
-    prepare_search, threshold,
+    one_sided_key, prepare_search, threshold,
 )
 from helpers import (
     CATALOG_SCAN, UPSILON, assert_witnesses_connect, boundaries, built, combine,
@@ -40,6 +40,17 @@ def test_gamma_at():
     assert uk.gamma_at(C, F(2, 3)) == 1
     assert uk.gamma_at(C, 1) == 1
     assert uk.gamma_at(C, 2) == 0
+
+
+def test_gamma_at_reads_the_memoized_left_hand_search(monkeypatch):
+    # gamma_at is the left-hand search at t, memoized once per complex and t,
+    # whether t comes as "2/3" or F(2, 3): after the pivots at 2/3 have run
+    # it, gamma_at there searches no more.
+    C = uk.parse_and_build("T(3,4)")
+    uk.pivot_points(C, F(2, 3))
+    calls = count_thresholds(monkeypatch)
+    assert uk.gamma_at(C, F(2, 3)) == uk.gamma_at(C, "2/3") == 1
+    assert not calls
 
 
 def test_gamma_rejects_invalid_complex():
@@ -126,7 +137,7 @@ def test_support_line_is_the_two_sided_level(expr):
     C = uk.parse_and_build(expr)
     bps = [x for x, _ in uk.upsilon(C).breakpoints]
     span, cycle, raw = gamma_raw(C)
-    _, items, n = _gamma_search(C)
+    _, items, n, _ = _gamma_search(C)
     residues = {point: [v >> n for v in vectors] for point, vectors in items}
     rowless = 0
     for t in sorted(set(bps[1:-1]) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}):
@@ -405,7 +416,7 @@ def certificate_holds(raw, t):
     rank of the admitted items' kernel)."""
     base, target, items = raw
     search = prepare_search(base, target, items)
-    prepared, points, n = search
+    prepared, points, n, _ = search
     _, p, certificate = _level(search, t, 1)
     f, x = certificate.f >> n, certificate.x
     assert f << n == certificate.f, t  # f reads an item's residue alone
@@ -465,6 +476,14 @@ def test_only_right_hand_certificates_carry_f():
             assert _level(search, t, -1)[2].f is None, t
 
 
+def weight_keys(search, weight, side):
+    """threshold's keys for the order by (weight(p), side (j - i)) of the
+    points p = (i, j) of search, for any int weight: weight(p) m + side (j -
+    i), with the search's own m, one more than the spread of j - i."""
+    m = search[3]
+    return [weight(p) * m + side * (p[1] - p[0]) for p, _ in search[1]]
+
+
 VECTORS = st.integers(0, (1 << 16) - 1)
 
 
@@ -474,18 +493,18 @@ VECTORS = st.integers(0, (1 << 16) - 1)
        combo=st.integers(0, (1 << 12) - 1), extra=st.just(0) | VECTORS)
 def test_threshold_matches_the_reference_on_dense_searches(base, weights, items, combo, extra):
     # Dense 16-bit vectors over a random base, with no staircase shape and
-    # tied weights: on each side the level and its point are the
-    # reference's with the weight (w, side (j - i)), and the certificate
-    # meets its definition with fresh spans and solvers.  Either side stops
-    # in the level where the reference, admitting whole levels of weight w,
-    # holds the target, at one of that level's points: the lemma the
-    # one-sided searches rest on.  The target is a sum of items, off by
-    # extra, so it mostly enters.
+    # tied weights, keyed w m + side (j - i) by weight_keys: on each side the
+    # level and its point are the reference's with the weight (w, side (j -
+    # i)), and the certificate meets its definition with fresh spans and
+    # solvers.  Either side stops in the level where the reference,
+    # admitting whole levels of weight w, holds the target, at one of that
+    # level's points: the lemma the one-sided searches rest on.  The target
+    # is a sum of items, off by extra, so it mostly enters.
     base, items = Gf2Span(base), [(v, (p, 0)) for v, p in items]
     vectors = [v for v, _ in items]
     target = combine(vectors, combo & ((1 << len(items)) - 1)) ^ extra
     search = prepare_search(base, target, items)
-    prepared, _, n = search
+    prepared, _, n, _ = search
     target_residue, residues = base.reduce(target), [base.reduce(v) for v in vectors]
 
     def weight(point):
@@ -499,9 +518,10 @@ def test_threshold_matches_the_reference_on_dense_searches(base, weights, items,
         reference = reference_threshold(base, target, items, key)
         if reference is None:
             with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
-                threshold(search, weight, side)
+                threshold(search, weight_keys(search, weight, side), side)
             continue
-        level, p, certificate = threshold(search, weight, side)
+        p, certificate = threshold(search, weight_keys(search, weight, side), side)
+        level = weight(p)
         assert ((level, side * (p[1] - p[0])), {p}) == reference
         assert level == two_sided[0] and p in two_sided[1]
         x, kernel = certificate.x, certificate.kernel
@@ -529,18 +549,28 @@ def test_threshold_matches_the_reference_on_dense_searches(base, weights, items,
         assert not any((f & r).bit_count() % 2 for r in below)
 
 
-LATTICE = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+GRID = st.tuples(st.integers(-3, 3), st.integers(-3, 3))  # phi_t ties are frequent
+FAR = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 
 
-@given(t=st.fractions(0, 2, max_denominator=40), points=st.sets(LATTICE, min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+@given(t=st.fractions(0, 2, max_denominator=40) | st.sampled_from([F(0), F(1, 2), F(1), F(2, 3), F(2)]),
+       points=st.sets(GRID, min_size=2, max_size=20) | st.sets(FAR, min_size=2, max_size=20))
 def test_one_sided_keys_never_tie(t, points):
-    # The lemma the one-sided searches rest on: (phi_key(t) weight, +-(j -
-    # i)) is injective on lattice points, as the weight is (2q - p) i + p j
-    # and 2q - p + p > 0, so threshold never sorts two points of one key
-    # by equal slopes.
+    # The lemma the one-sided searches rest on: with m one more than the
+    # spread of j - i, one_sided_key's int key is injective on lattice
+    # points and orders them by (phi_key(t) weight, side (j - i)), as the
+    # weight is (2q - p) i + p j with 2q - p + p > 0 and |side d(j - i)| < m.
+    # So threshold, which sorts by the key alone, never meets a tie.
     weight, _ = phi_key(t)
+    slopes = [j - i for i, j in points]
+    m = max(slopes) - min(slopes) + 1
     for side in (-1, 1):
-        assert len({(weight(p), side * (p[1] - p[0])) for p in points}) == len(points), (t, side)
+        u, v = one_sided_key(t, side, m)
+        keys = {p: u * p[0] + v * p[1] for p in points}
+        assert len(set(keys.values())) == len(points), (t, side)
+        by_pair = sorted(points, key=lambda p: (weight(p), side * (p[1] - p[0])))
+        assert sorted(points, key=keys.__getitem__) == by_pair, (t, side)
 
 
 def test_a_target_in_the_base_has_no_functional():
@@ -548,8 +578,8 @@ def test_a_target_in_the_base_has_no_functional():
     # functional is 1 on it: f is None, and the certificate decides no
     # event, so a sweep would search again at the next one.
     search = prepare_search(Gf2Span([2]), 2, [(1, (0, 0))])
-    level, p, certificate = threshold(search, lambda p: p[0], 1)
-    assert (level, p, certificate.x) == (0, (0, 0), 0)
+    p, certificate = threshold(search, weight_keys(search, lambda p: p[0], 1), 1)
+    assert (_level(search, F(0), 1)[0], p, certificate.x) == (0, (0, 0), 0)
     assert certificate.f is None
     assert not certificate.survives((0, 0), [], {})
     assert not certificate.survives((0, 0), [((0, 0), (1, 0))], {(1, 0): (1 << 1,)})
@@ -563,16 +593,23 @@ def test_threshold_refuses_a_target_that_never_enters(target, items):
     search = prepare_search(Gf2Span([0b010]), target, items)
     for side in (-1, 1):
         with pytest.raises(uk.ConsistencyError, match="threshold target not in the span of all items"):
-            threshold(search, lambda point: point[0], side)
+            threshold(search, weight_keys(search, lambda point: point[0], side), side)
 
 
 def test_threshold_refuses_two_points_of_one_weight_and_slope():
-    # No phi_key weight ties two lattice points of one slope j - i, but a
-    # weight that does has no one-sided order.
-    search = prepare_search(Gf2Span(), 0b11, [(0b01, (0, 0)), (0b10, (1, 1))])
-    for side in (-1, 1):
-        with pytest.raises(uk.ConsistencyError, match=f"one-sided weight tie at weight 0, side {side}"):
-            threshold(search, lambda point: 0, side)
+    # No one_sided_key ties two lattice points (one weight and one slope j -
+    # i), but keys that do have no one-sided order.  Keys 5, 5, 6 tie two
+    # points admitted before the winner, when the target is the third
+    # point's, or the winner and the next point, when it is the first's.
+    items = [(0b001, (0, 0)), (0b010, (1, 1)), (0b100, (0, 1))]
+    for target, winner in ((0b100, (0, 1)), (0b001, (0, 0))):
+        search = prepare_search(Gf2Span(), target, items)
+        for side in (-1, 1):
+            with pytest.raises(uk.ConsistencyError, match=f"one-sided weight tie at key 5, side {side}"):
+                threshold(search, [5, 5, 6], side)
+            # Keys apart, the same search stops at the point that holds the target.
+            p, certificate = threshold(search, [5, 6, 7], side)
+            assert (p, certificate.x) == (winner, target)
 
 
 def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
@@ -671,8 +708,8 @@ def traced(search):
             log.append((other, self, out))
             return out
 
-    target, points, n = search
-    copy = (Traced(target), tuple((point, tuple(Traced(v) for v in vectors)) for point, vectors in points), n)
+    target, points, n, m = search
+    copy = (Traced(target), tuple((point, tuple(Traced(v) for v in vectors)) for point, vectors in points), n, m)
     return copy, log, Traced
 
 
@@ -687,12 +724,13 @@ def test_threshold_carries_the_target_residue(expr, t):
     # it ends led below bit n, the certificate's x in its item bits.
     C = uk.parse_and_build(expr)
     search = _gamma_search(C)
-    residue, points, n = search
+    residue, points, n, _ = search
     rows = sum(Gf2Span(v >> n for v in vectors).rank for _, vectors in points)
     weight, _ = phi_key(t)
     for side in (-1, 1):
         copy, log, _ = traced(search)
-        level, _, certificate = threshold(copy, weight, side)
+        p, certificate = threshold(copy, weight_keys(copy, weight, side), side)
+        level = weight(p)
         own = []  # the residue's values after the target
         for left, _, out in log:
             if left is (own[-1] if own else copy[0]):
@@ -723,7 +761,7 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
     for t in (0, F(1, 3), 1, 2):
         for side in (-1, 1):
             copy, log, Traced = traced(search)
-            threshold(copy, phi_key(t)[0], side)
+            threshold(copy, weight_keys(copy, phi_key(t)[0], side), side)
             assert not touched, t  # no span: neither the base nor a copy of it
             assert log and all(isinstance(v, Traced) for entry in log for v in entry), t
 

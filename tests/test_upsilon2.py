@@ -244,7 +244,7 @@ def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
         inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
         base_pivots = leading_bits(Gf2Span(list(zs.v_minus + zs.v_plus) + inside))
         assert len(prepared) == zs.disjoint, t
-        for target, points, n in prepared:
+        for target, points, n, _ in prepared:
             vectors = [target >> n, *(v >> n for _, item_vectors in points for v in item_vectors)]
             assert not any(v & base_pivots for v in vectors), t
         witnesses += len(res.witnesses)
