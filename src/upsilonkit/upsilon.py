@@ -21,12 +21,13 @@ kernel, which upsilon2 reads as Z+- and witnesses.
 
 gamma as a PL function is one kinetic sweep, level_pl, which gamma2(s)
 shares: from t = 0 it keeps the right-hand winner p until phi(p) meets
-the phi of another point with a nonzero residue (an event), which
-needs no search if p's certificate, holding a functional f and no rows,
-survives it.  Each gamma search just left or right of a t runs once per
-complex (_one_sided, memoized): the sweep runs the right-hand ones,
-validation reads gamma(0) and gamma(2) off those right of 0 and left of
-2, and the pivots and gamma_at off those at t, so upsilon2, z_sets,
+the phi of a point that can fail p's certificate, which holds a
+functional f and no rows: one scan of the points with a nonzero residue
+per certificate finds that meeting, and only there is a search.  Each
+gamma search just left or right of a t runs once per complex
+(_one_sided, memoized): the sweep runs the right-hand ones, validation
+reads gamma(0) and gamma(2) off those right of 0 and left of 2, and the
+pivots and gamma_at off those at t, so upsilon2, z_sets,
 delta_upsilon_prime and the CLI share them.  The support line is the
 points of p-'s key, and delta comes from the first crossings of
 neighbours in the phi order on each side of t, with no list of pairs.
@@ -99,29 +100,24 @@ class Certificate(NamedTuple):
     target and 0 on every item of the points before p; its bits lie above
     the item bits, so on an item it reads the residue alone.  f is None
     left of t, where no sweep reads it, and for a target in the base span,
-    which enters at the first point with x = 0."""
+    which enters at the first point with x = 0.  threat is the sweep's event
+    test: the one scan per certificate skips every other meeting."""
 
     x: int
     kernel: tuple
     f: int | None
 
-    def survives(self, p: LatticePoint, met, movers) -> bool:
-        """Whether p, the point of a right-hand search, still wins, with
-        this certificate, after the event where the (p, q) pairs of met
-        meet: each q joins the points below p if its slope j - i is below
-        p's and leaves them otherwise; f may be 1 on no joiner's item, and no
-        leaver's item may be in x.  With no f every event fails, so the
-        caller searches again."""
+    def threat(self, p: LatticePoint, movers):
+        """Which points q of movers can fail this certificate, that of the
+        right-hand search won by p, where phi(q) meets phi(p): a joiner, whose
+        slope j - i is below p's so it joins the points below p, with an item
+        on which f is 1, or a leaver, which leaves them, with an item in x.
+        None, as every meeting can fail it, if f is None."""
         if (f := self.f) is None:
-            return False
-        for _, q in met:
-            vectors = movers[q]
-            if q[1] - q[0] < p[1] - p[0]:
-                if any((f & v).bit_count() & 1 for v in vectors):
-                    return False
-            elif any(self.x & v for v in vectors):
-                return False
-        return True
+            return None
+        x, slope = self.x, p[1] - p[0]  # a joiner's slope is below p's
+        return lambda q: any((f & v).bit_count() & 1 if q[1] - q[0] < slope else x & v
+                             for v in movers[q])
 
 
 def threshold(search, keys, side: int):
@@ -188,29 +184,26 @@ def _level(search, t: Fraction, side: int) -> tuple[Fraction, LatticePoint, Cert
     return Fraction(weight(point), d), point, certificate
 
 
-def _next_crossing(pairs, t: Fraction) -> tuple[Fraction, list]:
+def _next_crossing(pairs, t: Fraction, threat) -> Fraction:
     """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the pairs
-    (p, q) of points, or 2, and the pairs that meet at x.  phi_x(q) - phi_x(p)
-    = q_i - p_i + x ds / 2 with ds the difference of the slopes (j - i), so q
-    meets p after t iff it lies below p at t and rises faster, or above and
-    rises slower.  The crossings are compared as integer fractions,
-    cross-multiplied."""
+    (p, q) of points with threat None or threat(q) true, or 2.  phi_x(q) -
+    phi_x(p) = q_i - p_i + x ds / 2 with ds the difference of the slopes
+    (j - i), so q meets p after t iff it lies below p at t and rises faster,
+    or above and rises slower.  The crossings are compared as integer
+    fractions, cross-multiplied, and threat is asked only of a q that meets
+    p before the least crossing found so far."""
     a, b = one_sided_key(t, 0, 1)  # a i + b j = 2q phi_t(i, j)
-    num, den, met = 2, 1, []
-    for pair in pairs:
-        (pi, pj), (qi, qj) = pair
-        di, dj = qi - pi, qj - pj
+    num, den = 2, 1
+    for (pi, pj), q in pairs:
+        di, dj = q[0] - pi, q[1] - pj
         ds = dj - di
         if ds * (a * di + b * dj) < 0:
             n = -2 * di
             if ds < 0:
                 n, ds = -n, -ds
-            order = n * den - num * ds
-            if order < 0:
-                num, den, met = n, ds, [pair]
-            elif not order:
-                met.append(pair)
-    return Fraction(num, den), met
+            if n * den < num * ds and (threat is None or threat(q)):
+                num, den = n, ds
+    return Fraction(num, den)
 
 
 def _first_crossing(points, t: Fraction) -> Fraction:
@@ -221,7 +214,7 @@ def _first_crossing(points, t: Fraction) -> Fraction:
     slopes = [j - i for i, j in points]
     u, v = one_sided_key(t, 1, max(slopes) - min(slopes) + 1)
     order = sorted(points, key=lambda q: u * q[0] + v * q[1])
-    return _next_crossing(zip(order, order[1:]), t)[0]
+    return _next_crossing(zip(order, order[1:]), t, None)
 
 
 def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
@@ -232,22 +225,21 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     gamma's is the memoized _one_sided, so the sweep's searches are the
     ones the pivots read.  Just right of t the level is phi(p) for its
     point p, and the points below p with a nonzero residue change only where
-    phi(p) meets phi(q) for such a q (an event); a point whose residues are
-    all 0 adds no row.  p's certificate decides most events with no search
-    (McConnell, Mehlhorn, Naeher & Schweitzer, Certifying algorithms, 2011);
-    elsewhere the level found just right of the event must continue the
-    piece.  Each piece, ending where the winner changes, is checked at its
-    midpoint by the left-hand search, which builds no f; raises
-    ConsistencyError naming what otherwise."""
+    phi(p) meets phi(q) for such a q; a point whose residues are all 0 adds
+    no row.  Two phi lines meet at most once, so a meeting that cannot fail
+    p's certificate (McConnell, Mehlhorn, Naeher & Schweitzer, Certifying
+    algorithms, 2011) changes nothing the sweep reads: one scan per
+    certificate finds the first meeting that can, and the level found just
+    right of it must continue the piece.  Each piece, ending where the
+    winner changes, is checked at its midpoint by the left-hand search,
+    which builds no f; raises ConsistencyError naming what otherwise."""
     _, points, n, _ = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = Fraction(0)
     value, p, certificate = right(t)
     breakpoints, xs = [(t, value)], []
     while t < 2:
-        t, met = _next_crossing(zip(repeat(p), movers), t)
-        if t < 2 and certificate.survives(p, met, movers):
-            continue
+        t = _next_crossing(zip(repeat(p), movers), t, certificate.threat(p, movers))
         (t0, v0), slope = breakpoints[-1], Fraction(p[1] - p[0], 2)
         value, winner = v0 + (t - t0) * slope, p
         if t < 2:
@@ -336,9 +328,14 @@ def _pivots(C: ModelComplex, t) -> tuple[Fraction, Fraction, LatticePoint, Latti
     return t, left, p_minus, p_plus
 
 
-@memoized
 def pivot_points(C: ModelComplex, t) -> PivotData:
     """The pivots p+- at t, the slice points of p-'s phi_t key (gamma(t)), and delta."""
+    return _pivot_data(C, as_rational(t))
+
+
+@memoized
+def _pivot_data(C: ModelComplex, t: Fraction) -> PivotData:
+    """pivot_points, memoized once per complex and t, however t is spelled."""
     t, gamma_t, p_minus, p_plus = _pivots(C, t)
     points = {e.point for e in C.grading_slice(0)}
     weight, _ = phi_key(t)

@@ -1,6 +1,7 @@
 import gc
 import json
 from fractions import Fraction as F
+from itertools import combinations, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,17 @@ def test_gamma_at_reads_the_memoized_left_hand_search(monkeypatch):
     calls = count_thresholds(monkeypatch)
     assert uk.gamma_at(C, F(2, 3)) == uk.gamma_at(C, "2/3") == 1
     assert not calls
+
+
+def test_pivot_points_are_memoized_once_per_t(monkeypatch):
+    # pivot_points is memoized on t as a rational, not as spelled: the
+    # second and third spellings of 2/3 find the first's PivotData, with no
+    # sort of the slice for delta.
+    C = uk.parse_and_build("T(3,4)")
+    pd = uk.pivot_points(C, F(2, 3))
+    sorts = count_calls(monkeypatch, UPSILON, "_first_crossing")
+    assert uk.pivot_points(C, "2/3") is pd and uk.pivot_points(C, " 2/3") is pd
+    assert not sorts
 
 
 def test_gamma_rejects_invalid_complex():
@@ -575,14 +587,17 @@ def test_one_sided_keys_never_tie(t, points):
 
 def test_a_target_in_the_base_has_no_functional():
     # Its residue is 0, so it enters at the first point with x = 0 and no
-    # functional is 1 on it: f is None, and the certificate decides no
-    # event, so a sweep would search again at the next one.
+    # functional is 1 on it: f is None, and the certificate has no threat
+    # test, so a sweep's scan stops at the first crossing of any mover, and
+    # searches again there: (1, -1) meets (0, 0) at t = 1, (2, -1) at 4/3.
     search = prepare_search(Gf2Span([2]), 2, [(1, (0, 0))])
     p, certificate = threshold(search, weight_keys(search, lambda p: p[0], 1), 1)
     assert (_level(search, F(0), 1)[0], p, certificate.x) == (0, (0, 0), 0)
     assert certificate.f is None
-    assert not certificate.survives((0, 0), [], {})
-    assert not certificate.survives((0, 0), [((0, 0), (1, 0))], {(1, 0): (1 << 1,)})
+    movers = {(2, -1): (1 << 1,), (1, -1): (1 << 1,)}
+    threat = certificate.threat((0, 0), movers)
+    assert threat is None
+    assert _next_crossing(zip(repeat((0, 0)), movers), F(0), threat) == 1
 
 
 @pytest.mark.parametrize("target,items", [(0b100, [(0b001, (0, 0)), (0b011, (1, 0))]),
@@ -625,16 +640,39 @@ def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
 
 
 def test_upsilon_searches_only_where_the_certificate_fails(monkeypatch):
-    # -T(13,17) # T(5,7): 21 breakpoints, but its winner meets points with
-    # rows at 293 events; a search at each event and at each piece's
-    # midpoint made 588.  The certificate's x is exact, so a leaver none of
-    # whose items x names lets the winner stand: 41 searches, where an x
-    # holding every point that went into its rows made 53.
+    # -T(13,17) # T(5,7): 21 breakpoints, but its winners meet points with
+    # rows 293 times; a search at each meeting and at each piece's midpoint
+    # made 588.  The sweep visits only the meetings that can fail the
+    # certificate, and its x is exact, so a leaver none of whose items x
+    # names is no threat: 41 searches, where an x holding every point that
+    # went into its rows made 53.
     C = uk.parse_and_build("-T(13,17) # T(5,7)")
     C.validate()
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon(C).breakpoints) == 21
     assert len(calls) <= 41
+
+
+@pytest.mark.parametrize("expr, t, scans, searches", [("-T(13,17) # T(5,7)", None, 21, 40),
+                                                     ("T(99,101)", 1, 51, 53)])
+def test_one_scan_per_sweep_certificate(monkeypatch, expr, t, scans, searches):
+    # The sweep scans the winner's movers once per certificate and searches
+    # at the meeting that scan returns: with the searches at 0 and the
+    # pivots memoized, Upsilon of the sum and Upsilon2 of T(99,101) at 1.
+    # A scan per meeting of the winner with a point with rows, each then
+    # read again to test the certificate, made 294 and 2452.
+    C = uk.parse_and_build(expr)
+    if t is None:
+        C.validate()
+    else:
+        uk.pivot_points(C, t)
+    calls = count_thresholds(monkeypatch)
+    scanned = count_calls(monkeypatch, UPSILON, "_next_crossing")
+    if t is None:
+        uk.upsilon(C)
+    else:
+        uk.upsilon2(C, t)
+    assert (len(scanned), len(calls)) == (scans, searches)
 
 
 def test_no_engine_path_builds_the_crossing_candidates(monkeypatch, capsys):
@@ -668,26 +706,28 @@ def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
     # The first crossing after t is between neighbours just right of t, and
     # the last one before t is 2 minus the first after 2 - t of the points
     # with i and j swapped: both against every pair, also with t exactly at
-    # a crossing, and the sweep's (p, q) for q in points form against p's
-    # pairs, with the points that meet p there.
+    # a crossing.  The sweep's (p, q) for q in points form goes against p's
+    # pairs, and, with a threat test S.__contains__, against its pairs with
+    # a point of S: every subset S in the examples, one drawn otherwise.
     cands = crossings(points)
     interior = cands[1:-1]
     if data is None:
         ts = interior + [F(1, 2), F(3, 2)]
+        subsets = [set(c) for r in range(len(points) + 1) for c in combinations(points, r)]
     else:
         fraction = st.fractions(F(1, 1000), F(1999, 1000), max_denominator=1000)
         ts = [data.draw(st.sampled_from(interior) if interior and data.draw(st.booleans()) else fraction)]
+        subsets = [data.draw(st.sets(st.sampled_from(sorted(points))))]
     swapped = {(j, i) for i, j in points}
     p = min(points)
     own = {c for q in points for c in crossings({p, q})}
     for t in ts:
         assert _first_crossing(points, t) == min(c for c in cands if c > t), (points, t)
         assert 2 - _first_crossing(swapped, 2 - t) == max(c for c in cands if c < t), (points, t)
-        x, met = _next_crossing(((p, q) for q in points), t)
-        assert x == min(c for c in own if c > t), (p, t)
-        if x < 2:
-            meeting = [q for q in points if q != p and uk.phi(x, q) == uk.phi(x, p)]
-            assert sorted(q for _, q in met) == sorted(meeting), (p, t)
+        assert _next_crossing(((p, q) for q in points), t, None) == min(c for c in own if c > t), (p, t)
+        for S in subsets:
+            meets = {c for q in S for c in crossings({p, q}) if c > t}  # 2 among them unless S is empty
+            assert _next_crossing(((p, q) for q in points), t, S.__contains__) == min(meets | {2}), (p, t, S)
 
 
 def traced(search):

@@ -157,10 +157,10 @@ def test_upsilon2_work_grows_with_the_kinetic_events(monkeypatch, n):
 
 def test_upsilon2_searches_only_where_the_winner_changes(monkeypatch):
     # gamma2 of 3*hom-K at t = 1 has two pieces, but its winners meet points
-    # with rows at 25 events.  The certificates decide all but the one where
-    # the winner changes, so with the pivots memoized the sweep searches
-    # there, at the start and at each piece's midpoint; a search at every
-    # event and midpoint made 52.
+    # with rows 25 times.  Only the meeting where the winner changes can
+    # fail the certificate, and the sweep visits no other, so with the
+    # pivots memoized it searches there, at the start and at each piece's
+    # midpoint; a search at every meeting and midpoint made 52.
     C = uk.parse_and_build("3*hom-K")
     uk.pivot_points(C, 1)
     calls = count_thresholds(monkeypatch)
