@@ -53,7 +53,6 @@ from .upsilon import (
 from .upsilon2 import (
     Upsilon2Result,
     ZSets,
-    check_disjointness_theorem,
     check_subadditivity,
     upsilon2,
     upsilon2_scalar,

@@ -24,9 +24,10 @@ def stairway(steps) -> ModelComplex:
     """
     steps = list(steps)
     if not steps or len(steps) % 2 != 0:
-        raise ValueError(f"step vector must have positive even length, got {steps}")
-    if any(not isinstance(a, int) or a <= 0 for a in steps):
-        raise ValueError(f"step lengths must be positive integers, got {steps}")
+        raise ValueError(f"step vector must have positive even length, got length {len(steps)}")
+    for k, a in enumerate(steps, 1):
+        if not isinstance(a, int) or a <= 0:
+            raise ValueError(f"step lengths must be positive integers; step {k} of {len(steps)} is not")
     i, j = 0, sum(steps[1::2])
     gens = [Generator("a1", 0, i, j)]
     boundary = {}

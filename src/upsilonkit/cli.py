@@ -233,12 +233,11 @@ def _dispatch(args) -> int:
             "on_line": sorted(list(p) for p in pd.on_line),
             "p_minus": list(pd.p_minus),
             "p_plus": list(pd.p_plus),
-            "delta": format_rational(pd.delta),
             "derivative_jump": format_rational(jump),
         }
         _emit(args, data, [
             f"t = {pd.t}: gamma = {pd.gamma_t}, support-line points {sorted(pd.on_line)}",
-            f"p- = {pd.p_minus}, p+ = {pd.p_plus}, margin delta = {pd.delta}",
+            f"p- = {pd.p_minus}, p+ = {pd.p_plus}",
             f"derivative jump of Upsilon: {jump}",
         ])
         return 0

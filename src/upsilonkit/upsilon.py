@@ -29,8 +29,7 @@ gamma search just left or right of a t runs once per complex
 reads gamma(0) and gamma(2) off those right of 0 and left of 2, and the
 pivots and gamma_at off those at t, so upsilon2, z_sets,
 delta_upsilon_prime and the CLI share them.  The support line is the
-points of p-'s key, and delta comes from the first crossings of
-neighbours in the phi order on each side of t, with no list of pairs.
+points of p-'s key; the pivots need no margin around t.
 """
 
 from __future__ import annotations
@@ -206,17 +205,6 @@ def _next_crossing(pairs, t: Fraction, threat) -> Fraction:
     return Fraction(num, den)
 
 
-def _first_crossing(points, t: Fraction) -> Fraction:
-    """The least x in (t, 2) where the phi_x of two of the points agree, or
-    2.  Until then their phi order is the one just right of t, and two that
-    meet first are neighbours in it (the kinetic-sorting lemma), so the
-    neighbours are the only pairs scanned."""
-    slopes = [j - i for i, j in points]
-    u, v = one_sided_key(t, 1, max(slopes) - min(slopes) + 1)
-    order = sorted(points, key=lambda q: u * q[0] + v * q[1])
-    return _next_crossing(zip(order, order[1:]), t, None)
-
-
 def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     """The level of search, a prepare_search result, as an exact PL function
     of t on [0, 2], and per piece its midpoint certificate's x, by a kinetic
@@ -280,8 +268,7 @@ def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
     Between consecutive candidates the weight order of the slice points
     is constant, so gamma is linear there.  The engine does not read them:
     they are all pairs of slice points, where the kinetic sweep of gamma_pl
-    visits only the crossings of the winner and pivot_points only those of
-    neighbours.
+    visits only the crossings of the winner.
     """
     cands = {Fraction(0), Fraction(2)}
     for (ai, aj), (bi, bj) in combinations({e.point for e in C.grading_slice(0)}, 2):
@@ -312,7 +299,6 @@ class PivotData(NamedTuple):
     on_line: frozenset  # grading-0 slice points of weight exactly gamma(t)
     p_minus: LatticePoint
     p_plus: LatticePoint
-    delta: Fraction  # reported only: half the distance to the nearest other crossing
 
 
 def _pivots(C: ModelComplex, t) -> tuple[Fraction, Fraction, LatticePoint, LatticePoint]:
@@ -329,20 +315,12 @@ def _pivots(C: ModelComplex, t) -> tuple[Fraction, Fraction, LatticePoint, Latti
 
 
 def pivot_points(C: ModelComplex, t) -> PivotData:
-    """The pivots p+- at t, the slice points of p-'s phi_t key (gamma(t)), and delta."""
-    return _pivot_data(C, as_rational(t))
-
-
-@memoized
-def _pivot_data(C: ModelComplex, t: Fraction) -> PivotData:
-    """pivot_points, memoized once per complex and t, however t is spelled."""
+    """The pivots p+- at t and the slice points of p-'s phi_t key, gamma(t)."""
     t, gamma_t, p_minus, p_plus = _pivots(C, t)
-    points = {e.point for e in C.grading_slice(0)}
     weight, _ = phi_key(t)
-    on_line = frozenset(q for q in points if weight(q) == weight(p_minus))
-    above = _first_crossing(points, t)
-    below = 2 - _first_crossing({(j, i) for i, j in points}, 2 - t)  # phi_x(j, i) = phi_{2-x}(i, j)
-    return PivotData(t, gamma_t, on_line, p_minus, p_plus, min(t - below, above - t) / 2)
+    level = weight(p_minus)
+    on_line = frozenset(e.point for e in C.grading_slice(0) if weight(e.point) == level)
+    return PivotData(t, gamma_t, on_line, p_minus, p_plus)
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:

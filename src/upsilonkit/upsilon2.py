@@ -12,11 +12,11 @@ the t half-plane.  A chain's boundary lies at or below it in both
 filtrations; off the line strictly between the pivots it lies in V- or V+,
 and the middle chains' part bounds below the line, in V-, so Z+- would meet.
 
-z_sets is the one path to Z- and Z+; it reads them, with no elimination,
-off the memoized one-sided gamma searches (upsilon._one_sided) that give
-pivot_points its pivots, so upsilon2, which calls both, searches once
-per side of t.  gamma2(s) is one upsilon._level search, as gamma(t) is:
-the (column, point) items of the grading-1 slice outside the t
+z_sets is the one path to Z- and Z+; it reads them, with no elimination
+and no margin around t, off the memoized one-sided gamma searches
+(upsilon._one_sided) that give the pivots, so upsilon2, which reads both,
+searches once per side of t.  gamma2(s) is one upsilon._level search, as
+gamma(t) is: the (column, point) items of the grading-1 slice outside the t
 half-plane join the base (v-, v+ and the columns inside) in phi_s order
 until it holds z- + z+, prepared once modulo that base: z- + z+ is
 homologous inside the t half-plane iff its residue is 0.
@@ -34,8 +34,7 @@ from .complexes import ModelComplex, SliceElement, tensor
 from .exact import NEG_INF, POS_INF, PLFunction, as_rational
 from .gf2 import Gf2Span, support
 from .upsilon import (
-    ConsistencyError, _level, _one_sided, delta_upsilon_prime, level_pl, phi_key, pivot_points,
-    prepare_search,
+    ConsistencyError, _level, _one_sided, _pivots, level_pl, phi_key, pivot_points, prepare_search,
 )
 
 
@@ -47,7 +46,6 @@ class ZSets(NamedTuple):
     """
 
     t: Fraction
-    delta: Fraction
     basis: tuple[SliceElement, ...]
     z_minus: int
     z_plus: int
@@ -62,10 +60,9 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     just left (right) of t, the minimal half-plane on that side.  They are
     the x and the kernel of the one-sided gamma search, whose items are the
     slice's unit vectors."""
-    pd = pivot_points(C, t)
-    t = pd.t
+    t, _, pm, _ = _pivots(C, t)
     coset = C.generator_coset()
-    (_, pm, minus), (_, _, plus) = (_one_sided(C, t, side) for side in (-1, 1))
+    minus, plus = (_one_sided(C, t, side)[2] for side in (-1, 1))
     zm, vm, zp, vp = minus.x, minus.kernel, plus.x, plus.kernel
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
@@ -76,12 +73,7 @@ def z_sets(C: ModelComplex, t) -> ZSets:
         raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
 
     disjoint = (zm ^ zp) not in Gf2Span(vm + vp)
-    return ZSets(t, pd.delta, coset.basis, zm, zp, vm, vp, disjoint)
-
-
-def check_disjointness_theorem(C: ModelComplex, t) -> bool:
-    """Positive slope jump forces disjoint one-sided cycle sets."""
-    return delta_upsilon_prime(C, t) <= 0 or z_sets(C, t).disjoint
+    return ZSets(t, coset.basis, zm, zp, vm, vp, disjoint)
 
 
 class Upsilon2Result(NamedTuple):
@@ -99,7 +91,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     C.require_valid()
     t = as_rational(t)
     pd = pivot_points(C, t)
-    zs = z_sets(C, t)  # the same memoized pivots
+    zs = z_sets(C, t)  # the same memoized searches
     smooth = pd.p_minus == pd.p_plus
     infinite = Upsilon2Result(
         t, pd.gamma_t, zs, smooth, PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),

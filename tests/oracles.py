@@ -35,6 +35,10 @@ certified_pl is the PL assembly before the kinetic sweep: it evaluates a
 level at every crossing of two points (crossings, all pairs) and checks
 linearity at each midpoint, so it visits every candidate where the sweep
 visits only the winner's crossings.
+
+check_disjointness_theorem is the paper's property that a positive slope
+jump of Upsilon at t forces disjoint Z- and Z+, read off the library's
+public delta_upsilon_prime and z_sets.
 """
 
 from bisect import bisect_left
@@ -198,6 +202,11 @@ def same_affine(rep1, dirs1, rep2, dirs2) -> bool:
     if span1.rank != span2.rank or any(v not in span1 for v in dirs2):
         return False
     return (rep1 ^ rep2) in span1
+
+
+def check_disjointness_theorem(C, t) -> bool:
+    """Positive slope jump forces disjoint one-sided cycle sets."""
+    return uk.delta_upsilon_prime(C, t) <= 0 or uk.z_sets(C, t).disjoint
 
 
 def _margin_side(C, t_side):

@@ -90,12 +90,17 @@ def test_v2_scalar(capsys):
 
 def test_pivots(capsys):
     data = run_json(capsys, "pivots", "T(3,4)", "--t", "2/3", "--json")
+    assert set(data) == {"t", "gamma_t", "on_line", "p_minus", "p_plus", "derivative_jump"}
     assert data["p_minus"] == [0, 3]
     assert data["p_plus"] == [1, 1]
     assert data["on_line"] == [[0, 3], [1, 1]]
     assert data["derivative_jump"] == "3/1"
     code, out, _ = run(capsys, "pivots", "T(3,4)", "--t", "2/3")
-    assert code == 0 and "p- = (0, 3)" in out
+    assert code == 0 and out.splitlines() == [
+        "t = 2/3: gamma = 1, support-line points [(0, 3), (1, 1)]",
+        "p- = (0, 3), p+ = (1, 1)",
+        "derivative jump of Upsilon: 3",
+    ]
 
 
 def test_bounds(capsys):
@@ -305,6 +310,17 @@ def test_generator_limit_exits_1_fast(capsys, expr):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "more than the limit of" in err
+
+
+@pytest.mark.parametrize("steps", [list(range(1, 5000)), [1] * 2499 + [0] + [1] * 2498],
+                         ids=["odd length 4999", "a 0 among 4998"])
+def test_stairway_refusals_are_short(capsys, steps):
+    # The refusal names the length or the first bad step, not every step.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "show", "stair[" + ",".join(map(str, steps)) + "]")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error: step") and len(err.encode()) < 200, err
 
 
 @pytest.mark.parametrize("argv", [["upsilon2", "T(3,4)", "--t", "1e-100000000"],

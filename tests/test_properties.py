@@ -6,7 +6,7 @@ import pytest
 
 import upsilonkit as uk
 from helpers import CATALOG_SCAN, built, interior_breakpoints
-from oracles import brute_gamma, brute_gamma2, gamma2_eligible, gamma_eligible
+from oracles import brute_gamma, brute_gamma2, check_disjointness_theorem, gamma2_eligible, gamma_eligible
 
 ADDITIVITY_PAIRS = [
     ("T(2,3)", "T(2,5)"),
@@ -96,7 +96,7 @@ def test_upsilon2_relation_to_gamma2():
 def test_disjointness_theorem(name):
     C = built(name)
     for t in interior_breakpoints(C):
-        assert uk.check_disjointness_theorem(C, t), (name, t)
+        assert check_disjointness_theorem(C, t), (name, t)
 
 
 @pytest.mark.parametrize("name", CATALOG_SCAN)

@@ -12,14 +12,14 @@ from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.cli import main
 from upsilonkit.upsilon import (
-    Certificate, _first_crossing, _gamma_search, _level, _next_crossing, _one_sided, phi_key,
-    one_sided_key, prepare_search, threshold,
+    Certificate, _gamma_search, _level, _next_crossing, _one_sided, phi_key, one_sided_key,
+    prepare_search, threshold,
 )
 from helpers import (
     CATALOG_SCAN, UPSILON, assert_witnesses_connect, boundaries, built, combine,
     count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
-from oracles import certified_pl, crossings, half_gap, one_sided_weight, reference_threshold
+from oracles import certified_pl, crossings, one_sided_weight, reference_threshold
 
 
 def test_phi():
@@ -55,14 +55,14 @@ def test_gamma_at_reads_the_memoized_left_hand_search(monkeypatch):
 
 
 def test_pivot_points_are_memoized_once_per_t(monkeypatch):
-    # pivot_points is memoized on t as a rational, not as spelled: the
-    # second and third spellings of 2/3 find the first's PivotData, with no
-    # sort of the slice for delta.
+    # The searches behind pivot_points are memoized on t as a rational, not
+    # as spelled: every spelling of 2/3 gives an equal PivotData, and none
+    # after the first runs a search.
     C = uk.parse_and_build("T(3,4)")
     pd = uk.pivot_points(C, F(2, 3))
-    sorts = count_calls(monkeypatch, UPSILON, "_first_crossing")
-    assert uk.pivot_points(C, "2/3") is pd and uk.pivot_points(C, " 2/3") is pd
-    assert not sorts
+    calls = count_thresholds(monkeypatch)
+    assert uk.pivot_points(C, "2/3") == pd and uk.pivot_points(C, " 2/3") == pd
+    assert not calls
 
 
 def test_gamma_rejects_invalid_complex():
@@ -111,7 +111,6 @@ def test_pivot_points_at_breakpoint():
     assert pd.on_line == frozenset({(0, 3), (1, 1)})
     assert pd.p_minus == (0, 3)
     assert pd.p_plus == (1, 1)
-    assert 0 < pd.delta <= F(1, 6)
 
 
 def test_pivot_points_at_smooth_point():
@@ -162,24 +161,25 @@ def test_support_line_is_the_two_sided_level(expr):
 
 def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
     # After Upsilon, a slope jump runs the left-hand search at t and nothing
-    # else: the sweep searched just right of every breakpoint, and no sort
-    # of the slice for delta runs.  pivot_points at the same t then reads
-    # both memoized searches.
+    # else: the sweep searched just right of every breakpoint, and no
+    # crossing scan runs.  pivot_points at the same t then reads both
+    # memoized searches and scans no crossings either: the pivots need no
+    # margin around t (reading one made 2 scans per t).
     C = uk.torus_knot_complex(23, 29)
     uk.upsilon(C)
     searches = count_thresholds(monkeypatch)
     levels = count_calls(monkeypatch, UPSILON, "_level")
-    sorts = count_calls(monkeypatch, UPSILON, "_first_crossing")
+    scans = count_calls(monkeypatch, UPSILON, "_next_crossing")
     ts = interior_breakpoints(C)
     assert len(ts) == 31
     for t in ts:
         before = len(searches)
         uk.delta_upsilon_prime(C, t)
         assert len(searches) - before == 1, t
-    assert not sorts
+    assert not scans
     for t in ts:
         uk.pivot_points(C, t)
-    assert len(searches) == len(ts) and len(sorts) == 2 * len(ts)
+    assert len(searches) == len(ts) and not scans
     assert [side for _, _, side in levels] == [-1] * len(ts)
 
 
@@ -676,10 +676,8 @@ def test_one_scan_per_sweep_certificate(monkeypatch, expr, t, scans, searches):
 
 
 def test_no_engine_path_builds_the_crossing_candidates(monkeypatch, capsys):
-    # delta comes from neighbours in the two one-sided orders at t; with the
-    # list of all crossing candidates refused, it must still be half the gap
-    # to the nearest crossing among all pairs, and what reads the pivots runs.
-    reference = crossings(e.point for e in built("T(5,7)").grading_slice(0))
+    # With the list of all crossing candidates refused, the pivots and
+    # everything that reads them still run.
 
     def refuse(C):
         raise AssertionError("breakpoint_candidates called")
@@ -689,11 +687,11 @@ def test_no_engine_path_builds_the_crossing_candidates(monkeypatch, capsys):
     C = uk.torus_knot_complex(5, 7)
     ts = sorted(set(interior_breakpoints(C)) | {F(1, 2)})
     for t in ts:
-        assert uk.pivot_points(C, t).delta == half_gap(reference, t), t
+        assert uk.pivot_points(C, t).gamma_t == uk.gamma_pl(C).evaluate(t), t
     assert uk.upsilon2(C, F(2, 3)).smooth_point  # 2/3 is no breakpoint of T(5,7)
     assert uk.genus_report(C, ts).combined == 12  # the genus of T(5,7)
     assert main(["pivots", "T(5,7)", "--t", "1/2", "--json"]) == 0
-    assert F(json.loads(capsys.readouterr().out)["delta"]) == half_gap(reference, F(1, 2))
+    assert json.loads(capsys.readouterr().out)["p_minus"] == list(uk.pivot_points(C, F(1, 2)).p_minus)
 
 
 SCAN_POINTS = st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=7)
@@ -703,12 +701,10 @@ SCAN_POINTS = st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_siz
 @example(points={(0, 0), (1, 1), (2, 2), (0, 3)}, data=None)  # three parallel: equal j - i
 @example(points={(0, 2), (1, 1), (2, 0), (3, 3)}, data=None)  # three lines meet at t = 1
 def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
-    # The first crossing after t is between neighbours just right of t, and
-    # the last one before t is 2 minus the first after 2 - t of the points
-    # with i and j swapped: both against every pair, also with t exactly at
-    # a crossing.  The sweep's (p, q) for q in points form goes against p's
-    # pairs, and, with a threat test S.__contains__, against its pairs with
-    # a point of S: every subset S in the examples, one drawn otherwise.
+    # The sweep's scan of the pairs (p, q) for q in points finds the first
+    # crossing of p's pairs after t, also with t exactly at a crossing, and,
+    # with a threat test S.__contains__, the first of its pairs with a point
+    # of S: every subset S in the examples, one drawn otherwise.
     cands = crossings(points)
     interior = cands[1:-1]
     if data is None:
@@ -718,12 +714,9 @@ def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
         fraction = st.fractions(F(1, 1000), F(1999, 1000), max_denominator=1000)
         ts = [data.draw(st.sampled_from(interior) if interior and data.draw(st.booleans()) else fraction)]
         subsets = [data.draw(st.sets(st.sampled_from(sorted(points))))]
-    swapped = {(j, i) for i, j in points}
     p = min(points)
     own = {c for q in points for c in crossings({p, q})}
     for t in ts:
-        assert _first_crossing(points, t) == min(c for c in cands if c > t), (points, t)
-        assert 2 - _first_crossing(swapped, 2 - t) == max(c for c in cands if c < t), (points, t)
         assert _next_crossing(((p, q) for q in points), t, None) == min(c for c in own if c > t), (p, t)
         for S in subsets:
             meets = {c for q in S for c in crossings({p, q}) if c > t}  # 2 among them unless S is empty

@@ -146,7 +146,7 @@ def fingerprint(label, build):
 
 
 def _pivots(pd):
-    return f"gamma {pd.gamma_t}, on line {sorted(pd.on_line)}, p- {pd.p_minus}, p+ {pd.p_plus}, delta {pd.delta}"
+    return f"gamma {pd.gamma_t}, on line {sorted(pd.on_line)}, p- {pd.p_minus}, p+ {pd.p_plus}"
 
 
 def _affine_set(z, directions):
@@ -175,7 +175,7 @@ def _affine_set(z, directions):
 
 def _zsets(zs):
     (zm, vm), (zp, vp) = _affine_set(zs.z_minus, zs.v_minus), _affine_set(zs.z_plus, zs.v_plus)
-    return f"t {zs.t}, delta {zs.delta}, disjoint {zs.disjoint}, z- {zm}, z+ {zp}, v- {vm}, v+ {vp}"
+    return f"t {zs.t}, disjoint {zs.disjoint}, z- {zm}, z+ {zp}, v- {vm}, v+ {vp}"
 
 
 def _upsilon2(res):
