@@ -55,7 +55,6 @@ class GenusReport(NamedTuple):
 
 def genus_report(C: ModelComplex, t_list) -> GenusReport:
     """Combined lower bound from Upsilon and from Upsilon2 at each t."""
-    C.require_valid()
     reports = [gc_bound_from_pl(upsilon(C), "upsilon")]
     skipped = []
     for t in t_list:

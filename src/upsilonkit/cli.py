@@ -58,6 +58,17 @@ def pl_to_text(f: PLFunction, var: str = "t") -> str:
     return "\n".join(lines)
 
 
+# Most characters of a refusal main prints or of an --t or --samples type error.
+MAX_MESSAGE_CHARS = 200
+
+
+def _bounded(message) -> str:
+    """str(message), or past MAX_MESSAGE_CHARS its head, its tail and how many characters it left out."""
+    text, half = str(message), MAX_MESSAGE_CHARS // 2
+    cut = len(text) - 2 * half
+    return text if cut <= 0 else f"{text[:half]} ... ({cut} characters left out) ... {text[-half:]}"
+
+
 # Most samples --samples accepts: each is one exact evaluation and one CSV row, so the
 # limit keeps a run to seconds and the file to a few MB.
 MAX_SAMPLES = 100_000
@@ -79,7 +90,7 @@ def _rational_arg(text: str) -> Fraction:
     try:
         return as_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(_bounded(exc)) from None
 
 
 def _samples_arg(text: str) -> int:
@@ -87,9 +98,9 @@ def _samples_arg(text: str) -> int:
     try:
         samples = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(_bounded(f"invalid int value: {text!r}")) from None
     if not 2 <= samples <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"{samples} is not from 2 to {MAX_SAMPLES}")
+        raise argparse.ArgumentTypeError(_bounded(f"{samples} is not from 2 to {MAX_SAMPLES}"))
     return samples
 
 
@@ -139,12 +150,12 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ExprParseError, ComplexParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"parse error: {_bounded(exc)}", file=sys.stderr)
         return 2
     except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError quotes it; an OSError's args[0] is only the errno.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_bounded(message)}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ full complex is finite and can be handled with exact GF(2) linear
 algebra.
 
 Internally a complex is integer-indexed (see ModelComplex); generator
-names matter only at the I/O edge.
+names matter only at the I/O edge.  validate() checks the axioms in one
+pass, and reports the advisory symmetry check, with its detail, either way.
 """
 
 from __future__ import annotations
@@ -294,17 +295,10 @@ class ModelComplex:
             raise InvalidComplexError(f"not a valid K-complex: {lines}")
         return self
 
-    def is_acyclic(self) -> bool:
-        """Graded homology vanishes (slices repeat with period two)."""
-        if not all(c.passed for c in self._structural_checks()):
-            return False
-        return self.homology_dimension(0) == 0 and self.homology_dimension(1) == 0
-
-    def _structural_checks(self):
+    def _checks(self):
         names, grading, i, j = self._names, self._grading, self._i, self._j
         offsets, terms = self._offsets, self._terms
-        drop_bad = []
-        mono_bad = []
+        drop_bad, mono_bad = [], []
         for x in range(len(names)):
             for p in range(offsets[x], offsets[x + 1], 2):
                 k, t = terms[p], terms[p + 1]
@@ -315,53 +309,42 @@ class ModelComplex:
         yield CheckResult("grading-drop", not drop_bad, detail="; ".join(drop_bad[:3]))
         yield CheckResult("filtration-monotone", not mono_bad, detail="; ".join(mono_bad[:3]))
 
+        square_bad = []
         if drop_bad:  # the slice columns describe d only once every term drops one grading
             yield CheckResult("d-squared", False, detail="skipped: grading-drop failed")
-            return
-        # d(d(x)): row r of x's column is generator r of the other parity, column r of below.
-        square_bad = []
-        for parity in (0, 1):
-            below = self.slice_boundary(parity - 1)
-            for x, column in zip(self._ids(parity), self.slice_boundary(parity)):
-                if functools.reduce(xor, (below[r] for r in support(column)), 0):
-                    square_bad.append(x)
-        square_bad = [names[x] for x in sorted(square_bad)[:3]]
-        yield CheckResult("d-squared", not square_bad, detail=f"d(d(x)) != 0 for x in {square_bad}")
+        else:
+            # d(d(x)): row r of x's column is generator r of the other parity, column r of below.
+            for parity in (0, 1):
+                below = self.slice_boundary(parity - 1)
+                for x, column in zip(self._ids(parity), self.slice_boundary(parity)):
+                    if functools.reduce(xor, (below[r] for r in support(column)), 0):
+                        square_bad.append(x)
+            square_bad = [names[x] for x in sorted(square_bad)[:3]]
+            yield CheckResult("d-squared", not square_bad, detail=f"d(d(x)) != 0 for x in {square_bad}")
 
-    def _checks(self):
-        structural = list(self._structural_checks())
-        yield from structural
-        if not all(c.passed for c in structural):
+        if drop_bad or mono_bad or square_bad:
             yield CheckResult("homology", False, detail="skipped: structure invalid")
             yield CheckResult("normalization", False, detail="skipped: structure invalid")
-            yield CheckResult("symmetry-multiset", self._symmetry_ok(), advisory=True)
-            return
-
-        # Slices repeat with period two under U; checking -1..2 covers both
-        # parities with one redundant sample each.
-        dims = {g: self.homology_dimension(g) for g in (-1, 0, 1, 2)}
-        hom_ok = dims[0] == 1 and dims[2] == 1 and dims[-1] == 0 and dims[1] == 0
-        yield CheckResult("homology", hom_ok,
-                          detail=f"dim H(g) for g=-1..2: {[dims[g] for g in (-1, 0, 1, 2)]}")
-
-        if hom_ok:
-            from .upsilon import _one_sided  # deferred: upsilon builds on this module
-
-            # gamma(0) off the search just right of 0, which gamma_pl's sweep
-            # starts from, and gamma(2) off the one just left of 2.
-            g0, g2 = _one_sided(self, 0, 1)[0], _one_sided(self, 2, -1)[0]
-            yield CheckResult("normalization", g0 == 0 and g2 == 0,
-                              detail=f"gamma(0) = {g0}, gamma(2) = {g2}")
         else:
-            yield CheckResult("normalization", False, detail="skipped: H0 not one-dimensional")
+            # Slices repeat with period two under U; checking -1..2 covers both
+            # parities with one redundant sample each.
+            dims = {g: self.homology_dimension(g) for g in (-1, 0, 1, 2)}
+            hom_ok = dims[0] == 1 and dims[2] == 1 and dims[-1] == 0 and dims[1] == 0
+            yield CheckResult("homology", hom_ok,
+                              detail=f"dim H(g) for g=-1..2: {[dims[g] for g in (-1, 0, 1, 2)]}")
+            if hom_ok:
+                from .upsilon import _one_sided  # deferred: upsilon builds on this module
 
-        yield CheckResult("symmetry-multiset", self._symmetry_ok(), advisory=True,
-                          detail="bifiltration multiset not invariant under (i,j) -> (j,i)")
+                # gamma(0) off the search just right of 0, which gamma_pl's sweep
+                # starts from, and gamma(2) off the one just left of 2.
+                g0, g2 = _one_sided(self, 0, 1)[0], _one_sided(self, 2, -1)[0]
+                yield CheckResult("normalization", g0 == 0 and g2 == 0,
+                                  detail=f"gamma(0) = {g0}, gamma(2) = {g2}")
+            else:
+                yield CheckResult("normalization", False, detail="skipped: H0 not one-dimensional")
 
-    def _symmetry_ok(self) -> bool:
-        levels = sorted(zip(self._grading, self._i, self._j))
-        swapped = sorted(zip(self._grading, self._j, self._i))
-        return levels == swapped
+        yield CheckResult("symmetry-multiset", sorted(zip(grading, i, j)) == sorted(zip(grading, j, i)),
+                          advisory=True, detail="bifiltration multiset not invariant under (i,j) -> (j,i)")
 
 
 def _pack(term_lists) -> tuple[array, array]:

@@ -22,8 +22,8 @@ kernel, which upsilon2 reads as Z+- and witnesses.
 gamma as a PL function is one kinetic sweep, level_pl, which gamma2(s)
 shares: from t = 0 it keeps the right-hand winner p until phi(p) meets
 the phi of a point that can fail p's certificate, which holds a
-functional f and no rows: one scan of the points with a nonzero residue
-per certificate finds that meeting, and only there is a search.  Each
+functional f and no rows: one scan of p against the points with a nonzero
+residue per certificate finds that meeting, and only there is a search.  Each
 gamma search just left or right of a t runs once per complex
 (_one_sided, memoized): the sweep runs the right-hand ones, validation
 reads gamma(0) and gamma(2) off those right of 0 and left of 2, and the
@@ -35,7 +35,7 @@ points of p-'s key; the pivots need no margin around t.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from typing import Callable, NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
@@ -183,17 +183,18 @@ def _level(search, t: Fraction, side: int) -> tuple[Fraction, LatticePoint, Cert
     return Fraction(weight(point), d), point, certificate
 
 
-def _next_crossing(pairs, t: Fraction, threat) -> Fraction:
-    """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the pairs
-    (p, q) of points with threat None or threat(q) true, or 2.  phi_x(q) -
-    phi_x(p) = q_i - p_i + x ds / 2 with ds the difference of the slopes
-    (j - i), so q meets p after t iff it lies below p at t and rises faster,
-    or above and rises slower.  The crossings are compared as integer
-    fractions, cross-multiplied, and threat is asked only of a q that meets
-    p before the least crossing found so far."""
+def _next_crossing(p: LatticePoint, points, t: Fraction, threat) -> Fraction:
+    """The least x in (t, 2) where phi_x(p) = phi_x(q) for one of the points
+    q with threat None or threat(q) true, or 2.  phi_x(q) - phi_x(p) = q_i -
+    p_i + x ds / 2 with ds the difference of the slopes (j - i), so q meets
+    p after t iff it lies below p at t and rises faster, or above and rises
+    slower.  The crossings are compared as integer fractions,
+    cross-multiplied, and threat is asked only of a q that meets p before
+    the least crossing found so far."""
     a, b = one_sided_key(t, 0, 1)  # a i + b j = 2q phi_t(i, j)
+    pi, pj = p
     num, den = 2, 1
-    for (pi, pj), q in pairs:
+    for q in points:
         di, dj = q[0] - pi, q[1] - pj
         ds = dj - di
         if ds * (a * di + b * dj) < 0:
@@ -227,7 +228,7 @@ def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
     value, p, certificate = right(t)
     breakpoints, xs = [(t, value)], []
     while t < 2:
-        t = _next_crossing(zip(repeat(p), movers), t, certificate.threat(p, movers))
+        t = _next_crossing(p, movers, t, certificate.threat(p, movers))
         (t0, v0), slope = breakpoints[-1], Fraction(p[1] - p[0], 2)
         value, winner = v0 + (t - t0) * slope, p
         if t < 2:

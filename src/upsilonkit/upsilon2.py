@@ -88,9 +88,8 @@ class Upsilon2Result(NamedTuple):
 
 def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     """gamma2 and Upsilon2 at t as exact PL functions of s on [0, 2]."""
-    C.require_valid()
-    t = as_rational(t)
     pd = pivot_points(C, t)
+    t = pd.t
     zs = z_sets(C, t)  # the same memoized searches
     smooth = pd.p_minus == pd.p_plus
     infinite = Upsilon2Result(

@@ -24,6 +24,10 @@ code with upsilon.prepare_search and upsilon.threshold.  Run with Fraction
 weights, one per distinct point and call, it checks their integer keys
 past MAX_DIM.
 
+is_acyclic is the test of an acyclic summand: the structural checks of
+validate (grading-drop, filtration-monotone, d-squared) pass, and the
+graded homology vanishes (slices repeat with period two).
+
 reference_d_squared is the d^2 = 0 check of validate before it read the
 slice columns: it walks every pair of (U-power, target) terms by name and
 counts each U^k z of d(d(x)) mod 2, so it needs no grading-drop.
@@ -75,6 +79,13 @@ def reference_threshold(base_span, target, items, weight):
         if target in span:
             return level, {point for _, point in groups[level]}
     return None
+
+
+def is_acyclic(C) -> bool:
+    structural = ("grading-drop", "filtration-monotone", "d-squared")
+    if not all(c.passed for c in C.validate().checks if c.name in structural):
+        return False
+    return C.homology_dimension(0) == 0 and C.homology_dimension(1) == 0
 
 
 def reference_d_squared(C) -> list[str]:

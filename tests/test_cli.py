@@ -323,6 +323,38 @@ def test_stairway_refusals_are_short(capsys, steps):
     assert err.startswith("error: step") and len(err.encode()) < 200, err
 
 
+LONG = "x" * 100_000
+ECHO_FILES = {"gen.txt": f"gen a 0 0 0 {LONG}\n", "dterm.txt": f"gen a 0 0 0\ngen b 1 1 1\nd a = b{LONG}\n"}
+
+
+@pytest.mark.parametrize("argv, code, marks", [
+    (["show", LONG], 1, ["error: unknown catalog name", "valid names: fig8,"]),
+    (["upsilon", "T(3,4)" + LONG], 2, ["parse error: trailing input", "' at offset 6 (expected"]),
+    (["upsilon2", "--t", "1" * 100_000, "T(3,4)"], 2, ["argument --t: not a rational", "digits"]),
+    (["upsilon", "T(3,4)", "--csv", "x.csv", "--samples", "1" * 100_000], 2,
+     ["argument --samples: invalid int value"]),
+    (["show", "@gen.txt"], 2, ["parse error: line 1: expected 'gen NAME GRADING I J'"]),
+    (["show", "@dterm.txt"], 2, ["parse error: line 3: boundary term hits unknown generator"]),
+    (["show", "@" + LONG], 1, ["error: ", "File name too long"]),
+], ids=["catalog name", "trailing input", "--t", "--samples", "gen line", "d term", "@file name"])
+def test_refusals_of_long_inputs_are_short(capsys, monkeypatch, tmp_path, argv, code, marks):
+    # Each message echoes a 100 000-character input; the CLI keeps its head
+    # and tail, with the count of the characters it left out between them,
+    # so the kind of refusal and a trailing offset or list of names survive.
+    for name, text in ECHO_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        sys.exit(main(argv))
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert exit_info.value.code == code
+    assert all(mark in err for mark in marks) and len(err.encode()) < 500, err
+    assert "characters left out" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [["upsilon2", "T(3,4)", "--t", "1e-100000000"],
                                   ["bounds", "--t", "1e-5000", "T(3,4)"],
                                   ["pivots", "T(3,4)", "--t", "0.5"]])

@@ -1,4 +1,5 @@
 import importlib
+import json
 import re
 import tracemalloc
 from fractions import Fraction as F
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 import upsilonkit as uk
 from upsilonkit import Generator, InvalidComplexError, ModelComplex, SliceElement
 from upsilonkit import complexes, gf2
+from upsilonkit.cli import main
 from upsilonkit.complexes import MAX_GENERATORS, CheckResult
 from upsilonkit.gf2 import support
 from upsilonkit.upsilon import _gamma_search
 from helpers import CATALOG_SCAN, boundaries, built
-from oracles import reference_d_squared
+from oracles import is_acyclic, reference_d_squared
 
 
 def single(point=(0, 0)):
@@ -227,7 +229,7 @@ def test_d_squared_is_skipped_when_grading_drop_fails():
         report = C.validate()
         assert str(check_named(report, "d-squared")) == "d-squared: FAIL (skipped: grading-drop failed)"
         assert not report.ok
-        assert not C.is_acyclic()
+        assert not is_acyclic(C)
 
 
 @st.composite
@@ -279,7 +281,7 @@ def test_normalization_failure():
     assert not report.ok
 
 
-def test_symmetry_is_advisory():
+def test_symmetry_is_advisory(capsys, tmp_path):
     C = single((0, 0))
     assert check_named(C.validate(), "symmetry-multiset").passed
     # Asymmetric multiset: flagged but not fatal.
@@ -293,15 +295,27 @@ def test_symmetry_is_advisory():
     assert not check_named(report, "symmetry-multiset").passed
     assert report.ok
     D.require_valid()
+    # Structurally invalid (d(b) raises the filtration) and asymmetric: the
+    # symmetry check still runs, and the report names what it found.
+    text = "gen a 0 0 0\ngen b 1 0 2\ngen c 0 1 1\nd b = a + c\n"
+    E = uk.parse_complex(text)
+    assert not check_named(E.validate(), "filtration-monotone").passed
+    line = "symmetry-multiset: ADVISORY-FAIL (bifiltration multiset not invariant under (i,j) -> (j,i))"
+    assert str(E.validate()).splitlines()[-1] == line
+    (tmp_path / "asym.txt").write_text(text)
+    assert main(["validate", "--json", f"@{tmp_path / 'asym.txt'}"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["symmetry-multiset"] == {"name": "symmetry-multiset", "passed": False, "advisory": True,
+                                           "detail": line[line.index("(") + 1:-1]}
 
 
 def test_is_acyclic():
-    assert uk.acyclic_box((0, 0), 1).is_acyclic()
-    assert uk.acyclic_box((3, -2), 2).is_acyclic()
-    assert not built("unknot").is_acyclic()
-    assert not built("T(3,4)").is_acyclic()
+    assert is_acyclic(uk.acyclic_box((0, 0), 1))
+    assert is_acyclic(uk.acyclic_box((3, -2), 2))
+    assert not is_acyclic(built("unknot"))
+    assert not is_acyclic(built("T(3,4)"))
     # A structurally invalid complex is not acyclic, whatever its slices say.
-    assert not uk.parse_complex("gen a 0 0 0\ngen b 2 1 1\nd b = a\n").is_acyclic()
+    assert not is_acyclic(uk.parse_complex("gen a 0 0 0\ngen b 2 1 1\nd b = a\n"))
 
 
 def test_boundary_term_of_the_same_grading_parity_is_named():

@@ -1,7 +1,7 @@
 import gc
 import json
 from fractions import Fraction as F
-from itertools import combinations, repeat
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -597,7 +597,7 @@ def test_a_target_in_the_base_has_no_functional():
     movers = {(2, -1): (1 << 1,), (1, -1): (1 << 1,)}
     threat = certificate.threat((0, 0), movers)
     assert threat is None
-    assert _next_crossing(zip(repeat((0, 0)), movers), F(0), threat) == 1
+    assert _next_crossing((0, 0), movers, F(0), threat) == 1
 
 
 @pytest.mark.parametrize("target,items", [(0b100, [(0b001, (0, 0)), (0b011, (1, 0))]),
@@ -701,10 +701,10 @@ SCAN_POINTS = st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_siz
 @example(points={(0, 0), (1, 1), (2, 2), (0, 3)}, data=None)  # three parallel: equal j - i
 @example(points={(0, 2), (1, 1), (2, 0), (3, 3)}, data=None)  # three lines meet at t = 1
 def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
-    # The sweep's scan of the pairs (p, q) for q in points finds the first
-    # crossing of p's pairs after t, also with t exactly at a crossing, and,
-    # with a threat test S.__contains__, the first of its pairs with a point
-    # of S: every subset S in the examples, one drawn otherwise.
+    # The sweep's scan of p against the points finds the first crossing of
+    # p with one of them after t, also with t exactly at a crossing, and,
+    # with a threat test S.__contains__, the first with a point of S: every
+    # subset S in the examples, one drawn otherwise.
     cands = crossings(points)
     interior = cands[1:-1]
     if data is None:
@@ -717,10 +717,10 @@ def test_adjacent_pair_scan_finds_the_nearest_crossings(points, data):
     p = min(points)
     own = {c for q in points for c in crossings({p, q})}
     for t in ts:
-        assert _next_crossing(((p, q) for q in points), t, None) == min(c for c in own if c > t), (p, t)
+        assert _next_crossing(p, points, t, None) == min(c for c in own if c > t), (p, t)
         for S in subsets:
             meets = {c for q in S for c in crossings({p, q}) if c > t}  # 2 among them unless S is empty
-            assert _next_crossing(((p, q) for q in points), t, S.__contains__) == min(meets | {2}), (p, t, S)
+            assert _next_crossing(p, points, t, S.__contains__) == min(meets | {2}), (p, t, S)
 
 
 def traced(search):

@@ -9,8 +9,9 @@ print as sets, not as the member and basis the engine chose.  Then it
 runs CLI commands (every subcommand, --json, exit codes 1 and 2, hostile
 inputs, file errors, --csv of a +inf result, --samples over its limit, a
 product of @file atoms whose names would repeat, trees of every operator
-whose generator names spell out their shape, and nesting at and one past the
-depth limit by duals, brackets and a '+' chain) and prints their exit codes
+whose generator names spell out their shape, nesting at and one past the
+depth limit by duals, brackets and a '+' chain, and refusals that echo a
+100 000-character input) and prints their exit codes
 and output, or that one gave no result in CLI_TIMEOUT seconds; an argument
 over 80 characters shows as its head and length.  Last it prints what
 catalog() builds, or raises, for each of CATALOG_INPUTS, and what
@@ -65,12 +66,17 @@ INVALID_TEXTS = {
     # Terms that keep the grading parity: d-squared is skipped, not read off the columns.
     "even-to-even": "gen a 0 0 0\ngen b 2 1 1\nd b = a\n",
     "self-term": "gen a 0 0 0\nd a = a\n",
+    # Structurally invalid and asymmetric: the symmetry check still reports its detail.
+    "asymmetric": "gen a 0 0 0\ngen b 1 0 2\ngen c 0 1 1\nd b = a + c\n",
 }
 # Atoms for the CLI only: their product would name two generators (p.q.r).
 DOTTED_TEXTS = {
     "dots-l": "gen p 0 0 0\ngen p.q 2 1 1\n",
     "dots-r": "gen r 0 0 0\ngen q.r 2 1 1\n",
 }
+# An atom for the CLI only: its refusal echoes a gen line with a 100 000-character field.
+LONG = "x" * 100_000
+LONG_TEXTS = {"long-name": f"gen a 0 0 0 {LONG}\n"}
 TS = [Fraction(2, 3), Fraction(1)]
 # Seconds a CLI command may take; a checkout without the input limits hangs on
 # some of the hostile commands below.
@@ -102,6 +108,8 @@ CLI_COMMANDS = [
     # Nesting at the depth limit builds; one level past it is refused.
     ["show", "--", "-" * 400 + "unknot"], ["show", "--", "-" * 401 + "unknot"],
     ["show", "--", "(" * 401 + "unknot" + ")" * 401], ["show", "--", " + ".join(["unknot"] * 402)],
+    # Refusals that echo a 100 000-character input print its head and tail.
+    ["show", LONG], ["upsilon2", "--t", "1" * 100_000, "T(3,4)"], ["show", "@long-name.txt"],
 ]
 # Inputs of catalog(): every name of the scan, spaces between tokens, a bracketed
 # atom, malformed parameters, and expressions that are not one catalog atom.
@@ -215,7 +223,7 @@ def main():
     for name, text in INVALID_TEXTS.items():
         fingerprint(f"invalid text complex {name}", lambda: uk.parse_complex(text))
     with tempfile.TemporaryDirectory() as workdir:
-        for name, text in {**INVALID_TEXTS, **DOTTED_TEXTS}.items():
+        for name, text in {**INVALID_TEXTS, **DOTTED_TEXTS, **LONG_TEXTS}.items():
             with open(os.path.join(workdir, f"{name}.txt"), "w", encoding="utf-8") as fh:
                 fh.write(text)
         sys.stdout.flush()
