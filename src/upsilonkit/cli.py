@@ -58,7 +58,7 @@ def pl_to_text(f: PLFunction, var: str = "t") -> str:
     return "\n".join(lines)
 
 
-# Most characters of a refusal main prints or of an --t or --samples type error.
+# Most characters of a refusal main prints or of a usage error the parser prints.
 MAX_MESSAGE_CHARS = 200
 
 
@@ -90,7 +90,7 @@ def _rational_arg(text: str) -> Fraction:
     try:
         return as_rational(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(_bounded(exc)) from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _samples_arg(text: str) -> int:
@@ -98,14 +98,22 @@ def _samples_arg(text: str) -> int:
     try:
         samples = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(_bounded(f"invalid int value: {text!r}")) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if not 2 <= samples <= MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(_bounded(f"{samples} is not from 2 to {MAX_SAMPLES}"))
+        raise argparse.ArgumentTypeError(f"{samples} is not from 2 to {MAX_SAMPLES}")
     return samples
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, an argument's type error among
+    them, are cut by _bounded; its subparsers are of this class too."""
+
+    def error(self, message):
+        super().error(_bounded(message))
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="upsilonkit",
         description="Exact Upsilon and secondary Upsilon invariants of formal knot Floer complexes.",
     )

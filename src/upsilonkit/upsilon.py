@@ -23,18 +23,21 @@ gamma as a PL function is one kinetic sweep, level_pl, which gamma2(s)
 shares: from t = 0 it keeps the right-hand winner p until phi(p) meets
 the phi of a point that can fail p's certificate, which holds a
 functional f and no rows: one scan of p against the points with a nonzero
-residue per certificate finds that meeting, and only there is a search.  Each
-gamma search just left or right of a t runs once per complex
-(_one_sided, memoized): the sweep runs the right-hand ones, validation
-reads gamma(0) and gamma(2) off those right of 0 and left of 2, and the
-pivots and gamma_at off those at t, so upsilon2, z_sets,
-delta_upsilon_prime and the CLI share them.  The support line is the
-points of p-'s key; the pivots need no margin around t.
+residue per certificate finds that meeting, and only there is a search.
+Each piece is checked at its right end by the left-hand search there.
+Each gamma search just left or right of a t runs once per complex
+(_one_sided, memoized): the sweep runs the right-hand ones and the
+left-hand ones at its breakpoints, validation reads gamma(0) and
+gamma(2) off those right of 0 and left of 2, and the pivots and gamma_at
+off those at t, so upsilon2, z_sets, delta_upsilon_prime and the CLI
+share them.  The support line is the points of p-'s key; the pivots need
+no margin around t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable, NamedTuple
 
@@ -206,44 +209,45 @@ def _next_crossing(p: LatticePoint, points, t: Fraction, threat) -> Fraction:
     return Fraction(num, den)
 
 
-def level_pl(search, what: str, right) -> tuple[PLFunction, tuple[int, ...]]:
+def level_pl(search, what: str, at) -> tuple[PLFunction, tuple[int, ...]]:
     """The level of search, a prepare_search result, as an exact PL function
-    of t on [0, 2], and per piece its midpoint certificate's x, by a kinetic
-    sweep (Basch, Guibas & Hershberger, SODA 1997).  right(t) is the
-    search's level just right of t, as _level(search, t, 1) gives it;
-    gamma's is the memoized _one_sided, so the sweep's searches are the
-    ones the pivots read.  Just right of t the level is phi(p) for its
-    point p, and the points below p with a nonzero residue change only where
-    phi(p) meets phi(q) for such a q; a point whose residues are all 0 adds
-    no row.  Two phi lines meet at most once, so a meeting that cannot fail
-    p's certificate (McConnell, Mehlhorn, Naeher & Schweitzer, Certifying
-    algorithms, 2011) changes nothing the sweep reads: one scan per
-    certificate finds the first meeting that can, and the level found just
-    right of it must continue the piece.  Each piece, ending where the
-    winner changes, is checked at its midpoint by the left-hand search,
-    which builds no f; raises ConsistencyError naming what otherwise."""
+    of t on [0, 2], and per piece the x of the certificate just left of its
+    right end, by a kinetic sweep (Basch, Guibas & Hershberger, SODA 1997).
+    at(t, side) is the search's level just left (side -1) or right (+1) of
+    t, as _level(search, t, side) gives it; gamma's is the memoized
+    _one_sided, so the sweep's searches are the ones the pivots read.  Just
+    right of t the level is phi(p) for its point p, and the points below p
+    with a nonzero residue change only where phi(p) meets phi(q) for such a
+    q; a point whose residues are all 0 adds no row.  Two phi lines meet at
+    most once, so a meeting that cannot fail p's certificate (McConnell,
+    Mehlhorn, Naeher & Schweitzer, Certifying algorithms, 2011) changes
+    nothing the sweep reads: one scan per certificate finds the first
+    meeting that can, and the level found just right of it must continue
+    the piece.  Each piece, ending where the winner changes, is checked at
+    its right end by the left-hand search, which builds no f: its level
+    must be phi(p) there and its winner p; raises ConsistencyError naming
+    what otherwise."""
     _, points, n, _ = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
-    t = Fraction(0)
-    value, p, certificate = right(t)
+    t = t0 = Fraction(0)
+    value, p, certificate = at(t, 1)
     breakpoints, xs = [(t, value)], []
     while t < 2:
         t = _next_crossing(p, movers, t, certificate.threat(p, movers))
-        (t0, v0), slope = breakpoints[-1], Fraction(p[1] - p[0], 2)
-        value, winner = v0 + (t - t0) * slope, p
+        a, b = one_sided_key(t, 0, 1)  # a i + b j = 2q phi_t(i, j)
+        value, winner = Fraction(a * p[0] + b * p[1], 2 * t.denominator), p
         if t < 2:
-            level, winner, certificate = right(t)
+            level, winner, certificate = at(t, 1)
             if level != value:
                 raise ConsistencyError(f"{what} not continuous at {t}")
             if winner == p:
                 continue
-        mid = (t0 + t) / 2
-        level, _, at_mid = _level(search, mid, -1)
-        if level != (v0 + value) / 2:
+        level, left, check = at(t, -1)
+        if level != value or left != p:
             raise ConsistencyError(f"{what} not linear on ({t0}, {t})")
         breakpoints.append((t, value))
-        xs.append(at_mid.x)
-        p = winner
+        xs.append(check.x)
+        t0, p = t, winner
     return PLFunction(breakpoints), tuple(xs)
 
 
@@ -252,8 +256,9 @@ def _one_sided(C: ModelComplex, t: Fraction, side: int) -> tuple[Fraction, Latti
     """The gamma search just left (-1) or right (+1) of t, the only one
     there: gamma(t), its winner p and its certificate, whose kernel spans
     the cycles on the points up to p (z_sets).  gamma_pl's sweep runs the
-    right-hand searches and validation those right of 0 and left of 2; the
-    pivots and gamma_at read the ones at t."""
+    right-hand searches and the left-hand ones at its breakpoints, and
+    validation those right of 0 and left of 2; the pivots and gamma_at read
+    the ones at t."""
     return _level(_gamma_search(C), t, side)
 
 
@@ -285,7 +290,7 @@ def breakpoint_candidates(C: ModelComplex) -> tuple[Fraction, ...]:
 def gamma_pl(C: ModelComplex) -> PLFunction:
     """gamma as an exact PL function of t on [0, 2]."""
     C.require_valid()
-    return level_pl(_gamma_search(C), "gamma", lambda t: _one_sided(C, t, 1))[0]
+    return level_pl(_gamma_search(C), "gamma", partial(_one_sided, C))[0]
 
 
 @memoized

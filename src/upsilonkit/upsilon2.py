@@ -21,13 +21,16 @@ half-plane join the base (v-, v+ and the columns inside) in phi_s order
 until it holds z- + z+, prepared once modulo that base: z- + z+ is
 homologous inside the t half-plane iff its residue is 0.
 upsilon.level_pl sweeps that search over s, as it sweeps gamma's over t;
-each piece's witness is the x of its midpoint search.  Half-planes
-compare the integer keys of upsilon.phi_key with 2q times the level.
+each piece's witness is the x of the left-hand search at its right end
+s1, which checks the piece: a chain inside the s half-plane at gamma2(s)
+for s at s1 and just left of it.  Half-planes compare the integer keys of
+upsilon.phi_key with 2q times the level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .complexes import ModelComplex, SliceElement, tensor
@@ -83,11 +86,14 @@ class Upsilon2Result(NamedTuple):
     smooth_point: bool  # the two pivot points coincide at t
     gamma2: PLFunction  # function of s; constant -inf when Z sets meet
     upsilon2: PLFunction  # -2 (gamma2 - gamma(t)); constant +inf when infinite
-    witnesses: tuple  # (s0, s1, names of connecting-chain elements outside the t half-plane)
+    witnesses: tuple  # (s0, s1, names of connecting-chain elements outside the t half-plane, at s1)
 
 
 def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
-    """gamma2 and Upsilon2 at t as exact PL functions of s on [0, 2]."""
+    """gamma2 and Upsilon2 at t as exact PL functions of s on [0, 2], with
+    a witness per piece (s0, s1): the grading-1 elements outside the t
+    half-plane, inside the s half-plane at gamma2(s1), whose boundaries join
+    z- to z+, read off the left-hand gamma2 search at s1."""
     pd = pivot_points(C, t)
     t = pd.t
     zs = z_sets(C, t)  # the same memoized searches
@@ -111,7 +117,7 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     if not search[0]:
         raise ConsistencyError(f"disjoint Z sets meet inside the t half-plane at t = {t}")
 
-    g2, xs = level_pl(search, "gamma2", lambda s: _level(search, s, 1))
+    g2, xs = level_pl(search, "gamma2", partial(_level, search))
     u2 = g2.scale(-2, 2 * pd.gamma_t)
 
     bps = [s for s, _ in g2.breakpoints]

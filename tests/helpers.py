@@ -97,7 +97,7 @@ def boundaries(C) -> tuple[int, ...]:
 def assert_witnesses_connect(C, res):
     """Check each piece's witness of res = upsilon2(C, t), a finite Upsilon2,
     with a fresh span: it names grading-1 elements outside the t half-plane
-    but inside the s half-plane at gamma2 at the piece's midpoint, whose
+    but inside the s half-plane at gamma2 at the piece's right end s1, whose
     boundaries with those of the t half-plane and the one-sided directions
     join z- to z+."""
     zs = res.zsets
@@ -106,11 +106,10 @@ def assert_witnesses_connect(C, res):
     index = {e.name: k for k, e in enumerate(slice1)}
     inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(res.t, e.point) <= res.gamma_t]
     for s0, s1, names in res.witnesses:
-        mid = (s0 + s1) / 2
         assert set(names) <= index.keys(), s0
         for name in names:
             point = slice1[index[name]].point
             assert uk.phi(res.t, point) > res.gamma_t, (s0, name)
-            assert uk.phi(mid, point) <= res.gamma2.evaluate(mid), (s0, name)
+            assert uk.phi(s1, point) <= res.gamma2.evaluate(s1), (s0, name)
         span = Gf2Span(list(zs.v_minus + zs.v_plus) + inside + [columns[index[n]] for n in names])
         assert zs.z_minus ^ zs.z_plus in span, s0

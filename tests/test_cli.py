@@ -355,6 +355,22 @@ def test_refusals_of_long_inputs_are_short(capsys, monkeypatch, tmp_path, argv, 
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, mark", [
+    (["upsilon", "T(3,4)", LONG], "upsilonkit: error: unrecognized arguments: xxx"),
+    ([LONG, "T(3,4)"], "upsilonkit: error: argument command: invalid choice: 'xxx"),
+], ids=["extra argument", "subcommand"])
+def test_usage_errors_of_long_inputs_are_short(capsys, argv, mark):
+    # argparse's own usage errors echo the input too; the parser cuts them
+    # as main cuts its refusals.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert mark in err and "characters left out" in err and len(err.encode()) < 500, err
+
+
 @pytest.mark.parametrize("argv", [["upsilon2", "T(3,4)", "--t", "1e-100000000"],
                                   ["bounds", "--t", "1e-5000", "T(3,4)"],
                                   ["pivots", "T(3,4)", "--t", "0.5"]])

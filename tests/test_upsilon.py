@@ -160,9 +160,10 @@ def test_support_line_is_the_two_sided_level(expr):
 
 
 def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
-    # After Upsilon, a slope jump runs the left-hand search at t and nothing
-    # else: the sweep searched just right of every breakpoint, and no
-    # crossing scan runs.  pivot_points at the same t then reads both
+    # After Upsilon, a slope jump runs no search: the sweep searched just
+    # right of every breakpoint and, to check the piece that ends there,
+    # just left of it, and no crossing scan runs (the left-hand search at
+    # each jump made 31 more).  pivot_points at the same t then reads both
     # memoized searches and scans no crossings either: the pivots need no
     # margin around t (reading one made 2 scans per t).
     C = uk.torus_knot_complex(23, 29)
@@ -173,27 +174,27 @@ def test_slope_jumps_run_only_the_one_sided_searches(monkeypatch):
     ts = interior_breakpoints(C)
     assert len(ts) == 31
     for t in ts:
-        before = len(searches)
         uk.delta_upsilon_prime(C, t)
-        assert len(searches) - before == 1, t
+        assert not searches, t
     assert not scans
     for t in ts:
         uk.pivot_points(C, t)
-    assert len(searches) == len(ts) and not scans
-    assert [side for _, _, side in levels] == [-1] * len(ts)
+    assert not (searches or levels or scans)
 
 
-@pytest.mark.parametrize("expr, breakpoints, searches", [("T(23,29)", 33, 96),
-                                                         ("-T(13,17) # T(5,7)", 21, 61)])
+@pytest.mark.parametrize("expr, breakpoints, searches", [("T(23,29)", 33, 64),
+                                                         ("-T(13,17) # T(5,7)", 21, 41)])
 def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searches):
     # validate, Upsilon and the slope jump at every interior breakpoint (an
     # upsilon-staircase op) run each gamma search, just left or right of a
     # t, once: validation the ones right of 0, where the sweep starts, and
-    # left of 2, the sweep its right-hand searches and its midpoint checks,
-    # left of each piece's midpoint, and each jump only its left-hand
-    # search.  Searching right of each breakpoint again made 128 and 81.
-    # Only the right-hand searches build f: building it for every search
-    # would make 96 and 61 functionals.
+    # left of 2, where it checks its last piece, and the sweep its
+    # right-hand searches and its piece checks, left of each piece's right
+    # end, which the jumps read.  Searching right of each breakpoint again
+    # made 128 and 81, and checking each piece at its midpoint, apart from
+    # the jump's left-hand search, 96 and 61.  Only the right-hand searches
+    # build f: building it for every search would make 64 and 41
+    # functionals.
     calls = count_thresholds(monkeypatch)
     levels = count_calls(monkeypatch, UPSILON, "_level")
     functionals = count_calls(monkeypatch, UPSILON, "functional")
@@ -205,20 +206,19 @@ def test_one_gamma_search_per_t_and_side(monkeypatch, expr, breakpoints, searche
     assert len(calls) == searches
     sides = [(t, side) for _, t, side in levels]
     assert len(sides) == len(set(sides)) == searches
-    mids = {((a + b) / 2, -1) for (a, _), (b, _) in zip(f.breakpoints, f.breakpoints[1:])}
-    assert len(mids) == breakpoints - 1 and mids <= set(sides)
+    ends = {(t, -1) for t, _ in f.breakpoints[1:]}  # every interior breakpoint, and 2
+    assert len(ends) == breakpoints - 1 and ends <= set(sides)
     assert sides.count((0, 1)) == 1 and (2, -1) in sides
     assert len(functionals) == {"T(23,29)": 32, "-T(13,17) # T(5,7)": 21}[expr]
-    # Every one but the midpoint checks is memoized; only a right-hand one
-    # carries f.
-    held = [(side, _one_sided(C, t, side)[2]) for t, side in sides if (t, side) not in mids]
+    # Every one is memoized; only a right-hand one carries f.
+    held = [(side, _one_sided(C, t, side)[2]) for t, side in sides]
     assert len(calls) == searches
     assert all(c.f is None if side < 0 else isinstance(c.f, int) for side, c in held)
 
 
 def test_sweep_refuses_a_level_off_its_piece(monkeypatch):
     # The level just right of an event must continue the piece, and the
-    # left-hand level at each piece's midpoint must lie on it.
+    # left-hand level at each piece's right end must lie on it.
     C = uk.torus_knot_complex(3, 4)
     C.validate()
     skew_one_sided(monkeypatch, lambda side: 1)
@@ -232,8 +232,27 @@ def test_sweep_refuses_a_level_off_its_piece(monkeypatch):
         return (value + 1 if side < 0 else value, *rest)
 
     # C's searches right of 0 and left of 2, from validate, are memoized
-    # unskewed, so only the midpoint checks are skewed.
+    # unskewed, so only the checks at the interior breakpoints are skewed.
     monkeypatch.setattr(UPSILON, "_level", skewed)
+    with pytest.raises(uk.ConsistencyError, match=r"gamma not linear on \(0, 2/3\)"):
+        uk.gamma_pl(C)
+
+
+def test_sweep_refuses_a_left_hand_winner_off_its_piece(monkeypatch):
+    # The left-hand search at a piece's right end must be won by the piece's
+    # winner, not only lie at its level: here it reports gamma(2/3) but the
+    # right-hand winner there, p+, in place of p-.
+    C = uk.torus_knot_complex(3, 4)
+    C.validate()
+    one_sided = UPSILON._one_sided
+    p_plus = one_sided(C, F(2, 3), 1)[1]
+
+    def moved(C, t, side):
+        value, p, certificate = one_sided(C, t, side)
+        return (value, p_plus if (t, side) == (F(2, 3), -1) else p, certificate)
+
+    monkeypatch.setattr(UPSILON, "_one_sided", moved)
+    assert one_sided(C, F(2, 3), -1)[1] != p_plus
     with pytest.raises(uk.ConsistencyError, match=r"gamma not linear on \(0, 2/3\)"):
         uk.gamma_pl(C)
 
@@ -630,8 +649,8 @@ def test_threshold_refuses_two_points_of_one_weight_and_slope():
 def test_upsilon_work_grows_with_the_winner_changes(monkeypatch):
     # T(23,29): 33 breakpoints among 3043 crossing candidates.  The sweep
     # searches at the start, at each event where the winner's certificate
-    # fails and at the midpoint of each piece (here each event changes the
-    # winner), where one search per candidate and midpoint made 6085.
+    # fails and just left of each piece's right end (here each event changes
+    # the winner), where one search per candidate and midpoint made 6085.
     C = uk.torus_knot_complex(23, 29)
     C.validate()
     calls = count_thresholds(monkeypatch)
@@ -644,16 +663,16 @@ def test_upsilon_searches_only_where_the_certificate_fails(monkeypatch):
     # rows 293 times; a search at each meeting and at each piece's midpoint
     # made 588.  The sweep visits only the meetings that can fail the
     # certificate, and its x is exact, so a leaver none of whose items x
-    # names is no threat: 41 searches, where an x holding every point that
-    # went into its rows made 53.
+    # names is no threat: 39 searches, where an x holding every point that
+    # went into its rows made 53 and a check at each piece's midpoint 41.
     C = uk.parse_and_build("-T(13,17) # T(5,7)")
     C.validate()
     calls = count_thresholds(monkeypatch)
     assert len(uk.upsilon(C).breakpoints) == 21
-    assert len(calls) <= 41
+    assert len(calls) <= 39
 
 
-@pytest.mark.parametrize("expr, t, scans, searches", [("-T(13,17) # T(5,7)", None, 21, 40),
+@pytest.mark.parametrize("expr, t, scans, searches", [("-T(13,17) # T(5,7)", None, 21, 39),
                                                      ("T(99,101)", 1, 51, 53)])
 def test_one_scan_per_sweep_certificate(monkeypatch, expr, t, scans, searches):
     # The sweep scans the winner's movers once per certificate and searches
@@ -802,8 +821,8 @@ def test_threshold_never_copies_or_reduces_against_the_base(monkeypatch, expr):
 def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
     # _one_sided memoizes each one-sided gamma search as gamma(t), its
     # winner and its certificate.  At a breakpoint the sweep has run the
-    # right-hand search, so the pivots and z_sets run only the left-hand
-    # one.  The left-hand certificate carries no f, the right-hand one f.
+    # right-hand search and, to check the piece ending there, the left-hand
+    # one, so the pivots and z_sets run none.  The left-hand certificate carries no f, the right-hand one f.
     # x is a coset cycle on the points up to the winner and each kernel
     # combination a boundary among them.  z+- is that x and V+- spans that
     # kernel, which is a basis.  Checked against a fresh span of the
@@ -815,7 +834,7 @@ def test_z_sets_read_the_memoized_one_sided_searches(monkeypatch):
     assert pd.p_minus != pd.p_plus
     span, coset = Gf2Span(boundaries(C)), C.generator_coset()
     zs = uk.z_sets(C, t)
-    assert len(searches) == 1
+    assert not searches
     kernels = 0
     for side, pivot, z in ((-1, pd.p_minus, zs.z_minus), (1, pd.p_plus, zs.z_plus)):
         held = _one_sided(C, t, side)

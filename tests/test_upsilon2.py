@@ -92,9 +92,9 @@ def test_one_sided_keys_match_the_margin_method(name):
     ("box(1) # hom-K", F(1)), ("2*hom-K # box(1) # box(2)", F(1)),
 ])
 def test_witness_chains_connect_the_z_sets(expr, t):
-    # Each piece's witness, the x of the gamma2 search at its midpoint, names
-    # grading-1 elements outside the t half-plane but inside the s
-    # half-plane at gamma2, whose boundaries with those of the t half-plane
+    # Each piece's witness, the x of the gamma2 search just left of its right
+    # end s1, names grading-1 elements outside the t half-plane but inside
+    # the s half-plane at gamma2(s1), whose boundaries with those of the t half-plane
     # and the one-sided directions join z- to z+.
     C = uk.parse_and_build(expr)
     assert_witnesses_connect(C, uk.upsilon2(C, t))
@@ -134,8 +134,8 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
 def test_upsilon2_work_grows_with_the_kinetic_events(monkeypatch, n):
     # gamma2 of nK(n) at t = 1 has two pieces, and its winner meets one
     # point with rows.  With the pivots memoized, the sweep searches at the
-    # start, at that event and at each piece's midpoint, where one search
-    # per crossing candidate and midpoint made 29, 45 and 61.
+    # start, at that event and just left of each piece's right end, where
+    # one search per crossing candidate and midpoint made 29, 45 and 61.
     C = uk.nk_complex(n)
     uk.pivot_points(C, 1)
     calls = count_thresholds(monkeypatch)
@@ -147,8 +147,8 @@ def test_upsilon2_searches_only_where_the_winner_changes(monkeypatch):
     # gamma2 of 3*hom-K at t = 1 has two pieces, but its winners meet points
     # with rows 25 times.  Only the meeting where the winner changes can
     # fail the certificate, and the sweep visits no other, so with the
-    # pivots memoized it searches there, at the start and at each piece's
-    # midpoint; a search at every meeting and midpoint made 52.
+    # pivots memoized it searches there, at the start and just left of each
+    # piece's right end; a search at every meeting and midpoint made 52.
     C = uk.parse_and_build("3*hom-K")
     uk.pivot_points(C, 1)
     calls = count_thresholds(monkeypatch)
@@ -161,7 +161,8 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
     # Outside threshold, the search's preparation and z_sets, upsilon2 puts
     # each base column (v+- and the grading-1 columns inside the t
     # half-plane) into one Gf2Span, which the search is reduced by, and
-    # nothing else: the witnesses are the sweep's midpoint certificates, where
+    # nothing else: the witnesses are the certificates of the sweep's piece
+    # checks, where
     # a solve per witness over its admitted items added 224 more for 2*hom-K
     # and 1 for figure6.  Preparing the search, once, adds no column to any
     # span or solver: threshold is the search's only elimination.  A solver

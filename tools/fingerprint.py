@@ -110,6 +110,8 @@ CLI_COMMANDS = [
     ["show", "--", "(" * 401 + "unknot" + ")" * 401], ["show", "--", " + ".join(["unknot"] * 402)],
     # Refusals that echo a 100 000-character input print its head and tail.
     ["show", LONG], ["upsilon2", "--t", "1" * 100_000, "T(3,4)"], ["show", "@long-name.txt"],
+    # So do argparse's own usage errors: an extra argument and an unknown subcommand.
+    ["upsilon", "T(3,4)", LONG], [LONG, "T(3,4)"],
 ]
 # Inputs of catalog(): every name of the scan, spaces between tokens, a bracketed
 # atom, malformed parameters, and expressions that are not one catalog atom.
