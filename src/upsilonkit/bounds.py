@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import ModelComplex
-from .exact import DomainError, PLFunction, as_rational
+from .exact import DomainError, PLFunction
 from .upsilon import upsilon
 from .upsilon2 import upsilon2
 
@@ -58,13 +58,10 @@ def genus_report(C: ModelComplex, t_list) -> GenusReport:
     reports = [gc_bound_from_pl(upsilon(C), "upsilon")]
     skipped = []
     for t in t_list:
-        t = as_rational(t)
-        if not 0 < t < 2:
-            raise DomainError(f"t values must lie in (0, 2), got {t}")
         res = upsilon2(C, t)
         if res.upsilon2.is_finite:
-            reports.append(gc_bound_from_pl(res.upsilon2, f"upsilon2[t={t}]"))
+            reports.append(gc_bound_from_pl(res.upsilon2, f"upsilon2[t={res.t}]"))
         else:
-            skipped.append(str(t))
+            skipped.append(str(res.t))
     combined = max(r.combined for r in reports)
     return GenusReport(tuple(reports), tuple(skipped), combined)

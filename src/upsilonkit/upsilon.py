@@ -28,10 +28,12 @@ Each piece is checked at its right end by the left-hand search there.
 Each gamma search just left or right of a t runs once per complex
 (_one_sided, memoized): the sweep runs the right-hand ones and the
 left-hand ones at its breakpoints, validation reads gamma(0) and
-gamma(2) off those right of 0 and left of 2, and the pivots and gamma_at
-off those at t, so upsilon2, z_sets, delta_upsilon_prime and the CLI
-share them.  The support line is the points of p-'s key; the pivots need
-no margin around t.
+gamma(2) off those right of 0 and left of 2, and gamma_at the left-hand
+one at t.  _pivots is the one reader of what the engine knows at t in
+(0, 2), and the one check of that range: both searches at t and the
+support line, the points whose phi_key key at t is p-'s.  pivot_points,
+delta_upsilon_prime, z_sets and upsilon2 read it alone, so they and the
+CLI share the searches; the pivots need no margin around t.
 """
 
 from __future__ import annotations
@@ -307,31 +309,33 @@ class PivotData(NamedTuple):
     p_plus: LatticePoint
 
 
-def _pivots(C: ModelComplex, t) -> tuple[Fraction, Fraction, LatticePoint, LatticePoint]:
-    """(t, gamma(t), p-, p+) off the memoized one-sided searches, whose
-    levels at t must agree: both are gamma(t), by continuity."""
+def _pivots(C: ModelComplex, t):
+    """What the engine reads at t: (t, minus, plus, weight, level), with
+    minus and plus the memoized searches (gamma(t), p-+, certificate) just
+    left and right of t, whose levels must agree, both gamma(t) by
+    continuity, and the support line: weight, phi_key's int key at t, and
+    level = weight(p-).  The one check that t lies in (0, 2)."""
     C.require_valid()
     t = as_rational(t)
     if not 0 < t < 2:
-        raise DomainError(f"pivots are defined for t in (0, 2), got {t}")
-    (left, p_minus, _), (right, p_plus, _) = (_one_sided(C, t, side) for side in (-1, 1))
-    if left != right:
-        raise ConsistencyError(f"one-sided levels {left} and {right} differ at t = {t}")
-    return t, left, p_minus, p_plus
+        raise DomainError(f"t must lie in (0, 2), got {t}")
+    minus, plus = (_one_sided(C, t, side) for side in (-1, 1))
+    if minus[0] != plus[0]:
+        raise ConsistencyError(f"one-sided levels {minus[0]} and {plus[0]} differ at t = {t}")
+    weight, _ = phi_key(t)
+    return t, minus, plus, weight, weight(minus[1])
 
 
 def pivot_points(C: ModelComplex, t) -> PivotData:
     """The pivots p+- at t and the slice points of p-'s phi_t key, gamma(t)."""
-    t, gamma_t, p_minus, p_plus = _pivots(C, t)
-    weight, _ = phi_key(t)
-    level = weight(p_minus)
+    t, (gamma_t, p_minus, _), (_, p_plus, _), weight, level = _pivots(C, t)
     on_line = frozenset(e.point for e in C.grading_slice(0) if weight(e.point) == level)
     return PivotData(t, gamma_t, on_line, p_minus, p_plus)
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:
     """Jump of the derivative of Upsilon at t, cross-checked against the pivots."""
-    t, gamma_t, p_minus, p_plus = _pivots(C, t)
+    t, (gamma_t, p_minus, _), (_, p_plus, _), _, _ = _pivots(C, t)
     value, left, right = upsilon(C).value_and_slopes(t)
     if value != -2 * gamma_t:
         raise ConsistencyError(f"Upsilon({t}) = {value} but the pivots give {-2 * gamma_t}")

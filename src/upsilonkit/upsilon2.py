@@ -13,18 +13,19 @@ filtrations; off the line strictly between the pivots it lies in V- or V+,
 and the middle chains' part bounds below the line, in V-, so Z+- would meet.
 
 z_sets is the one path to Z- and Z+; it reads them, with no elimination
-and no margin around t, off the memoized one-sided gamma searches
-(upsilon._one_sided) that give the pivots, so upsilon2, which reads both,
-searches once per side of t.  gamma2(s) is one upsilon._level search, as
-gamma(t) is: the (column, point) items of the grading-1 slice outside the t
-half-plane join the base (v-, v+ and the columns inside) in phi_s order
-until it holds z- + z+, prepared once modulo that base: z- + z+ is
-homologous inside the t half-plane iff its residue is 0.
+and no margin around t, off the certificates of the memoized one-sided
+gamma searches that upsilon._pivots returns with the pivots, so upsilon2,
+which reads _pivots and z_sets, searches once per side of t.  Both split
+a slice at the t half-plane by _pivots' support line, its weight key and
+level.  gamma2(s) is one upsilon._level search, as gamma(t) is: the
+(column, point) items of the grading-1 slice outside the t half-plane
+join the base (v-, v+ and the columns inside) in phi_s order until it
+holds z- + z+, prepared once modulo that base: z- + z+ is homologous
+inside the t half-plane iff its residue is 0.
 upsilon.level_pl sweeps that search over s, as it sweeps gamma's over t;
 each piece's witness is the x of the left-hand search at its right end
 s1, which checks the piece: a chain inside the s half-plane at gamma2(s)
-for s at s1 and just left of it.  Half-planes compare the integer keys of
-upsilon.phi_key with 2q times the level.
+for s at s1 and just left of it.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from functools import partial
 from typing import NamedTuple
 
 from .complexes import ModelComplex, SliceElement, tensor
-from .exact import NEG_INF, POS_INF, PLFunction, as_rational
+from .exact import NEG_INF, POS_INF, PLFunction
 from .gf2 import Gf2Span, support
-from .upsilon import (
-    ConsistencyError, _level, _one_sided, _pivots, level_pl, phi_key, pivot_points, prepare_search,
-)
+from .upsilon import ConsistencyError, _level, _pivots, level_pl, prepare_search
 
 
 class ZSets(NamedTuple):
@@ -63,20 +62,17 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     just left (right) of t, the minimal half-plane on that side.  They are
     the x and the kernel of the one-sided gamma search, whose items are the
     slice's unit vectors."""
-    t, _, pm, _ = _pivots(C, t)
-    coset = C.generator_coset()
-    minus, plus = (_one_sided(C, t, side)[2] for side in (-1, 1))
+    t, (_, _, minus), (_, _, plus), weight, level = _pivots(C, t)
     zm, vm, zp, vp = minus.x, minus.kernel, plus.x, plus.kernel
+    basis = C.generator_coset().basis
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
-    weight, _ = phi_key(t)
-    bound = weight(pm)  # p- is on the support line: its key is the level
-    outside = sum(1 << idx for idx, e in enumerate(coset.basis) if weight(e.point) > bound)
+    outside = sum(1 << idx for idx, e in enumerate(basis) if weight(e.point) > level)
     if any(vec & outside for vec in (zm, zp) + vm + vp):
         raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
 
     disjoint = (zm ^ zp) not in Gf2Span(vm + vp)
-    return ZSets(t, coset.basis, zm, zp, vm, vp, disjoint)
+    return ZSets(t, basis, zm, zp, vm, vp, disjoint)
 
 
 class Upsilon2Result(NamedTuple):
@@ -94,22 +90,17 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     a witness per piece (s0, s1): the grading-1 elements outside the t
     half-plane, inside the s half-plane at gamma2(s1), whose boundaries join
     z- to z+, read off the left-hand gamma2 search at s1."""
-    pd = pivot_points(C, t)
-    t = pd.t
+    t, (gamma_t, p_minus, _), (_, p_plus, _), weight, level = _pivots(C, t)
     zs = z_sets(C, t)  # the same memoized searches
-    smooth = pd.p_minus == pd.p_plus
-    infinite = Upsilon2Result(
-        t, pd.gamma_t, zs, smooth, PLFunction(infinite=NEG_INF), PLFunction(infinite=POS_INF), (),
-    )
+    smooth = p_minus == p_plus
     if not zs.disjoint:
-        return infinite
+        return Upsilon2Result(t, gamma_t, zs, smooth, PLFunction(infinite=NEG_INF),
+                              PLFunction(infinite=POS_INF), ())
 
     target = zs.z_minus ^ zs.z_plus
     slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    weight, _ = phi_key(t)
-    bound = weight(pd.p_minus)
-    inside = [idx for idx, e in enumerate(slice1) if weight(e.point) <= bound]
-    outside = [idx for idx, e in enumerate(slice1) if weight(e.point) > bound]
+    inside = [idx for idx, e in enumerate(slice1) if weight(e.point) <= level]
+    outside = [idx for idx, e in enumerate(slice1) if weight(e.point) > level]
     items = [(columns[idx], slice1[idx].point) for idx in outside]
 
     base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside])
@@ -118,12 +109,12 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
         raise ConsistencyError(f"disjoint Z sets meet inside the t half-plane at t = {t}")
 
     g2, xs = level_pl(search, "gamma2", partial(_level, search))
-    u2 = g2.scale(-2, 2 * pd.gamma_t)
+    u2 = g2.scale(-2, 2 * gamma_t)
 
     bps = [s for s, _ in g2.breakpoints]
     witnesses = tuple((s0, s1, tuple(slice1[outside[k]].name for k in support(x)))
                       for s0, s1, x in zip(bps[:-1], bps[1:], xs, strict=True))
-    return Upsilon2Result(t, pd.gamma_t, zs, smooth, g2, u2, witnesses)
+    return Upsilon2Result(t, gamma_t, zs, smooth, g2, u2, witnesses)
 
 
 def upsilon2_scalar(C: ModelComplex):
@@ -133,6 +124,5 @@ def upsilon2_scalar(C: ModelComplex):
 
 def check_subadditivity(C1: ModelComplex, C2: ModelComplex, t) -> bool:
     """Upsilon2 of a tensor product at s = t dominates the worse factor."""
-    t = as_rational(t)
     rhs = min(upsilon2(C1, t).upsilon2.evaluate(t), upsilon2(C2, t).upsilon2.evaluate(t))
     return upsilon2(tensor(C1, C2), t).upsilon2.evaluate(t) >= rhs

@@ -12,6 +12,7 @@ import upsilonkit as uk
 from upsilonkit.gf2 import Gf2Span
 
 UPSILON = importlib.import_module("upsilonkit.upsilon")  # uk.upsilon is the function
+UPSILON2 = importlib.import_module("upsilonkit.upsilon2")  # so is uk.upsilon2
 
 # Every named/parameterized family member exercised by the suites.
 CATALOG_SCAN = [

@@ -16,7 +16,7 @@ from upsilonkit.upsilon import (
     prepare_search, threshold,
 )
 from helpers import (
-    CATALOG_SCAN, UPSILON, assert_witnesses_connect, boundaries, built, combine,
+    CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built, combine,
     count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
 from oracles import certified_pl, crossings, one_sided_weight, reference_threshold
@@ -41,6 +41,15 @@ def test_gamma_at():
     assert uk.gamma_at(C, F(2, 3)) == 1
     assert uk.gamma_at(C, 1) == 1
     assert uk.gamma_at(C, 2) == 0
+
+
+def test_gamma_at_domain():
+    # gamma_at reads gamma at the ends 0 and 2 too, so phi_key's check of
+    # [0, 2] is the only one on its path.
+    C = built("T(3,4)")
+    for t in (3, -1, "5/2"):
+        with pytest.raises(DomainError, match="outside"):
+            uk.gamma_at(C, t)
 
 
 def test_gamma_at_reads_the_memoized_left_hand_search(monkeypatch):
@@ -120,15 +129,20 @@ def test_pivot_points_at_smooth_point():
 
 
 def test_pivot_domain(monkeypatch):
-    C = built("T(2,3)")
-    # delta_upsilon_prime shares its t check with pivot_points, before any
-    # search or Upsilon.
-    monkeypatch.setattr(UPSILON, "upsilon", None)
+    # upsilon._pivots is the one check of t: every reader at t refuses a t
+    # outside (0, 2) alike, before any search at t, Upsilon or tensor
+    # product.  genus_report reads Upsilon first, so it runs, with
+    # validation, before the patches.
+    C = uk.torus_knot_complex(2, 3)
+    uk.upsilon(C)
+    for module, name in ((UPSILON, "_one_sided"), (UPSILON, "upsilon"), (UPSILON2, "tensor")):
+        monkeypatch.setattr(module, name, None)
+    readers = [uk.pivot_points, uk.delta_upsilon_prime, uk.z_sets, uk.upsilon2,
+               lambda C, t: uk.genus_report(C, [t]), lambda C, t: uk.check_subadditivity(C, C, t)]
     for t in (0, 2, F(5, 2)):
-        with pytest.raises(DomainError):
-            uk.pivot_points(C, t)
-        with pytest.raises(DomainError):
-            uk.delta_upsilon_prime(C, t)
+        for read in readers:
+            with pytest.raises(DomainError, match=rf"t must lie in \(0, 2\), got {t}$"):
+                read(C, t)
 
 
 # T(3,4) # box(1) # box(1) has a point whose residues are all 0 (its unit
@@ -273,6 +287,24 @@ def test_slope_jump_refuses_an_upsilon_off_the_one_sided_level(monkeypatch):
     skew_one_sided(monkeypatch, lambda side: 1)
     assert uk.pivot_points(C, F(2, 3)).gamma_t == 2
     with pytest.raises(uk.ConsistencyError, match=r"Upsilon\(2/3\) = -2 but the pivots give -4"):
+        uk.delta_upsilon_prime(C, F(2, 3))
+
+
+def test_slope_jump_refuses_pivots_off_the_pivot_formula(monkeypatch):
+    # Both levels agree and Upsilon(t) = -2 gamma(t), but the right-hand
+    # search reports p-, so the pivot formula gives no jump where Upsilon
+    # bends by 3.  Upsilon comes first, from the unpatched searches.
+    C = uk.torus_knot_complex(3, 4)
+    uk.upsilon(C)
+    one_sided = UPSILON._one_sided
+    p_minus = one_sided(C, F(2, 3), -1)[1]
+
+    def skewed(C, t, side):
+        value, point, certificate = one_sided(C, t, side)
+        return value, p_minus if (t, side) == (F(2, 3), 1) else point, certificate
+
+    monkeypatch.setattr(UPSILON, "_one_sided", skewed)
+    with pytest.raises(uk.ConsistencyError, match="slope jump 3 disagrees with pivot formula 0 at t = 2/3"):
         uk.delta_upsilon_prime(C, F(2, 3))
 
 

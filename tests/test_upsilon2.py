@@ -7,8 +7,8 @@ import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span
 from helpers import (
-    CATALOG_SCAN, assert_witnesses_connect, boundaries, built, count_thresholds,
-    interior_breakpoints, pl,
+    CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built,
+    count_thresholds, interior_breakpoints, pl,
 )
 from oracles import check_disjointness_theorem, margin_one_sided, reference_threshold, same_affine
 
@@ -47,6 +47,49 @@ def test_z_sets_members_are_minimizing_cycles():
 def test_z_sets_mirror_not_disjoint():
     zs = uk.z_sets(built("-T(3,4)"), F(2, 3))
     assert not zs.disjoint
+
+
+def test_z_sets_refuse_a_cycle_outside_the_t_half_plane(monkeypatch):
+    # The left-hand search at 2/3 reports an x that also holds a slice
+    # element past the support line.
+    C = uk.parse_and_build("T(3,4) # -T(2,5)")
+    t = F(2, 3)
+    level = uk.gamma_at(C, t)
+    far = next(k for k, e in enumerate(C.generator_coset().basis) if uk.phi(t, e.point) > level)
+    one_sided = UPSILON._one_sided
+
+    def skewed(C, s, side):
+        value, point, certificate = one_sided(C, s, side)
+        if (s, side) == (t, -1):
+            certificate = certificate._replace(x=certificate.x | 1 << far)
+        return value, point, certificate
+
+    monkeypatch.setattr(UPSILON, "_one_sided", skewed)
+    with pytest.raises(uk.ConsistencyError, match="one-sided cycle leaves the t half-plane at t = 2/3"):
+        uk.z_sets(C, t)
+
+
+def test_upsilon2_refuses_disjoint_z_sets_that_meet_inside_the_t_half_plane(monkeypatch):
+    # fig8's Z sets meet at t = 1; reported disjoint, z- + z+ reduces to 0
+    # modulo the base, a boundary inside the t half-plane.
+    z_sets = uk.z_sets
+    monkeypatch.setattr(UPSILON2, "z_sets", lambda C, t: z_sets(C, t)._replace(disjoint=True))
+    with pytest.raises(uk.ConsistencyError, match="disjoint Z sets meet inside the t half-plane at t = 1"):
+        uk.upsilon2(uk.catalog("fig8"), 1)
+
+
+def test_upsilon2_reads_no_pivot_points(monkeypatch):
+    # upsilon2 reads gamma(t), the pivots and the support line off
+    # upsilon._pivots, with no pass over slice 0 for on_line.
+    C = uk.parse_and_build("T(3,4)")
+    expected = uk.upsilon2(C, F(2, 3))
+
+    def refuse(*args):
+        raise AssertionError("pivot_points called")
+
+    for module in (UPSILON, UPSILON2):
+        monkeypatch.setattr(module, "pivot_points", refuse, raising=False)
+    assert uk.upsilon2(C, F(2, 3)) == expected
 
 
 # Mixed-sign sums, where a sweep that follows only one side of t errs, and
