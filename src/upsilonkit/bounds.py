@@ -3,7 +3,6 @@ diagonal width of a model complex."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -28,15 +27,12 @@ def gc_bound_from_pl(f: PLFunction, source: str = "pl") -> GenusBoundReport:
     """
     if not f.is_finite:
         raise DomainError("no genus bound from a constant-infinite function")
-    slope_max = Fraction(0)
-    pts = f.breakpoints
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        slope_max = max(slope_max, abs((y1 - y0) / (x1 - x0)))
-    slope_bound = math.ceil(slope_max)
+    # The ceiling of the largest |slope| is the largest ceiling, -(-|n| // d).
+    slope_bound = max(-(-abs(s.numerator) // s.denominator) for s in f._piece_slopes())
     bp_bounds = []
-    for x, _ in pts[1:-1]:
+    for x, _ in f.breakpoints[1:-1]:
         p, q = x.numerator, x.denominator
-        bp_bounds.append((x, q if p % 2 == 1 else math.ceil(Fraction(q, 2))))
+        bp_bounds.append((x, q if p % 2 == 1 else (q + 1) // 2))
     combined = max([slope_bound] + [b for _, b in bp_bounds] + [0])
     return GenusBoundReport(source, slope_bound, tuple(bp_bounds), combined)
 

@@ -21,7 +21,7 @@ from collections import Counter
 from operator import xor
 from typing import Iterable, Mapping, NamedTuple
 
-from .gf2 import Gf2Solver, Gf2Span, support
+from .gf2 import Gf2Solver, Gf2Span
 
 LatticePoint = tuple[int, int]
 
@@ -44,14 +44,18 @@ class InvalidComplexError(ValueError):
 
 def memoized(fn):
     """Cache fn(C, *args) on the immutable complex C, keyed by fn and
-    args.  Callers share the result, so it must not be mutated."""
+    args.  Callers share the result, so it must not be mutated.  A hit
+    probes the cache once, so it hashes its key once."""
 
     @functools.wraps(fn)
     def wrapper(C, *args):
         key = (fn, *args)
-        if key not in C._cache:
-            C._cache[key] = fn(C, *args)
-        return C._cache[key]
+        try:
+            return C._cache[key]
+        except KeyError:
+            pass
+        value = C._cache[key] = fn(C, *args)
+        return value
 
     return wrapper
 
@@ -313,13 +317,16 @@ class ModelComplex:
         if drop_bad:  # the slice columns describe d only once every term drops one grading
             yield CheckResult("d-squared", False, detail="skipped: grading-drop failed")
         else:
-            # d(d(x)): row r of x's column is generator r of the other parity, column r of below.
+            # d(d(x)) is the sum of the columns of x's term targets: over GF(2)
+            # a repeated target cancels there as it does in x's own column.
+            column = [0] * len(names)
             for parity in (0, 1):
-                below = self.slice_boundary(parity - 1)
-                for x, column in zip(self._ids(parity), self.slice_boundary(parity)):
-                    if functools.reduce(xor, (below[r] for r in support(column)), 0):
-                        square_bad.append(x)
-            square_bad = [names[x] for x in sorted(square_bad)[:3]]
+                for x, col in zip(self._ids(parity), self.slice_boundary(parity)):
+                    column[x] = col
+            for x in range(len(names)):
+                if functools.reduce(xor, map(column.__getitem__, terms[offsets[x] + 1:offsets[x + 1]:2]), 0):
+                    square_bad.append(names[x])
+            square_bad = square_bad[:3]
             yield CheckResult("d-squared", not square_bad, detail=f"d(d(x)) != 0 for x in {square_bad}")
 
         if drop_bad or mono_bad or square_bad:

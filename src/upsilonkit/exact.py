@@ -4,7 +4,14 @@ Scalars are fractions.Fraction throughout; the two infinities are
 math.inf / -math.inf and occur only as the value of the two
 constant-infinite functions, never as breakpoint coordinates.
 PLFunction is canonical (collinear breakpoints merged), so structural
-equality is function equality.
+equality is function equality.  The functions the engine builds are
+canonical by construction: the kinetic sweep (upsilon.level_pl) and
+scale give their breakpoints and piece slopes to one private
+constructor, which skips the coercion, the checks and the merge.  A
+finite function computes each piece's slope at most once, and reads its
+value and one-sided slopes at a breakpoint by lookup, with no Fraction
+arithmetic; the engine's checks at a breakpoint compare numerators and
+denominators as ints, and build a Fraction only for a result.
 """
 
 from __future__ import annotations
@@ -59,6 +66,14 @@ def shared(q: Fraction) -> Fraction:
     return _SMALL_INTS.get(q.numerator, q) if q.denominator == 1 else q
 
 
+def _in_domain(x: RationalLike) -> Fraction:
+    """x as a Fraction, checked to lie in [0, 2] by its numerator and denominator."""
+    x = as_rational(x)
+    if not 0 <= x.numerator <= 2 * x.denominator:
+        raise DomainError(f"x = {x} outside [0, 2]")
+    return x
+
+
 def format_rational(q) -> str:
     """Render as 'p/q' (denominator always present); infinities pass through."""
     if q == POS_INF:
@@ -74,12 +89,16 @@ class PLFunction:
 
     Either finite, stored as strictly increasing breakpoints from x=0
     to x=2 with no three collinear, or one of the two constant-infinite
-    functions (flag only, no breakpoints).
+    functions (flag only, no breakpoints).  A finite function computes
+    each piece's slope at most once, and indexes its breakpoints by
+    (numerator, denominator) the first time it is read at a point; neither
+    takes part in equality or hashing.
     """
 
-    __slots__ = ("_points", "_infinite")
+    __slots__ = ("_points", "_infinite", "_slopes", "_index")
 
     def __init__(self, points: Iterable[tuple] = (), infinite=None):
+        self._slopes = self._index = None
         if infinite is not None:
             if infinite not in (POS_INF, NEG_INF):
                 raise ValueError("infinite flag must be +inf or -inf")
@@ -101,6 +120,16 @@ class PLFunction:
         self._points = tuple(_merge_collinear(pts))
 
     @classmethod
+    def _canonical(cls, points: tuple, slopes: tuple) -> "PLFunction":
+        """A finite function from breakpoints its caller knows to be
+        canonical, with no coercion, checks or merge, and the slope of each
+        piece: the constructor of the sweep (upsilon.level_pl) and of scale,
+        which give the reasons."""
+        out = object.__new__(cls)
+        out._infinite, out._points, out._slopes, out._index = None, points, slopes, None
+        return out
+
+    @classmethod
     def constant(cls, y) -> "PLFunction":
         if y == POS_INF or y == NEG_INF:
             return cls(infinite=y)
@@ -120,49 +149,55 @@ class PLFunction:
         return self._points
 
     def evaluate(self, x: RationalLike):
-        x = as_rational(x)
-        if x < 0 or x > 2:
-            raise DomainError(f"x = {x} outside [0, 2]")
+        x = _in_domain(x)
         if self._infinite is not None:
             return self._infinite
         k, hit = self._locate(x)
         if hit:
             return self._points[k][1]
         x0, y0 = self._points[k - 1]
-        return y0 + self._slope(k) * (x - x0)
+        return y0 + self._piece_slopes()[k - 1] * (x - x0)
 
     def value_and_slopes(self, x: RationalLike) -> tuple:
-        """(f(x), slope just left of x, slope just right of x) from one
-        bisect; the left slope at 0 and the right slope at 2 are None."""
-        x = as_rational(x)
-        if x < 0 or x > 2:
-            raise DomainError(f"x = {x} outside [0, 2]")
+        """(f(x), slope just left of x, slope just right of x); the left
+        slope at 0 and the right slope at 2 are None.  At a breakpoint all
+        three are lookups, in the breakpoint index and the slopes the
+        function computed once; inside a piece one bisect finds it."""
+        x = _in_domain(x)
         if self._infinite is not None:
             raise DomainError("slope of a constant-infinite function")
+        slopes = self._piece_slopes()
         k, hit = self._locate(x)
         if hit:
-            left, right = self._slope(k) if x > 0 else None, self._slope(k + 1) if x < 2 else None
-            return self._points[k][1], left, right
-        slope = self._slope(k)
+            return self._points[k][1], slopes[k - 1] if k else None, slopes[k] if k < len(slopes) else None
+        slope = slopes[k - 1]
         x0, y0 = self._points[k - 1]
         return y0 + slope * (x - x0), slope, slope
 
     def _locate(self, x: Fraction) -> tuple[int, bool]:
-        """The one bisect of x in [0, 2] over a finite function's breakpoints:
-        (k, True) if x is breakpoint k, else (k, False) for x inside piece k,
-        the one from breakpoint k - 1 to breakpoint k."""
-        k = bisect_left(self._points, (x,))
-        return k, self._points[k][0] == x
+        """(k, True) if x in [0, 2] is breakpoint k, else (k, False) for x
+        inside piece k - 1, from breakpoint k - 1 to breakpoint k: an index
+        lookup, and a bisect only off the breakpoints."""
+        if self._index is None:
+            self._index = {(b.numerator, b.denominator): k for k, (b, _) in enumerate(self._points)}
+        k = self._index.get((x.numerator, x.denominator))
+        if k is not None:
+            return k, True
+        return bisect_left(self._points, (x,)), False
 
-    def _slope(self, k: int) -> Fraction:
-        """Slope of piece k, from breakpoint k - 1 to breakpoint k."""
-        (x0, y0), (x1, y1) = self._points[k - 1], self._points[k]
-        return (y1 - y0) / (x1 - x0)
+    def _piece_slopes(self) -> tuple:
+        """The slope of each piece of a finite function, from breakpoint k to
+        breakpoint k + 1, divided out once if _canonical did not give them."""
+        if self._slopes is None:
+            pts = self._points
+            self._slopes = tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+        return self._slopes
 
     def scale(self, a: RationalLike, b: RationalLike = 0) -> "PLFunction":
         """Pointwise a*f + b.  For a != 0 the map y -> a y + b keeps the
         breakpoints and their collinearity, so a canonical function maps to
-        a canonical one with no checks or merge."""
+        a canonical one with no checks or merge, and each slope s to a s,
+        in ints: one Fraction per coordinate and slope."""
         a = as_rational(a)
         b = as_rational(b)
         if self._infinite is not None:
@@ -171,10 +206,12 @@ class PLFunction:
             return PLFunction(infinite=self._infinite if a > 0 else -self._infinite)
         if a == 0:
             return PLFunction([(x, b) for x, _ in self._points])
-        out = object.__new__(PLFunction)
-        out._infinite = None
-        out._points = tuple((x, shared(a * y + b)) for x, y in self._points)
-        return out
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        points = tuple((x, shared(Fraction(an * bd * y.numerator + bn * ad * y.denominator,
+                                           ad * bd * y.denominator)))
+                       for x, y in self._points)
+        slopes = tuple(Fraction(an * s.numerator, ad * s.denominator) for s in self._piece_slopes())
+        return PLFunction._canonical(points, slopes)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         if not isinstance(other, PLFunction):

@@ -31,9 +31,17 @@ left-hand ones at its breakpoints, validation reads gamma(0) and
 gamma(2) off those right of 0 and left of 2, and gamma_at the left-hand
 one at t.  _pivots is the one reader of what the engine knows at t in
 (0, 2), and the one check of that range: both searches at t and the
-support line, the points whose phi_key key at t is p-'s.  pivot_points,
-delta_upsilon_prime, z_sets and upsilon2 read it alone, so they and the
-CLI share the searches; the pivots need no margin around t.
+support line, the points whose int key a i + b j = 2q phi_t(i, j) at
+t = p/q is p-'s.  pivot_points, delta_upsilon_prime, z_sets and upsilon2
+read it alone, so they and the CLI share the searches; the pivots need no
+margin around t.
+
+A rational stays a pair of ints on the per-breakpoint path: a level
+search builds one Fraction, its level; the sweep compares levels with
+keys cross-multiplied and builds its PL function, canonical by
+construction, with the slope of each piece; and a slope jump is checked
+against Upsilon(t) and the pivots in ints, and reads the slopes off that
+function by lookup.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, islice
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .complexes import LatticePoint, ModelComplex, memoized
 from .exact import DomainError, PLFunction, as_rational, shared
@@ -67,16 +75,6 @@ def one_sided_key(t: Fraction, side: int, m: int) -> tuple[int, int]:
     or right (+1) of t, which ties no two points, as (2q - p) + p = 2q > 0."""
     p, d = t.numerator, 2 * t.denominator
     return (d - p) * m - side, p * m + side
-
-
-def phi_key(t) -> tuple[Callable[[LatticePoint], int], int]:
-    """(weight, d) ordering points by phi at t: for t = p/q in lowest terms,
-    d = 2q and weight(i, j) = d phi_t(i, j), an int: one_sided_key(t, 0, 1)."""
-    t = as_rational(t)
-    if not 0 <= t <= 2:
-        raise DomainError(f"t = {t} outside [0, 2]")
-    a, b = one_sided_key(t, 0, 1)
-    return (lambda point: a * point[0] + b * point[1]), 2 * t.denominator
 
 
 def prepare_search(base_span: Gf2Span, target: int, items):
@@ -181,11 +179,16 @@ def _gamma_search(C: ModelComplex):
 def _level(search, t: Fraction, side: int) -> tuple[Fraction, LatticePoint, Certificate]:
     """The phi_t value at which the target of search, a prepare_search
     result, enters just left (side -1) or right (+1) of t, the point it
-    enters at and threshold's certificate of it: gamma(t) and gamma2(s)."""
-    weight, d = phi_key(t)
+    enters at and threshold's certificate of it: gamma(t) and gamma2(s).
+    The level, 2q phi_t of the point over 2q for t = p/q, is its one
+    Fraction."""
+    p, d = t.numerator, 2 * t.denominator
+    if not 0 <= p <= d:
+        raise DomainError(f"t = {t} outside [0, 2]")
+    a, b = one_sided_key(t, 0, 1)
     u, v = one_sided_key(t, side, search[3])
     point, certificate = threshold(search, [u * i + v * j for (i, j), _ in search[1]], side)
-    return Fraction(weight(point), d), point, certificate
+    return Fraction(a * point[0] + b * point[1], d), point, certificate
 
 
 def _next_crossing(p: LatticePoint, points, t: Fraction, threat) -> Fraction:
@@ -228,29 +231,44 @@ def level_pl(search, what: str, at) -> tuple[PLFunction, tuple[int, ...]]:
     the piece.  Each piece, ending where the winner changes, is checked at
     its right end by the left-hand search, which builds no f: its level
     must be phi(p) there and its winner p; raises ConsistencyError naming
-    what otherwise."""
+    what otherwise.  Both checks compare a level with p's int key
+    a p_i + b p_j = 2q phi_t(p) at t = p/q, cross-multiplied, and a
+    breakpoint's value is the level found there, so the loop builds no
+    Fraction of its own but the slope (j - i) / 2 of each piece's winner.
+
+    The function is canonical by construction, so it skips PLFunction's
+    coercion, checks and merge (every coordinate is still shared): the
+    sweep starts at 0 and ends at 2; each breakpoint lies strictly right of
+    the one before it, as _next_crossing returns an x in (t, 2]; each
+    interior breakpoint is a change of winner, at the level of the piece
+    before it, as the continuity check has verified; and two distinct
+    points with the same phi at t and the same slope j - i would be the
+    same point, so consecutive pieces differ in slope and no three
+    breakpoints are collinear."""
     _, points, n, _ = search
     movers = {point: vectors for point, vectors in points if any(v >> n for v in vectors)}
     t = t0 = Fraction(0)
-    value, p, certificate = at(t, 1)
-    breakpoints, xs = [(t, value)], []
-    while t < 2:
+    level, p, certificate = at(t, 1)
+    breakpoints, slopes, xs = [(shared(t), shared(level))], [], []
+    while True:
         t = _next_crossing(p, movers, t, certificate.threat(p, movers))
-        a, b = one_sided_key(t, 0, 1)  # a i + b j = 2q phi_t(i, j)
-        value, winner = Fraction(a * p[0] + b * p[1], 2 * t.denominator), p
-        if t < 2:
+        a, b = one_sided_key(t, 0, 1)  # a i + b j = 2q phi_t(i, j); a = 0 at t = 2
+        key, d, winner = a * p[0] + b * p[1], 2 * t.denominator, p
+        if a:
             level, winner, certificate = at(t, 1)
-            if level != value:
+            if level.numerator * d != key * level.denominator:
                 raise ConsistencyError(f"{what} not continuous at {t}")
             if winner == p:
                 continue
         level, left, check = at(t, -1)
-        if level != value or left != p:
+        if level.numerator * d != key * level.denominator or left != p:
             raise ConsistencyError(f"{what} not linear on ({t0}, {t})")
-        breakpoints.append((t, value))
+        breakpoints.append((shared(t), shared(level)))
+        slopes.append(Fraction(p[1] - p[0], 2))
         xs.append(check.x)
+        if not a:
+            return PLFunction._canonical(tuple(breakpoints), tuple(slopes)), tuple(xs)
         t0, p = t, winner
-    return PLFunction(breakpoints), tuple(xs)
 
 
 @memoized
@@ -310,39 +328,44 @@ class PivotData(NamedTuple):
 
 
 def _pivots(C: ModelComplex, t):
-    """What the engine reads at t: (t, minus, plus, weight, level), with
+    """What the engine reads at t: (t, minus, plus, (a, b), level), with
     minus and plus the memoized searches (gamma(t), p-+, certificate) just
     left and right of t, whose levels must agree, both gamma(t) by
-    continuity, and the support line: weight, phi_key's int key at t, and
-    level = weight(p-).  The one check that t lies in (0, 2)."""
+    continuity, and the support line: the points (i, j) with a i + b j =
+    level, for (a, b) = one_sided_key(t, 0, 1), so a i + b j = 2q phi_t(i, j)
+    at t = p/q, and level the key of p-.  The one check that t lies in
+    (0, 2)."""
     C.require_valid()
     t = as_rational(t)
-    if not 0 < t < 2:
+    if not 0 < t.numerator < 2 * t.denominator:
         raise DomainError(f"t must lie in (0, 2), got {t}")
     minus, plus = (_one_sided(C, t, side) for side in (-1, 1))
     if minus[0] != plus[0]:
         raise ConsistencyError(f"one-sided levels {minus[0]} and {plus[0]} differ at t = {t}")
-    weight, _ = phi_key(t)
-    return t, minus, plus, weight, weight(minus[1])
+    a, b = one_sided_key(t, 0, 1)
+    i, j = minus[1]
+    return t, minus, plus, (a, b), a * i + b * j
 
 
 def pivot_points(C: ModelComplex, t) -> PivotData:
     """The pivots p+- at t and the slice points of p-'s phi_t key, gamma(t)."""
-    t, (gamma_t, p_minus, _), (_, p_plus, _), weight, level = _pivots(C, t)
-    on_line = frozenset(e.point for e in C.grading_slice(0) if weight(e.point) == level)
+    t, (gamma_t, p_minus, _), (_, p_plus, _), (a, b), level = _pivots(C, t)
+    on_line = frozenset(e.point for e in C.grading_slice(0) if a * e.point[0] + b * e.point[1] == level)
     return PivotData(t, gamma_t, on_line, p_minus, p_plus)
 
 
 def delta_upsilon_prime(C: ModelComplex, t) -> Fraction:
-    """Jump of the derivative of Upsilon at t, cross-checked against the pivots."""
+    """Jump of the derivative of Upsilon at t, cross-checked against the
+    pivots: Upsilon(t) = -2 gamma(t) and jump t = 2 (p+_i - p-_i), both
+    cross-multiplied in ints.  The jump is the one Fraction it builds but
+    for an error message."""
     t, (gamma_t, p_minus, _), (_, p_plus, _), _, _ = _pivots(C, t)
     value, left, right = upsilon(C).value_and_slopes(t)
-    if value != -2 * gamma_t:
+    if value.numerator * gamma_t.denominator != -2 * gamma_t.numerator * value.denominator:
         raise ConsistencyError(f"Upsilon({t}) = {value} but the pivots give {-2 * gamma_t}")
-    jump = right - left
-    from_pivots = Fraction(2) / t * (p_plus[0] - p_minus[0])
-    if jump != from_pivots:
-        raise ConsistencyError(
-            f"slope jump {jump} disagrees with pivot formula {from_pivots} at t = {t}"
-        )
-    return shared(jump)
+    (ln, ld), (rn, rd) = (left.numerator, left.denominator), (right.numerator, right.denominator)
+    num, den = rn * ld - ln * rd, rd * ld
+    if num * t.numerator != 2 * (p_plus[0] - p_minus[0]) * den * t.denominator:
+        raise ConsistencyError(f"slope jump {right - left} disagrees with pivot formula "
+                               f"{Fraction(2) / t * (p_plus[0] - p_minus[0])} at t = {t}")
+    return shared(Fraction(num, den))

@@ -12,12 +12,13 @@ the t half-plane.  A chain's boundary lies at or below it in both
 filtrations; off the line strictly between the pivots it lies in V- or V+,
 and the middle chains' part bounds below the line, in V-, so Z+- would meet.
 
-z_sets is the one path to Z- and Z+; it reads them, with no elimination
+_z_sets is the one path to Z- and Z+; it reads them, with no elimination
 and no margin around t, off the certificates of the memoized one-sided
-gamma searches that upsilon._pivots returns with the pivots, so upsilon2,
-which reads _pivots and z_sets, searches once per side of t.  Both split
-a slice at the t half-plane by _pivots' support line, its weight key and
-level.  gamma2(s) is one upsilon._level search, as gamma(t) is: the
+gamma searches that upsilon._pivots returns with the pivots.  z_sets and
+upsilon2 each call _pivots once and hand its value to _z_sets, so
+upsilon2 searches once per side of t.  Both split a slice at the t
+half-plane by _pivots' support line: the key (a, b) and its level.
+gamma2(s) is one upsilon._level search, as gamma(t) is: the
 (column, point) items of the grading-1 slice outside the t half-plane
 join the base (v-, v+ and the columns inside) in phi_s order until it
 holds z- + z+, prepared once modulo that base: z- + z+ is homologous
@@ -62,12 +63,17 @@ def z_sets(C: ModelComplex, t) -> ZSets:
     just left (right) of t, the minimal half-plane on that side.  They are
     the x and the kernel of the one-sided gamma search, whose items are the
     slice's unit vectors."""
-    t, (_, _, minus), (_, _, plus), weight, level = _pivots(C, t)
+    return _z_sets(C, _pivots(C, t))
+
+
+def _z_sets(C: ModelComplex, pivots) -> ZSets:
+    """z_sets off what _pivots returned at t, which upsilon2 reads too."""
+    t, (_, _, minus), (_, _, plus), (a, b), level = pivots
     zm, vm, zp, vp = minus.x, minus.kernel, plus.x, plus.kernel
     basis = C.generator_coset().basis
 
     # Every member must already sit inside the weight-gamma(t) half-plane.
-    outside = sum(1 << idx for idx, e in enumerate(basis) if weight(e.point) > level)
+    outside = sum(1 << idx for idx, e in enumerate(basis) if a * e.point[0] + b * e.point[1] > level)
     if any(vec & outside for vec in (zm, zp) + vm + vp):
         raise ConsistencyError(f"one-sided cycle leaves the t half-plane at t = {t}")
 
@@ -90,8 +96,9 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
     a witness per piece (s0, s1): the grading-1 elements outside the t
     half-plane, inside the s half-plane at gamma2(s1), whose boundaries join
     z- to z+, read off the left-hand gamma2 search at s1."""
-    t, (gamma_t, p_minus, _), (_, p_plus, _), weight, level = _pivots(C, t)
-    zs = z_sets(C, t)  # the same memoized searches
+    pivots = _pivots(C, t)
+    t, (gamma_t, p_minus, _), (_, p_plus, _), (a, b), level = pivots
+    zs = _z_sets(C, pivots)
     smooth = p_minus == p_plus
     if not zs.disjoint:
         return Upsilon2Result(t, gamma_t, zs, smooth, PLFunction(infinite=NEG_INF),
@@ -99,8 +106,8 @@ def upsilon2(C: ModelComplex, t) -> Upsilon2Result:
 
     target = zs.z_minus ^ zs.z_plus
     slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    inside = [idx for idx, e in enumerate(slice1) if weight(e.point) <= level]
-    outside = [idx for idx, e in enumerate(slice1) if weight(e.point) > level]
+    inside = [idx for idx, e in enumerate(slice1) if a * e.point[0] + b * e.point[1] <= level]
+    outside = [idx for idx, e in enumerate(slice1) if a * e.point[0] + b * e.point[1] > level]
     items = [(columns[idx], slice1[idx].point) for idx in outside]
 
     base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[idx] for idx in inside])

@@ -10,7 +10,8 @@ margin_one_sided takes "just left and right of t" literally, at t -+ delta
 for a margin delta inside which no two weights cross, where the engine
 orders by an exact one-sided key at t; it runs reference_threshold there
 and has no dimension limit.  one_sided_weight is that key as a Fraction
-weight, for reference_threshold.
+weight, for reference_threshold, and phi_key the int weight 2q phi_t at
+t = p/q as a function of the point.
 
 The brute-force oracles are memoised by (complex, t, s): the test
 complexes are shared instances (helpers.built), and several suites ask
@@ -51,6 +52,7 @@ from functools import cache
 
 import upsilonkit as uk
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
+from upsilonkit.upsilon import one_sided_key
 from helpers import boundaries, combine
 
 MAX_DIM = 16
@@ -236,6 +238,15 @@ def _margin_side(C, t_side):
     assert x is not None, f"no minimizing cycle at t = {t_side}"
     directions = Gf2Span(combine(bs, combo) for combo in solver.kernel_basis())
     return next(iter(points)), (coset.cycle ^ combine(bs, x), tuple(directions.basis()))
+
+
+def phi_key(t):
+    """(weight, d) ordering points by phi at t: for t = p/q in lowest terms,
+    d = 2q and weight(i, j) = d phi_t(i, j), an int: one_sided_key(t, 0, 1).
+    The engine reads that key off upsilon._pivots as the pair (a, b)."""
+    t = uk.as_rational(t)
+    a, b = one_sided_key(t, 0, 1)
+    return (lambda point: a * point[0] + b * point[1]), 2 * t.denominator
 
 
 def one_sided_weight(t, side):

@@ -162,6 +162,27 @@ def test_validation_is_cached():
     assert C.validate() is C.validate()
 
 
+def test_a_memo_hit_probes_the_cache_once():
+    # memoized hashes a hit's key once: a lookup that first asks whether
+    # the key is in the cache hashes it twice.
+    hashes = []
+
+    class Key:
+        def __hash__(self):
+            hashes.append(self)
+            return 0
+
+    @complexes.memoized
+    def read(C, key):
+        return object()
+
+    C, key = single(), Key()
+    first = read(C, key)
+    hashes.clear()
+    assert read(C, key) is first
+    assert len(hashes) == 1
+
+
 def test_records_are_immutable_tuples():
     C = built("T(3,4)")
     report = uk.genus_report(C, [F(2, 3)])

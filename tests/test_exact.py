@@ -188,15 +188,20 @@ def test_scale_keeps_canonical_functions_canonical(f, a, b):
     if a == 0:
         assert g == PLFunction.constant(b)
         return
-    assert g.breakpoints == PLFunction([(x, a * y + b) for x, y in f.breakpoints]).breakpoints
+    expected = PLFunction([(x, a * y + b) for x, y in f.breakpoints])
+    assert g.breakpoints == expected.breakpoints
     assert [x for x, _ in g.breakpoints] == [x for x, _ in f.breakpoints]
+    # scale maps each slope of f by a; they are not divided out again.
+    for x, _ in f.breakpoints:
+        assert g.value_and_slopes(x) == expected.value_and_slopes(x), x
 
 
 @given(PL_FUNCTIONS, st.fractions(min_value=0, max_value=2, max_denominator=24))
 def test_one_bisect_reads_match_a_scan_of_the_pieces(f, inner):
-    # value_and_slopes and evaluate share one bisect; a linear scan of
-    # every piece gives the same value and slopes at every breakpoint (0
-    # and 2 among them) and at points inside pieces.
+    # value_and_slopes and evaluate read a breakpoint off the function's
+    # index and a point inside a piece by one bisect, and the slopes it
+    # computed once; a linear scan of every piece gives the same value and
+    # slopes at every breakpoint (0 and 2 among them) and inside pieces.
     for x in {inner, *(x for x, _ in f.breakpoints)}:
         expected = pl_value_and_slopes(f.breakpoints, x)
         assert f.value_and_slopes(x) == expected, x

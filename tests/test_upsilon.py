@@ -1,4 +1,5 @@
 import gc
+import importlib
 import json
 from fractions import Fraction as F
 from itertools import combinations
@@ -12,14 +13,14 @@ from upsilonkit import DomainError, InvalidComplexError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span, support
 from upsilonkit.cli import main
 from upsilonkit.upsilon import (
-    Certificate, _gamma_search, _level, _next_crossing, _one_sided, phi_key, one_sided_key,
-    prepare_search, threshold,
+    Certificate, _gamma_search, _level, _next_crossing, _one_sided, one_sided_key, prepare_search,
+    threshold,
 )
 from helpers import (
     CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built, combine,
     count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
-from oracles import certified_pl, crossings, one_sided_weight, reference_threshold
+from oracles import certified_pl, crossings, one_sided_weight, phi_key, reference_threshold
 
 
 def test_phi():
@@ -44,7 +45,7 @@ def test_gamma_at():
 
 
 def test_gamma_at_domain():
-    # gamma_at reads gamma at the ends 0 and 2 too, so phi_key's check of
+    # gamma_at reads gamma at the ends 0 and 2 too, so _level's check of
     # [0, 2] is the only one on its path.
     C = built("T(3,4)")
     for t in (3, -1, "5/2"):
@@ -470,6 +471,62 @@ def test_certified_sweep_matches_every_crossing_on_random_sums(expr):
     # staircase: their winners meet many points with rows from both sides,
     # where the event test must tell joiners from leavers.
     sweeps_match_every_crossing(uk.parse_and_build(expr))
+
+
+def assert_canonical(f):
+    """f, which the sweep or scale built with no merge or checks, equals the
+    PLFunction of its breakpoints, which merges and divides its slopes out,
+    and reads as it does at every breakpoint and piece midpoint."""
+    fresh = uk.PLFunction(f.breakpoints)
+    assert f == fresh
+    xs = [x for x, _ in f.breakpoints]
+    for x in xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]:
+        assert f.value_and_slopes(x) == fresh.value_and_slopes(x), x
+        assert f.evaluate(x) == fresh.evaluate(x), x
+
+
+def sweeps_are_canonical(C):
+    """Upsilon and each finite Upsilon2 at 2/3 and 1, with its gamma2."""
+    assert_canonical(uk.upsilon(C))
+    for t in (F(2, 3), 1):
+        res = uk.upsilon2(C, t)
+        if res.upsilon2.is_finite:
+            assert_canonical(res.gamma2)
+            assert_canonical(res.upsilon2)
+
+
+@pytest.mark.parametrize("expr", CATALOG_SCAN)
+def test_sweeps_are_canonical_by_construction(expr):
+    sweeps_are_canonical(built(expr))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SWEEP_SUMS)
+def test_sweeps_are_canonical_by_construction_on_random_sums(expr):
+    sweeps_are_canonical(uk.parse_and_build(expr))
+
+
+def test_slope_jumps_divide_out_no_slope(monkeypatch):
+    # After Upsilon, a slope jump at each interior breakpoint reads Upsilon
+    # and its one-sided slopes off the breakpoint index and the slopes the
+    # sweep gave, with no search, no bisect and no Fraction division: the
+    # pivot formula is checked cross-multiplied.  Dividing out both slopes
+    # made two divisions per jump and the formula a third.
+    C = uk.torus_knot_complex(23, 29)
+    uk.upsilon(C)
+    searches = count_thresholds(monkeypatch)
+    bisects = count_calls(monkeypatch, importlib.import_module("upsilonkit.exact"), "bisect_left")
+    divisions = []
+    for name in ("__truediv__", "__rtruediv__"):
+        def dividing(*args, original=getattr(F, name)):
+            divisions.append(args)
+            return original(*args)
+        monkeypatch.setattr(F, name, dividing)
+    ts = interior_breakpoints(C)
+    assert len(ts) == 31
+    jumps = [uk.delta_upsilon_prime(C, t) for t in ts]
+    assert all(jumps)
+    assert not (searches or bisects or divisions)
 
 
 def certificate_holds(raw, t):

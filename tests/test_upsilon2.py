@@ -71,9 +71,10 @@ def test_z_sets_refuse_a_cycle_outside_the_t_half_plane(monkeypatch):
 
 def test_upsilon2_refuses_disjoint_z_sets_that_meet_inside_the_t_half_plane(monkeypatch):
     # fig8's Z sets meet at t = 1; reported disjoint, z- + z+ reduces to 0
-    # modulo the base, a boundary inside the t half-plane.
-    z_sets = uk.z_sets
-    monkeypatch.setattr(UPSILON2, "z_sets", lambda C, t: z_sets(C, t)._replace(disjoint=True))
+    # modulo the base, a boundary inside the t half-plane.  upsilon2 reads
+    # the Z sets through _z_sets, the reader it shares with z_sets.
+    z_sets = UPSILON2._z_sets
+    monkeypatch.setattr(UPSILON2, "_z_sets", lambda C, pivots: z_sets(C, pivots)._replace(disjoint=True))
     with pytest.raises(uk.ConsistencyError, match="disjoint Z sets meet inside the t half-plane at t = 1"):
         uk.upsilon2(uk.catalog("fig8"), 1)
 
@@ -144,10 +145,10 @@ def test_witness_chains_connect_the_z_sets(expr, t):
 
 
 def test_upsilon2_finds_the_pivots_once(monkeypatch):
-    # upsilon2 reads the pivots directly and through z_sets; both share the
-    # memoized one-sided searches, which run the gamma kernel once per side
-    # of t, and neither runs another gamma search.
-    sides, zsets_calls = [], []
+    # upsilon2 reads _pivots once and hands its value to the Z-set reader
+    # it shares with z_sets; the memoized one-sided searches run the gamma
+    # kernel once per side of t, and no other gamma search runs.
+    sides, pivots_calls = [], []
     upsilon_module = importlib.import_module("upsilonkit.upsilon")
     level = upsilon_module._level
 
@@ -156,19 +157,18 @@ def test_upsilon2_finds_the_pivots_once(monkeypatch):
             sides.append(side)
         return level(search, t, side)
 
-    def counting(*args):
-        zsets_calls.append(args)
-        return uk.z_sets(*args)
+    def counting(*args, original=UPSILON2._pivots):
+        pivots_calls.append(args)
+        return original(*args)
 
     C = uk.catalog("T(3,4)")  # a fresh complex: nothing memoized yet
     C.require_valid()  # validation runs the kernel at t = 0 and 2
     monkeypatch.setattr(upsilon_module, "_level", searching)
-    # The package exports the function upsilon2 under the module's name.
-    monkeypatch.setattr(importlib.import_module("upsilonkit.upsilon2"), "z_sets", counting)
+    monkeypatch.setattr(UPSILON2, "_pivots", counting)
     res = uk.upsilon2(C, F(2, 3))
     assert res.zsets.disjoint and res.upsilon2.is_finite
     assert sorted(sides) == [-1, 1]
-    assert len(zsets_calls) == 1
+    assert len(pivots_calls) == 1
     uk.pivot_points(C, F(2, 3))  # reads the same memoized searches
     assert sorted(sides) == [-1, 1]
 
@@ -201,7 +201,7 @@ def test_upsilon2_searches_only_where_the_winner_changes(monkeypatch):
 
 @pytest.mark.parametrize("name, additions", [("2*hom-K", 20), ("figure6", 2)])
 def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions):
-    # Outside threshold, the search's preparation and z_sets, upsilon2 puts
+    # Outside threshold, the search's preparation and _z_sets, upsilon2 puts
     # each base column (v+- and the grading-1 columns inside the t
     # half-plane) into one Gf2Span, which the search is reduced by, and
     # nothing else: the witnesses are the certificates of the sweep's piece
@@ -222,9 +222,9 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
         return original(self, v)
     monkeypatch.setattr(Gf2Span, "add", counting)
     # The level search in upsilon calls threshold, upsilon2 prepares it, and
-    # z_sets reads the memoized one-sided searches.
+    # _z_sets reads the memoized one-sided searches.
     for mod_name, attr in (("upsilon", "threshold"), ("upsilon2", "prepare_search"),
-                           ("upsilon2", "z_sets")):
+                           ("upsilon2", "_z_sets")):
         module = importlib.import_module(f"upsilonkit.{mod_name}")
         def pausing(*args, attr=attr, original=getattr(module, attr)):
             paused.append(attr)
