@@ -46,7 +46,6 @@ from .upsilon import (
     delta_upsilon_prime,
     gamma_at,
     gamma_pl,
-    phi,
     pivot_points,
     upsilon,
 )

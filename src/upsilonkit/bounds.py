@@ -28,7 +28,7 @@ def gc_bound_from_pl(f: PLFunction, source: str = "pl") -> GenusBoundReport:
     if not f.is_finite:
         raise DomainError("no genus bound from a constant-infinite function")
     # The ceiling of the largest |slope| is the largest ceiling, -(-|n| // d).
-    slope_bound = max(-(-abs(s.numerator) // s.denominator) for s in f._piece_slopes())
+    slope_bound = max(-(-abs(s.numerator) // s.denominator) for s in f.slopes)
     bp_bounds = []
     for x, _ in f.breakpoints[1:-1]:
         p, q = x.numerator, x.denominator

@@ -26,7 +26,7 @@ def stairway(steps) -> ModelComplex:
     if not steps or len(steps) % 2 != 0:
         raise ValueError(f"step vector must have positive even length, got length {len(steps)}")
     for k, a in enumerate(steps, 1):
-        if not isinstance(a, int) or a <= 0:
+        if type(a) is not int or a <= 0:
             raise ValueError(f"step lengths must be positive integers; step {k} of {len(steps)} is not")
     i, j = 0, sum(steps[1::2])
     gens = [Generator("a1", 0, i, j)]
@@ -80,7 +80,7 @@ def torus_knot_complex(p: int, q: int) -> ModelComplex:
 def box_complex(n: int) -> ModelComplex:
     """Square complex on a side-2n box with a central vertex; Upsilon
     vanishes but the secondary scalar is -2n."""
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ValueError(f"box complex needs n >= 1, got {n}")
     gens = [
         Generator("A", 0, -n, n),
@@ -141,7 +141,7 @@ def figure8_complex() -> ModelComplex:
 def acyclic_box(corner: LatticePoint = (0, 0), size: int = 1) -> ModelComplex:
     """Four-generator square with zero graded homology; bottom-left
     corner at the given point."""
-    if not isinstance(size, int) or size <= 0:
+    if type(size) is not int or size <= 0:
         raise ValueError(f"box size must be a positive integer, got {size}")
     x, y = corner
     gens = [
@@ -165,7 +165,7 @@ def add_acyclic_box(C: ModelComplex, corner: LatticePoint, size: int) -> ModelCo
 def nk_complex(n: int) -> ModelComplex:
     """n-fold connected sum of the ladder-minus-staircase difference:
     stairway [2]*2n tensored with the dual of stairway [1]*4n."""
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise ValueError(f"nK needs n >= 1, got {n}")
     if (2 * n + 1) * (4 * n + 1) > MAX_GENERATORS:
         raise _size_error(f"nK({n})", f"{2 * n + 1} x {4 * n + 1} = {(2 * n + 1) * (4 * n + 1)}")

@@ -45,8 +45,7 @@ def pl_to_text(f: PLFunction, var: str = "t") -> str:
         return "+inf everywhere" if f.infinite_value == POS_INF else "-inf everywhere"
     lines = []
     pts = f.breakpoints
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        slope = (y1 - y0) / (x1 - x0)
+    for (x0, y0), (x1, _), slope in zip(pts, pts[1:], f.slopes):
         intercept = y0 - slope * x0
         if slope == 0:
             formula = f"{y0}"

@@ -3,15 +3,15 @@
 Scalars are fractions.Fraction throughout; the two infinities are
 math.inf / -math.inf and occur only as the value of the two
 constant-infinite functions, never as breakpoint coordinates.
-PLFunction is canonical (collinear breakpoints merged), so structural
-equality is function equality.  The functions the engine builds are
-canonical by construction: the kinetic sweep (upsilon.level_pl) and
-scale give their breakpoints and piece slopes to one private
-constructor, which skips the coercion, the checks and the merge.  A
-finite function computes each piece's slope at most once, and reads its
-value and one-sided slopes at a breakpoint by lookup, with no Fraction
-arithmetic; the engine's checks at a breakpoint compare numerators and
-denominators as ints, and build a Fraction only for a result.
+PLFunction is canonical (no two consecutive pieces of equal slope), so
+structural equality is function equality.  Each piece's slope is computed
+once, at construction: the constructor divides them out and drops each
+breakpoint between two equal slopes, and the kinetic sweep
+(upsilon.level_pl) and scale give theirs, canonical by construction, to
+one private constructor, which skips the coercion and the checks.  A
+function reads its value and one-sided slopes at a breakpoint by lookup,
+with no Fraction arithmetic; the engine's checks at a breakpoint compare
+numerators and denominators as ints, and build a Fraction only for a result.
 """
 
 from __future__ import annotations
@@ -88,24 +88,24 @@ class PLFunction:
     """Exact piecewise-linear function on [0, 2].
 
     Either finite, stored as strictly increasing breakpoints from x=0
-    to x=2 with no three collinear, or one of the two constant-infinite
-    functions (flag only, no breakpoints).  A finite function computes
-    each piece's slope at most once, and indexes its breakpoints by
-    (numerator, denominator) the first time it is read at a point; neither
-    takes part in equality or hashing.
+    to x=2 and the slope of each piece, no two consecutive slopes equal,
+    or one of the two constant-infinite functions (flag only, no
+    breakpoints or slopes).  The slopes are computed at construction; the
+    breakpoints are indexed by (numerator, denominator) the first time the
+    function is read at a point.  Neither takes part in equality or hashing.
     """
 
     __slots__ = ("_points", "_infinite", "_slopes", "_index")
 
     def __init__(self, points: Iterable[tuple] = (), infinite=None):
-        self._slopes = self._index = None
+        self._index = None
         if infinite is not None:
             if infinite not in (POS_INF, NEG_INF):
                 raise ValueError("infinite flag must be +inf or -inf")
             pts = tuple(points)
             if pts:
                 raise ValueError("constant-infinite function takes no breakpoints")
-            self._points = ()
+            self._points = self._slopes = ()
             self._infinite = infinite
             return
         self._infinite = None
@@ -117,12 +117,15 @@ class PLFunction:
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             if x0 >= x1:
                 raise ValueError("breakpoint x-values must be strictly increasing")
-        self._points = tuple(_merge_collinear(pts))
+        slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        keep = [0] + [k for k in range(1, len(slopes)) if slopes[k] != slopes[k - 1]]
+        self._points = tuple(pts[k] for k in keep) + (pts[-1],)
+        self._slopes = tuple(slopes[k] for k in keep)
 
     @classmethod
     def _canonical(cls, points: tuple, slopes: tuple) -> "PLFunction":
         """A finite function from breakpoints its caller knows to be
-        canonical, with no coercion, checks or merge, and the slope of each
+        canonical, with no coercion or checks, and the slope of each
         piece: the constructor of the sweep (upsilon.level_pl) and of scale,
         which give the reasons."""
         out = object.__new__(cls)
@@ -133,7 +136,6 @@ class PLFunction:
     def constant(cls, y) -> "PLFunction":
         if y == POS_INF or y == NEG_INF:
             return cls(infinite=y)
-        y = as_rational(y)
         return cls([(0, y), (2, y)])
 
     @property
@@ -148,6 +150,11 @@ class PLFunction:
     def breakpoints(self) -> tuple:
         return self._points
 
+    @property
+    def slopes(self) -> tuple:
+        """The slope of each piece, from breakpoint k to k + 1; () if infinite."""
+        return self._slopes
+
     def evaluate(self, x: RationalLike):
         x = _in_domain(x)
         if self._infinite is not None:
@@ -156,17 +163,17 @@ class PLFunction:
         if hit:
             return self._points[k][1]
         x0, y0 = self._points[k - 1]
-        return y0 + self._piece_slopes()[k - 1] * (x - x0)
+        return y0 + self._slopes[k - 1] * (x - x0)
 
     def value_and_slopes(self, x: RationalLike) -> tuple:
         """(f(x), slope just left of x, slope just right of x); the left
         slope at 0 and the right slope at 2 are None.  At a breakpoint all
-        three are lookups, in the breakpoint index and the slopes the
-        function computed once; inside a piece one bisect finds it."""
+        three are lookups, in the breakpoint index and the slopes computed
+        at construction; inside a piece one bisect finds it."""
         x = _in_domain(x)
         if self._infinite is not None:
             raise DomainError("slope of a constant-infinite function")
-        slopes = self._piece_slopes()
+        slopes = self._slopes
         k, hit = self._locate(x)
         if hit:
             return self._points[k][1], slopes[k - 1] if k else None, slopes[k] if k < len(slopes) else None
@@ -185,18 +192,10 @@ class PLFunction:
             return k, True
         return bisect_left(self._points, (x,)), False
 
-    def _piece_slopes(self) -> tuple:
-        """The slope of each piece of a finite function, from breakpoint k to
-        breakpoint k + 1, divided out once if _canonical did not give them."""
-        if self._slopes is None:
-            pts = self._points
-            self._slopes = tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
-        return self._slopes
-
     def scale(self, a: RationalLike, b: RationalLike = 0) -> "PLFunction":
         """Pointwise a*f + b.  For a != 0 the map y -> a y + b keeps the
         breakpoints and their collinearity, so a canonical function maps to
-        a canonical one with no checks or merge, and each slope s to a s,
+        a canonical one with no checks, and each slope s to a s,
         in ints: one Fraction per coordinate and slope."""
         a = as_rational(a)
         b = as_rational(b)
@@ -205,12 +204,12 @@ class PLFunction:
                 raise DomainError("0 * infinite function is undefined")
             return PLFunction(infinite=self._infinite if a > 0 else -self._infinite)
         if a == 0:
-            return PLFunction([(x, b) for x, _ in self._points])
+            return PLFunction.constant(b)
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         points = tuple((x, shared(Fraction(an * bd * y.numerator + bn * ad * y.denominator,
                                            ad * bd * y.denominator)))
                        for x, y in self._points)
-        slopes = tuple(Fraction(an * s.numerator, ad * s.denominator) for s in self._piece_slopes())
+        slopes = tuple(Fraction(an * s.numerator, ad * s.denominator) for s in self._slopes)
         return PLFunction._canonical(points, slopes)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
@@ -238,18 +237,4 @@ class PLFunction:
             return f"PLFunction(constant {sign})"
         pieces = ", ".join(f"({format_rational(x)}, {format_rational(y)})" for x, y in self._points)
         return f"PLFunction([{pieces}])"
-
-
-def _merge_collinear(pts):
-    out = [pts[0]]
-    for p in pts[1:]:
-        while len(out) >= 2:
-            (x0, y0), (x1, y1) = out[-2], out[-1]
-            x2, y2 = p
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                out.pop()
-            else:
-                break
-        out.append(p)
-    return out
 

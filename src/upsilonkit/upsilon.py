@@ -11,8 +11,8 @@ elements join the coset's boundary span one point at a time, in the phi
 order at t -+ eps, until it holds the cycle.  Upsilon is continuous, so
 either side's level is gamma(t); the points they stop at are the pivots
 p+-.  That phi order is by one int key per point, m 2q phi_t + side
-(j - i) for t = p/q and m above the spread of j - i (one_sided_key; phi
-is the Fraction reference), as phi_t moves with slope (j - i) / 2 in t
+(j - i) for t = p/q and m above the spread of j - i (one_sided_key; the
+tests keep the Fraction phi), as phi_t moves with slope (j - i) / 2 in t
 (Edelsbrunner & Muecke, Simulation of Simplicity, 1990).  prepare_search
 fixes m as it reduces a search modulo its base span once, and threshold
 sorts the keys and is its only elimination: the low bits of its rows and
@@ -58,15 +58,6 @@ from .gf2 import Gf2Span, functional
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates an engine bug."""
-
-
-def phi(t, point: LatticePoint) -> Fraction:
-    """Weight (t/2)*Alex + (1 - t/2)*alg of a lattice point."""
-    t = as_rational(t)
-    if not 0 <= t <= 2:
-        raise DomainError(f"t = {t} outside [0, 2]")
-    i, j = point
-    return t / 2 * j + (1 - t / 2) * i
 
 
 def one_sided_key(t: Fraction, side: int, m: int) -> tuple[int, int]:
@@ -237,7 +228,7 @@ def level_pl(search, what: str, at) -> tuple[PLFunction, tuple[int, ...]]:
     Fraction of its own but the slope (j - i) / 2 of each piece's winner.
 
     The function is canonical by construction, so it skips PLFunction's
-    coercion, checks and merge (every coordinate is still shared): the
+    coercion, checks and slope division (every coordinate is still shared): the
     sweep starts at 0 and ends at 2; each breakpoint lies strictly right of
     the one before it, as _next_crossing returns an x in (t, 2]; each
     interior breakpoint is a change of winner, at the level of the piece

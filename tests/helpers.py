@@ -9,7 +9,6 @@ import importlib
 from functools import lru_cache
 
 import upsilonkit as uk
-from upsilonkit.gf2 import Gf2Span
 
 UPSILON = importlib.import_module("upsilonkit.upsilon")  # uk.upsilon is the function
 UPSILON2 = importlib.import_module("upsilonkit.upsilon2")  # so is uk.upsilon2
@@ -93,24 +92,3 @@ def boundaries(C) -> tuple[int, ...]:
     """Echelon basis of the grading-1 boundary span of C: the directions of
     its H0 coset."""
     return tuple(C._elimination()[1].basis())
-
-
-def assert_witnesses_connect(C, res):
-    """Check each piece's witness of res = upsilon2(C, t), a finite Upsilon2,
-    with a fresh span: it names grading-1 elements outside the t half-plane
-    but inside the s half-plane at gamma2 at the piece's right end s1, whose
-    boundaries with those of the t half-plane and the one-sided directions
-    join z- to z+."""
-    zs = res.zsets
-    assert res.witnesses
-    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    index = {e.name: k for k, e in enumerate(slice1)}
-    inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(res.t, e.point) <= res.gamma_t]
-    for s0, s1, names in res.witnesses:
-        assert set(names) <= index.keys(), s0
-        for name in names:
-            point = slice1[index[name]].point
-            assert uk.phi(res.t, point) > res.gamma_t, (s0, name)
-            assert uk.phi(s1, point) <= res.gamma2.evaluate(s1), (s0, name)
-        span = Gf2Span(list(zs.v_minus + zs.v_plus) + inside + [columns[index[n]] for n in names])
-        assert zs.z_minus ^ zs.z_plus in span, s0

@@ -1,4 +1,4 @@
-"""Reference implementations of gamma, gamma2 and the one-sided sets.
+"""Reference implementations of gamma, gamma2, tau and the one-sided sets.
 
 The brute-force oracles enumerate the full cycle coset (and, for gamma2,
 every connecting chain for every pair of one-sided minimizers) instead
@@ -33,8 +33,14 @@ reference_d_squared is the d^2 = 0 check of validate before it read the
 slice columns: it walks every pair of (U-power, target) terms by name and
 counts each U^k z of d(d(x)) mod 2, so it needs no grading-drop.
 
+phi is the Fraction weight (t/2) j + (1 - t/2) i of a lattice point, the
+reference for the engine's int keys (upsilon.one_sided_key).
+
 pl_value_and_slopes reads a PL function's value and one-sided slopes at x
-by a linear scan of all its pieces, where PLFunction bisects once.
+by a linear scan of all its pieces, where PLFunction reads a breakpoint
+off its index and bisects once inside a piece.  merge_collinear is the
+stack-based merge of collinear breakpoints by cross-multiplied slopes,
+against which PLFunction's merge by its divided-out slopes is checked.
 
 certified_pl is the PL assembly before the kinetic sweep: it evaluates a
 level at every crossing of two points (crossings, all pairs) and checks
@@ -43,7 +49,14 @@ visits only the winner's crossings.
 
 check_disjointness_theorem is the paper's property that a positive slope
 jump of Upsilon at t forces disjoint Z- and Z+, read off the library's
-public delta_upsilon_prime and z_sets.
+public delta_upsilon_prime and z_sets.  assert_witnesses_connect checks
+Upsilon2's witnesses with a fresh span.
+
+tau reads Ozsvath-Szabo's tau off the vertical complex C{i = 0} (and its
+mirror image off the horizontal one, C{j = 0}) with GF(2) spans alone; it
+shares no code with the threshold searches, and Upsilon's slope is -tau
+just right of 0 (Ozsvath, Stipsicz & Szabo, Concordance homomorphisms from
+knot Floer homology, 2017).
 """
 
 from bisect import bisect_left
@@ -56,6 +69,15 @@ from upsilonkit.upsilon import one_sided_key
 from helpers import boundaries, combine
 
 MAX_DIM = 16
+
+
+def phi(t, point) -> Fraction:
+    """Weight (t/2)*Alex + (1 - t/2)*alg of a lattice point, for t in [0, 2]."""
+    t = uk.as_rational(t)
+    if not 0 <= t <= 2:
+        raise uk.DomainError(f"t = {t} outside [0, 2]")
+    i, j = point
+    return t / 2 * j + (1 - t / 2) * i
 
 
 def _coset_members(C):
@@ -90,6 +112,51 @@ def is_acyclic(C) -> bool:
     return C.homology_dimension(0) == 0 and C.homology_dimension(1) == 0
 
 
+def merge_collinear(pts) -> list:
+    """pts, strictly increasing in x, with each point collinear with its
+    neighbours dropped: each new point pops the last kept one while the
+    two before it and it have equal cross-multiplied slopes."""
+    out = [pts[0]]
+    for p in pts[1:]:
+        while len(out) >= 2:
+            (x0, y0), (x1, y1) = out[-2], out[-1]
+            x2, y2 = p
+            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
+def tau(C, axis: int) -> int:
+    """tau of C off its vertical complex (axis 0) or horizontal complex (axis
+    1), from C.generators and C.boundary alone.  The copy U^i x (U^j x) of
+    each generator x lies on the axis, at grading gr(x) - 2i (- 2j) and level
+    j - i (i - j), and a boundary term U^m y stays on it if i(y) - m = i(x)
+    (j(y) - m = j(x)).  tau is the least level s at which a grading-0 cycle
+    of level at most s is not a boundary: grading-0 copies join a span of
+    (boundary << n | copy) rows in level order, and a row led below bit n
+    is a new cycle."""
+    on = {g.name: g.point[axis] for g in C.generators}
+    level = {g.name: (g.j - g.i) * (1 - 2 * axis) for g in C.generators}
+    grading = {g.name: g.grading - 2 * on[g.name] for g in C.generators}
+    order = sorted(level, key=level.get)
+    bit, n, boundary = {name: 1 << k for k, name in enumerate(order)}, len(order), C.boundary
+
+    def d(x):
+        return sum(bit[y] for m, y in boundary[x] if on[y] - m == on[x])
+
+    boundaries = Gf2Span(d(x) for x in order if grading[x] == 1)
+    cycles = Gf2Span()
+    for x in order:
+        if grading[x] == 0:
+            row = cycles.add(d(x) << n | bit[x])
+            if row >> n == 0 and row not in boundaries:
+                return level[x]
+    raise AssertionError("every grading-0 cycle on the axis is a boundary")
+
+
 def reference_d_squared(C) -> list[str]:
     """Names of the generators x with d(d(x)) != 0, in declaration order."""
     boundary = C.boundary
@@ -120,7 +187,7 @@ def gamma2_eligible(C) -> bool:
 def brute_gamma(C, t) -> Fraction:
     """min over representing cycles of max weight over their support."""
     coset, members = _coset_members(C)
-    weights = [uk.phi(t, e.point) for e in coset.basis]
+    weights = [phi(t, e.point) for e in coset.basis]
     return min(max(weights[i] for i in support(z)) for z in members)
 
 
@@ -175,7 +242,7 @@ def brute_gamma2(C, t, s):
 
     def minimizers(tp):
         level = brute_gamma(C, tp)
-        weights = [uk.phi(tp, point) for point in pts]
+        weights = [phi(tp, point) for point in pts]
         return [z for z in members if max(weights[i] for i in support(z)) == level]
 
     z_minus = minimizers(t - delta)
@@ -185,8 +252,8 @@ def brute_gamma2(C, t, s):
 
     gamma_t = brute_gamma(C, t)
     slice1 = C.grading_slice(1)
-    t_weights = [uk.phi(t, e.point) for e in slice1]
-    s_weights = [uk.phi(s, e.point) for e in slice1]
+    t_weights = [phi(t, e.point) for e in slice1]
+    s_weights = [phi(s, e.point) for e in slice1]
     solver = Gf2Solver(C.slice_boundary(1))
     kernel = solver.kernel_basis()
     if len(kernel) > MAX_DIM:
@@ -230,9 +297,9 @@ def _margin_side(C, t_side):
     coset = C.generator_coset()
     items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
     bs = list(boundaries(C))
-    level, points = reference_threshold(Gf2Span(bs), coset.cycle, items, lambda p: uk.phi(t_side, p))
+    level, points = reference_threshold(Gf2Span(bs), coset.cycle, items, lambda p: phi(t_side, p))
     assert len(points) == 1, f"weight tie off the crossing arrangement at t = {t_side}"
-    outside = ~sum(1 << k for k, e in enumerate(coset.basis) if uk.phi(t_side, e.point) <= level)
+    outside = ~sum(1 << k for k, e in enumerate(coset.basis) if phi(t_side, e.point) <= level)
     solver = Gf2Solver([b & outside for b in bs])
     x = solver.solve(coset.cycle & outside)
     assert x is not None, f"no minimizing cycle at t = {t_side}"
@@ -252,7 +319,7 @@ def phi_key(t):
 def one_sided_weight(t, side):
     """The phi order just left (side -1) or right (+1) of t as a Fraction
     weight: (phi_t, side (j - i)), lexicographically."""
-    return lambda p: (uk.phi(t, p), side * (p[1] - p[0]))
+    return lambda p: (phi(t, p), side * (p[1] - p[0]))
 
 
 def margin_one_sided(C, t):
@@ -290,3 +357,24 @@ def pl_value_and_slopes(points, x):
         if x0 <= x < x1:
             right = slope
     return value, left, right
+
+
+def assert_witnesses_connect(C, res):
+    """Check each piece's witness of res = upsilon2(C, t), a finite Upsilon2,
+    with a fresh span: it names grading-1 elements outside the t half-plane
+    but inside the s half-plane at gamma2 at the piece's right end s1, whose
+    boundaries with those of the t half-plane and the one-sided directions
+    join z- to z+."""
+    zs = res.zsets
+    assert res.witnesses
+    slice1, columns = C.grading_slice(1), C.slice_boundary(1)
+    index = {e.name: k for k, e in enumerate(slice1)}
+    inside = [columns[k] for k, e in enumerate(slice1) if phi(res.t, e.point) <= res.gamma_t]
+    for s0, s1, names in res.witnesses:
+        assert set(names) <= index.keys(), s0
+        for name in names:
+            point = slice1[index[name]].point
+            assert phi(res.t, point) > res.gamma_t, (s0, name)
+            assert phi(s1, point) <= res.gamma2.evaluate(s1), (s0, name)
+        span = Gf2Span(list(zs.v_minus + zs.v_plus) + inside + [columns[index[n]] for n in names])
+        assert zs.z_minus ^ zs.z_plus in span, s0

@@ -110,6 +110,19 @@ def test_nk_complex():
         uk.nk_complex(0)
 
 
+# A bool is an int subclass but no integer parameter, as ModelComplex refuses
+# bool levels: each constructor refuses True with its own message.
+@pytest.mark.parametrize("build, message", [
+    (lambda: uk.stairway([True, True]), "step lengths must be positive integers"),
+    (lambda: uk.nk_complex(True), "nK needs n >= 1"),
+    (lambda: uk.acyclic_box((0, 0), True), "box size must be a positive integer"),
+    (lambda: uk.box_complex(True), "box complex needs n >= 1"),
+], ids=["stairway", "nk_complex", "acyclic_box", "box_complex"])
+def test_a_bool_is_not_an_integer_parameter(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_catalog_lookup():
     assert built("hom-C1").names == uk.stairway([2, 2]).names
     assert len(uk.catalog("T(3, 4)")) == 5  # whitespace tolerated

@@ -4,11 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import upsilonkit as uk
-from oracles import pl_value_and_slopes
+from oracles import merge_collinear, pl_value_and_slopes
 from upsilonkit.exact import (
     NEG_INF,
     POS_INF,
@@ -169,13 +169,15 @@ def test_scale_matches_pointwise(xs, x):
     assert f.scale(-2, 5).evaluate(x) == -2 * f.evaluate(x) + 5
 
 
-# Canonical PL functions: random breakpoints, merged by the constructor.
-PL_FUNCTIONS = st.builds(
-    lambda inner, ys: PLFunction(zip([Fraction(0), *sorted(set(inner)), Fraction(2)], ys)),
+# Random breakpoints from 0 to 2, and the canonical PL functions the
+# constructor merges them into.
+POINT_LISTS = st.builds(
+    lambda inner, ys: list(zip([Fraction(0), *sorted(set(inner)), Fraction(2)], ys)),
     st.lists(st.fractions(min_value=0, max_value=2, max_denominator=12).filter(lambda x: 0 < x < 2),
              max_size=6),
     st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=8, max_size=8),
 )
+PL_FUNCTIONS = POINT_LISTS.map(PLFunction)
 SCALARS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
@@ -216,3 +218,22 @@ def test_one_bisect_read_refuses_an_infinite_function():
     for sign in (POS_INF, NEG_INF):
         with pytest.raises(DomainError, match="slope of a constant-infinite function"):
             PLFunction(infinite=sign).value_and_slopes(1)
+
+
+@example([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))], [False, True])
+@given(POINT_LISTS, st.lists(st.booleans(), min_size=7, max_size=7))
+def test_constructor_merges_by_the_slopes_it_divides_out(points, midpoints):
+    # The constructor divides out each piece's slope once and drops each
+    # breakpoint between two equal slopes: the stack merge by
+    # cross-multiplied slopes keeps the same breakpoints, and a collinear
+    # midpoint inserted in any piece changes nothing.
+    inserted = points[:1]
+    for (x0, y0), (x1, y1), mid in zip(points, points[1:], midpoints):
+        inserted += [((x0 + x1) / 2, (y0 + y1) / 2)] * mid + [(x1, y1)]
+    f = PLFunction(inserted)
+    assert f == PLFunction(points)
+    assert f.breakpoints == tuple(merge_collinear(inserted))
+    bps = f.breakpoints
+    assert f.slopes == tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
+    assert all(s0 != s1 for s0, s1 in zip(f.slopes, f.slopes[1:]))
+    assert PLFunction(infinite=POS_INF).slopes == ()

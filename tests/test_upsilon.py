@@ -17,22 +17,24 @@ from upsilonkit.upsilon import (
     threshold,
 )
 from helpers import (
-    CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built, combine,
+    CATALOG_SCAN, UPSILON, UPSILON2, boundaries, built, combine,
     count_calls, count_thresholds, interior_breakpoints, pl, skew_one_sided,
 )
-from oracles import certified_pl, crossings, one_sided_weight, phi_key, reference_threshold
+from oracles import (
+    assert_witnesses_connect, certified_pl, crossings, one_sided_weight, phi, phi_key, reference_threshold, tau,
+)
 
 
 def test_phi():
-    assert uk.phi(0, (3, 7)) == 3
-    assert uk.phi(2, (3, 7)) == 7
-    assert uk.phi(1, (3, 7)) == 5
-    assert uk.phi(F(2, 3), (0, 3)) == 1
-    assert uk.phi(F(2, 3), (1, 1)) == 1
+    assert phi(0, (3, 7)) == 3
+    assert phi(2, (3, 7)) == 7
+    assert phi(1, (3, 7)) == 5
+    assert phi(F(2, 3), (0, 3)) == 1
+    assert phi(F(2, 3), (1, 1)) == 1
     with pytest.raises(DomainError):
-        uk.phi(F(5, 2), (0, 0))
+        phi(F(5, 2), (0, 0))
     with pytest.raises(DomainError):
-        uk.phi(-1, (0, 0))
+        phi(-1, (0, 0))
 
 
 def test_gamma_at():
@@ -167,7 +169,7 @@ def test_support_line_is_the_two_sided_level(expr):
     residues = {point: [v >> n for v in vectors] for point, vectors in items}
     rowless = 0
     for t in sorted(set(bps[1:-1]) | {(a + b) / 2 for a, b in zip(bps, bps[1:])}):
-        level, points = reference_threshold(span, cycle, raw, lambda p: uk.phi(t, p))
+        level, points = reference_threshold(span, cycle, raw, lambda p: phi(t, p))
         pd = uk.pivot_points(C, t)
         assert (level, points) == (pd.gamma_t, pd.on_line), t
         rowless += sum(not any(residues[point]) for point in points)
@@ -379,7 +381,7 @@ def test_integer_keys_match_fraction_weights_for_gamma(expr):
     C = uk.parse_and_build(expr)
     span, cycle, items = gamma_raw(C)
     for t in midpoints_and(uk.breakpoint_candidates(C)):
-        level, points = reference_threshold(span, cycle, items, lambda p: uk.phi(t, p))
+        level, points = reference_threshold(span, cycle, items, lambda p: phi(t, p))
         for side in (-1, 1):
             at, p, _ = _level(_gamma_search(C), t, side)
             assert at == level and p in points, (expr, t, side)
@@ -398,7 +400,7 @@ def gamma2_search(C, res):
     rebuilt as upsilon2 sets it up but split at gamma(t) by the Fraction phi."""
     zs, t = res.zsets, res.t
     slice1, columns = C.grading_slice(1), C.slice_boundary(1)
-    inside = [k for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
+    inside = [k for k, e in enumerate(slice1) if phi(t, e.point) <= res.gamma_t]
     base = Gf2Span(list(zs.v_minus + zs.v_plus) + [columns[k] for k in inside])
     items = [(columns[k], e.point) for k, e in enumerate(slice1) if k not in set(inside)]
     return base, zs.z_minus ^ zs.z_plus, items
@@ -421,7 +423,7 @@ def test_integer_keys_match_fraction_weights_for_gamma2(expr, t):
     assert res.zsets.disjoint
     base, target, items = gamma2_search(C, res)
     for s in midpoints_and(crossings(p for _, p in items)):
-        level, _ = reference_threshold(base, target, items, lambda p: uk.phi(s, p))
+        level, _ = reference_threshold(base, target, items, lambda p: phi(s, p))
         assert res.gamma2.evaluate(s) == level, (expr, t, s)
 
 
@@ -504,6 +506,32 @@ def test_sweeps_are_canonical_by_construction(expr):
 @given(SWEEP_SUMS)
 def test_sweeps_are_canonical_by_construction_on_random_sums(expr):
     sweeps_are_canonical(uk.parse_and_build(expr))
+
+
+def assert_end_slopes_are_tau(C):
+    """Upsilon's slope is -tau just right of 0 and tau' just left of 2, tau
+    and tau' read off the vertical and horizontal complexes by the oracle."""
+    slopes = uk.upsilon(C).slopes
+    assert (tau(C, 0), tau(C, 1)) == (-slopes[0], slopes[-1])
+
+
+@pytest.mark.parametrize("expr", CATALOG_SCAN + ["-" + name for name in CATALOG_SCAN])
+def test_end_slopes_are_tau(expr):
+    assert_end_slopes_are_tau(built(expr))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SWEEP_SUMS)
+def test_end_slopes_are_tau_on_random_sums(expr):
+    assert_end_slopes_are_tau(uk.parse_and_build(expr))
+
+
+@pytest.mark.parametrize("expr, at_0, at_2", [("T(99,101)", 4900, 4900), ("-T(13,17) # T(5,7)", -84, -84),
+                                               ("stair[1,2,3,4]", 6, 4)])
+def test_tau_values(expr, at_0, at_2):
+    # stair[1,2,3,4] is no knot's staircase: its two end slopes differ.
+    C = uk.parse_and_build(expr)
+    assert (tau(C, 0), tau(C, 1)) == (at_0, at_2)
 
 
 def test_slope_jumps_divide_out_no_slope(monkeypatch):

@@ -7,10 +7,12 @@ import upsilonkit as uk
 from upsilonkit import NEG_INF, POS_INF, DomainError
 from upsilonkit.gf2 import Gf2Solver, Gf2Span
 from helpers import (
-    CATALOG_SCAN, UPSILON, UPSILON2, assert_witnesses_connect, boundaries, built,
+    CATALOG_SCAN, UPSILON, UPSILON2, boundaries, built,
     count_thresholds, interior_breakpoints, pl,
 )
-from oracles import check_disjointness_theorem, margin_one_sided, reference_threshold, same_affine
+from oracles import (
+    assert_witnesses_connect, check_disjointness_theorem, margin_one_sided, phi, reference_threshold, same_affine,
+)
 
 
 def names_of(zs, vec):
@@ -39,7 +41,7 @@ def test_z_sets_members_are_minimizing_cycles():
         # representative by boundaries.
         assert (rep ^ coset.cycle) in boundary_span
         # And their support stays in the weight-gamma(t) half-plane.
-        assert max(uk.phi(t, zs.basis[i].point) for i in support(rep)) <= level
+        assert max(phi(t, zs.basis[i].point) for i in support(rep)) <= level
     for direction in zs.v_minus + zs.v_plus:
         assert direction in boundary_span
 
@@ -55,7 +57,7 @@ def test_z_sets_refuse_a_cycle_outside_the_t_half_plane(monkeypatch):
     C = uk.parse_and_build("T(3,4) # -T(2,5)")
     t = F(2, 3)
     level = uk.gamma_at(C, t)
-    far = next(k for k, e in enumerate(C.generator_coset().basis) if uk.phi(t, e.point) > level)
+    far = next(k for k, e in enumerate(C.generator_coset().basis) if phi(t, e.point) > level)
     one_sided = UPSILON._one_sided
 
     def skewed(C, s, side):
@@ -123,9 +125,9 @@ def test_one_sided_keys_match_the_margin_method(name):
         # runs the kernel with Fraction weights and scans the slice.
         coset = C.generator_coset()
         items = [(1 << k, e.point) for k, e in enumerate(coset.basis)]
-        level, _ = reference_threshold(Gf2Span(boundaries(C)), coset.cycle, items, lambda p: uk.phi(t, p))
+        level, _ = reference_threshold(Gf2Span(boundaries(C)), coset.cycle, items, lambda p: phi(t, p))
         assert pd.gamma_t == level, (name, t)
-        assert pd.on_line == {e.point for e in C.grading_slice(0) if uk.phi(t, e.point) == level}
+        assert pd.on_line == {e.point for e in C.grading_slice(0) if phi(t, e.point) == level}
         zs = uk.z_sets(C, t)
         assert same_affine(zs.z_minus, zs.v_minus, zm, vm), (name, t)
         assert same_affine(zs.z_plus, zs.v_plus, zp, vp), (name, t)
@@ -236,7 +238,7 @@ def test_upsilon2_eliminates_its_base_columns_once(monkeypatch, name, additions)
         monkeypatch.setattr(module, attr, pausing)
     res = uk.upsilon2(C, 1)
     assert res.upsilon2.is_finite
-    inside = [e for e in C.grading_slice(1) if uk.phi(1, e.point) <= res.gamma_t]
+    inside = [e for e in C.grading_slice(1) if phi(1, e.point) <= res.gamma_t]
     assert len(added) == additions == len(res.zsets.v_minus + res.zsets.v_plus) + len(inside)
     assert entered.count("prepare_search") == 1 and not prepared
 
@@ -273,7 +275,7 @@ def test_solvers_get_only_vectors_reduced_modulo_their_base(monkeypatch, name):
         assert not fed, t
         res = uk.upsilon2(C, t)
         assert not fed, t
-        inside = [columns[k] for k, e in enumerate(slice1) if uk.phi(t, e.point) <= res.gamma_t]
+        inside = [columns[k] for k, e in enumerate(slice1) if phi(t, e.point) <= res.gamma_t]
         base_pivots = leading_bits(Gf2Span(list(zs.v_minus + zs.v_plus) + inside))
         assert len(prepared) == zs.disjoint, t
         for target, points, n, _ in prepared:
